@@ -20,15 +20,11 @@ from .bands import (
 )
 from .dispersion import (
     ZERO_ENERGY_ALPHA_MIN,
-    BendAngle,
     ContinuationError,
-    Coupling,
     DegenerateError,
     DomainError,
-    FloquetPhase,
     InsufficientDataError,
     OverflowNormError,
-    Wavenumber,
     discriminant,
     discriminant_negative,
     discriminant_zero_limit,
@@ -93,10 +89,6 @@ __all__ = [
     "__version__",
     # dispersion
     "ZERO_ENERGY_ALPHA_MIN",
-    "Coupling",
-    "Wavenumber",
-    "BendAngle",
-    "FloquetPhase",
     "DomainError",
     "DegenerateError",
     "OverflowNormError",

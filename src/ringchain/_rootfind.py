@@ -29,15 +29,13 @@ def bisect(
     *,
     fa: float | None = None,
     fb: float | None = None,
-    tol: float = 0.0,
     max_iter: int = 200,
 ) -> float:
     """Bisection on a sign-changing bracket ``[a, b]``.
 
-    With the default ``tol=0.0`` the loop runs until the midpoint can no
-    longer be distinguished from an endpoint, i.e. to full double
-    precision.  Raises ``ValueError`` when the bracket does not change
-    sign.
+    The loop runs until the midpoint can no longer be distinguished from
+    an endpoint, i.e. to full double precision.  Raises ``ValueError``
+    when the bracket does not change sign.
     """
     if not a < b:
         a, b = b, a
@@ -52,7 +50,7 @@ def bisect(
         raise ValueError(f"no sign change on [{a!r}, {b!r}]")
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
-        if not (a < mid < b) or (b - a) <= tol:
+        if not a < mid < b:
             return mid
         fm = fn(mid)
         if fm == 0.0:
@@ -107,13 +105,11 @@ def newton_complex(
     residual_tol: float = 1e-12,
     max_iter: int = 40,
     fd_scale: float = 1e-7,
-    max_step: float | None = None,
 ) -> NewtonResult:
     """Newton iteration in the complex plane.
 
     Falls back to a central finite difference with step
-    ``fd_scale * (1 + |z|)`` when no derivative is supplied.  Steps are
-    optionally clamped to ``max_step`` to keep the iteration local.
+    ``fd_scale * (1 + |z|)`` when no derivative is supplied.
     """
     z = complex(z0)
     fz = fn(z)
@@ -128,8 +124,6 @@ def newton_complex(
         if dz == 0 or not cmath.isfinite(dz):
             return NewtonResult(z, abs(fz), it, False)
         step = fz / dz
-        if max_step is not None and abs(step) > max_step:
-            step *= max_step / abs(step)
         z_new = z - step
         fz_new = fn(z_new)
         # Crude damping: halve the step while it fails to reduce |F|.

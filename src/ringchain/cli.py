@@ -17,12 +17,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bands import compute_bands
 from .dispersion import ContinuationError
-from .gaps import gap_eigenvalues, gap_intervals, is_singular_angle
+# ``gap_intervals`` is no longer called here, but perfbench/tracer.py
+# patches ``ringchain.cli.gap_intervals``, so the name stays importable.
+from .gaps import gap_eigenvalues, gap_intervals, is_singular_angle  # noqa: F401
 from .resonance import enumerate_singular_points, trace_complex_branch
 from .verify import CRITERION_LABELS, run_all, summarize
 
@@ -67,10 +68,8 @@ class RunConfig:
     branch: str = "both"
     output_format: str = "csv"
     output_path: str | None = None
-    tol_root: float = 1e-12
     tol_residual: float = 1e-9
     criteria: tuple[str, ...] | None = None
-    workers: int = 1
 
 
 def _fmt(x: float) -> str:
@@ -78,16 +77,17 @@ def _fmt(x: float) -> str:
 
 
 def _thread_count() -> int:
+    """Validate ``CHAIN_SPECTRUM_THREADS``; sweeps always run in one thread."""
     raw = os.environ.get("CHAIN_SPECTRUM_THREADS")
     if raw is None:
-        return min(8, os.cpu_count() or 1)
+        return 1
     try:
         n = int(raw)
     except ValueError as exc:
         raise ValueError(f"CHAIN_SPECTRUM_THREADS must be an integer: {raw!r}") from exc
     if n < 1:
         raise ValueError("CHAIN_SPECTRUM_THREADS must be positive")
-    return n
+    return 1
 
 
 def _jsonable(value):
@@ -200,13 +200,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             criteria=criteria,
         )
 
-    tol_root, tol_residual = args.tol_root, args.tol_residual
-    if tol_root < MIN_TOLERANCE or tol_residual < MIN_TOLERANCE:
+    tol_residual = args.tol_residual
+    if args.tol_root < MIN_TOLERANCE or tol_residual < MIN_TOLERANCE:
         raise ValueError(f"tolerances must be >= {MIN_TOLERANCE}")
     e_max = getattr(args, "emax", 30.0)
     if e_max <= 1.0:
         raise ValueError("--emax must exceed 1")
-    workers = _thread_count()
+    _thread_count()
 
     if cmd == "bands":
         return RunConfig(
@@ -215,9 +215,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             e_max=e_max,
             output_format=args.format,
             output_path=args.out,
-            tol_root=tol_root,
             tol_residual=tol_residual,
-            workers=workers,
         )
 
     if args.alpha == 0.0:
@@ -257,9 +255,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             parity=args.parity,
             output_format=args.format,
             output_path=args.out,
-            tol_root=tol_root,
             tol_residual=tol_residual,
-            workers=workers,
         )
 
     # resonances
@@ -279,9 +275,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         branch=args.branch,
         output_format=args.format,
         output_path=args.out,
-        tol_root=tol_root,
         tol_residual=tol_residual,
-        workers=workers,
     )
 
 
@@ -342,26 +336,20 @@ def _eigenvalue_rows(cfg: RunConfig, theta: float) -> list[tuple[str, ...]]:
                 _fmt(r.residual),
             )
         )
-    # Mark eigenvalues suppressed by an exactly singular angle.
+    # Mark eigenvalues suppressed by an exactly singular angle; gaps
+    # 1..n_max hold an integer for either sign of alpha.
     parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
     seen = {(row[5], row[4]) for row in rows}
-    for gap in gap_intervals(cfg.alpha, cfg.n_max):
-        if gap.n < 1:
-            continue
+    for n in range(1, cfg.n_max + 1):
         for p in parities:
-            if is_singular_angle(theta, gap.n, p) and (str(gap.n), p) not in seen:
-                rows.append((_fmt(theta), "", "", "", p, str(gap.n), "real", "", ""))
+            if is_singular_angle(theta, n, p) and (str(n), p) not in seen:
+                rows.append((_fmt(theta), "", "", "", p, str(n), "real", "", ""))
     return rows
 
 
 def cmd_eigenvalues(cfg: RunConfig) -> int:
     thetas = [cfg.theta] if cfg.theta is not None else _theta_grid(cfg)
-    if len(thetas) == 1:
-        per_theta = [_eigenvalue_rows(cfg, thetas[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_theta = list(pool.map(lambda t: _eigenvalue_rows(cfg, t), thetas))
-    rows = [row for chunk in per_theta for row in chunk]
+    rows = [row for theta in thetas for row in _eigenvalue_rows(cfg, theta)]
     if cfg.output_format == "json":
         payload = {
             "alpha": cfg.alpha,
@@ -395,24 +383,20 @@ def cmd_resonances(cfg: RunConfig) -> int:
     parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
     branches = ("lower", "upper") if cfg.branch == "both" else (cfg.branch,)
     start, stop, _ = cfg.theta_range
-    jobs = [
-        (sp, br)
-        for p in parities
-        for sp in enumerate_singular_points(cfg.n_max, p)
-        if start <= sp.theta0 < stop
-        for br in branches
-    ]
-    def run(job):
-        sp, br = job
-        try:
-            return _trace_one(cfg, sp, br), None
-        except (ContinuationError, ValueError) as exc:
-            return None, f"({sp.n},{sp.ell},{sp.parity},{br}): {exc}"
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        outcomes = list(pool.map(run, jobs))
-    curves = [c for c, _ in outcomes if c is not None]
-    partial = [note for _, note in outcomes if note is not None]
+    curves = []
+    partial = []
+    for p in parities:
+        for sp in enumerate_singular_points(cfg.n_max, p):
+            if not start <= sp.theta0 < stop:
+                continue
+            for br in branches:
+                try:
+                    curve = _trace_one(cfg, sp, br)
+                except (ContinuationError, ValueError) as exc:
+                    partial.append(f"({sp.n},{sp.ell},{sp.parity},{br}): {exc}")
+                    continue
+                if curve is not None:
+                    curves.append(curve)
     for note in partial:
         print(f"warning: curve abandoned {note}", file=sys.stderr)
     if cfg.output_format == "json":

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "ROOT_TOL",
@@ -36,10 +35,6 @@ __all__ = [
     "OverflowNormError",
     "ContinuationError",
     "InsufficientDataError",
-    "Coupling",
-    "Wavenumber",
-    "BendAngle",
-    "FloquetPhase",
     "discriminant",
     "discriminant_negative",
     "discriminant_zero_limit",
@@ -83,82 +78,6 @@ class ContinuationError(RuntimeError):
 
 class InsufficientDataError(RuntimeError):
     """Too few valid samples to fit the requested model."""
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Delta-coupling strength at the ring contact points."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
-            raise ValueError("coupling strength must be finite")
-
-    @property
-    def attractive(self) -> bool:
-        return self.alpha < 0.0
-
-    @property
-    def zero_energy_in_spectrum(self) -> bool:
-        return ZERO_ENERGY_ALPHA_MIN <= self.alpha <= 0.0
-
-
-@dataclass(frozen=True)
-class Wavenumber:
-    """Complex wavenumber ``k``; energy is ``k**2``."""
-
-    re: float
-    im: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("wavenumber components must be finite")
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def energy(self) -> complex:
-        return self.as_complex ** 2
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0.0
-
-
-@dataclass(frozen=True)
-class BendAngle:
-    """Bend of the distinguished ring, in radians.
-
-    ``theta = 0`` is the straight chain, admitted as a limit; solvers for
-    the perturbed chain require ``0 < theta < pi``.
-    """
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.theta) or not 0.0 <= self.theta <= math.pi:
-            raise ValueError("bend angle must lie in [0, pi]")
-
-
-@dataclass(frozen=True)
-class FloquetPhase:
-    """One Floquet multiplier of the period map."""
-
-    phase: complex
-
-    @property
-    def is_propagating(self) -> bool:
-        """True when the multiplier sits on the unit circle."""
-        return abs(abs(self.phase) - 1.0) < 1e-9
-
-    @property
-    def quasimomentum(self) -> float:
-        """Argument of the multiplier, in ``[-pi, pi)``."""
-        q = cmath.phase(self.phase)
-        return q if q < math.pi else q - 2.0 * math.pi
 
 
 def is_near_integer(k: float, window: float = INTEGER_WINDOW) -> bool:

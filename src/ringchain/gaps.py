@@ -257,9 +257,6 @@ def solve_gap(
     theta: float,
     gap: GapInterval,
     parity: str,
-    *,
-    scan_points: int = GAP_SCAN_POINTS,
-    root_tol: float = 0.0,
 ) -> float | None:
     """Positive-energy eigenvalue wavenumber in one gap and parity sector.
 
@@ -280,7 +277,7 @@ def solve_gap(
         return None
     lo, hi = dom
     sgn = _parity_sign(parity)
-    ks = np.linspace(lo, hi, scan_points)
+    ks = np.linspace(lo, hi, GAP_SCAN_POINTS)
     resid = sgn * np.cos(ks * theta) - _gap_function_vec(ks, alpha)
 
     def scalar(k: float) -> float:
@@ -288,7 +285,7 @@ def solve_gap(
 
     roots: list[float] = []
     for a, b in brackets_from_samples(ks, resid):
-        roots.append(a if a == b else bisect(scalar, a, b, tol=root_tol))
+        roots.append(a if a == b else bisect(scalar, a, b))
     deduped: list[float] = []
     for r in sorted(roots):
         if not deduped or r - deduped[-1] > 1e-9:

@@ -24,13 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rootfind import NewtonResult, newton_complex
+from ._rootfind import NewtonResult, bisect, newton_complex
 from .dispersion import ContinuationError, InsufficientDataError
-from .gaps import GapInterval, gap_intervals, singular_angles, solve_gap_near_edge
+from .gaps import (
+    GapInterval,
+    _parity_sign,
+    gap_intervals,
+    singular_angles,
+    solve_gap_near_edge,
+)
 
 __all__ = [
     "ContourZeroError",
-    "ResonanceResidual",
     "SingularPoint",
     "ResonanceCurve",
     "BranchFit",
@@ -63,14 +68,6 @@ SNAP_DISTANCE = 1e-5
 
 class ContourZeroError(RuntimeError):
     """A zero of the residual sits on the requested counting contour."""
-
-
-def _parity_sign(parity: str) -> float:
-    if parity == "+":
-        return 1.0
-    if parity == "-":
-        return -1.0
-    raise ValueError("parity must be '+' or '-'")
 
 
 def resonance_residual(
@@ -111,21 +108,6 @@ def resonance_residual_dk(
     t = 1.0 + 2.0 * s * a * b + a * a
     dt = 2.0 * s * (da * b + a * db) + 2.0 * a * da
     return alpha * (dp * r + p * dr) - 2.0 * sp * t - 2.0 * kc * (dsp * t + sp * dt)
-
-
-@dataclass(frozen=True)
-class ResonanceResidual:
-    """Residual of one parity sector at a fixed bend angle, as a callable."""
-
-    alpha: float
-    theta: float
-    parity: str
-
-    def __call__(self, k: complex) -> complex:
-        return resonance_residual(k, self.alpha, self.theta, self.parity)
-
-    def derivative(self, k: complex) -> complex:
-        return resonance_residual_dk(k, self.alpha, self.theta, self.parity)
 
 
 @dataclass(frozen=True)
@@ -214,11 +196,17 @@ def refine_resonance(
     max_iter: int = 30,
 ) -> NewtonResult:
     """Newton-polish a resonance-residual zero from a guess."""
-    form = ResonanceResidual(alpha, theta, parity)
+
+    def residual(k: complex) -> complex:
+        return resonance_residual(k, alpha, theta, parity)
+
+    def derivative(k: complex) -> complex:
+        return resonance_residual_dk(k, alpha, theta, parity)
+
     return newton_complex(
-        form,
+        residual,
         k_guess,
-        dfn=form.derivative if exact_derivative else None,
+        dfn=derivative if exact_derivative else None,
         residual_tol=residual_tol,
         max_iter=max_iter,
     )
@@ -401,8 +389,6 @@ def real_branch_offset(
         return b - n
     if (fa > 0.0) == (fb > 0.0):
         return None
-    from ._rootfind import bisect
-
     root = bisect(f, a, b, fa=fa, fb=fb)
     return root - n
 

@@ -248,7 +248,7 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
         if any(
             abs(theta - t0) < 1e-3
             for p in ("+", "-")
-            for t0 in _singular_angles_cached(n, p)
+            for t0 in singular_angles(n, p)
         ):
             continue
         trials += 1
@@ -283,16 +283,6 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
     return passed, measured, (
         f"{trials} triples, worst root gap {worst:.3g}, {mismatches} mismatches"
     )
-
-
-_SING_CACHE: dict[tuple[int, str], tuple[float, ...]] = {}
-
-
-def _singular_angles_cached(n: int, parity: str) -> tuple[float, ...]:
-    key = (n, parity)
-    if key not in _SING_CACHE:
-        _SING_CACHE[key] = singular_angles(n, parity)
-    return _SING_CACHE[key]
 
 
 _BRANCH_POINTS = (
@@ -576,7 +566,7 @@ def run_criterion(label: str) -> CriterionResult:
                 passed, measured, detail = False, {}, f"error: {exc!r}"
             runtime = time.perf_counter() - start
             return CriterionResult(
-                lab, desc, passed, lab in EXPECTED_FAILURES, runtime, detail,
+                lab, desc, bool(passed), lab in EXPECTED_FAILURES, runtime, detail,
                 measured,
             )
     raise ValueError(f"unknown criterion label {label!r}")

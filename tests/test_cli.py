@@ -178,6 +178,13 @@ def test_verify_expected_failure_exits_one():
     assert payload["overall_pass"] is False
 
 
+def test_verify_json_passed_is_a_json_bool():
+    proc = run_cli("verify", "--criteria", "10", "--format", "json")
+    assert proc.returncode == 0
+    assert '"passed": true' in proc.stdout
+    assert json.loads(proc.stdout)["criteria"][0]["passed"] is True
+
+
 def test_usage_errors_exit_two():
     cases = [
         ("bands",),  # missing --alpha
