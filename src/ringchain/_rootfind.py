@@ -2,24 +2,29 @@
 
 Everything here is deliberately simple: bisection run to floating-point
 exhaustion for guaranteed real brackets, a vectorised sign-change scanner
-for bracketing, and a damped complex Newton iteration for the resonance
-residual.  The solvers in the public modules own all model knowledge; this
-module only sees callables.
+for bracketing, the one scan-bracket-bisect path (``find_roots``) that
+every real solver takes, and a damped complex Newton iteration for the
+resonance residual.  The solvers in the public modules own all model
+knowledge; this module only sees callables.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "bisect",
     "brackets_from_samples",
+    "find_roots",
     "newton_complex",
     "NewtonResult",
 ]
+
+# Newton stops once |F| drops below this.
+NEWTON_RESIDUAL_TOL = 1e-12
 
 
 def bisect(
@@ -29,7 +34,6 @@ def bisect(
     *,
     fa: float | None = None,
     fb: float | None = None,
-    max_iter: int = 200,
 ) -> float:
     """Bisection on a sign-changing bracket ``[a, b]``.
 
@@ -48,7 +52,7 @@ def bisect(
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise ValueError(f"no sign change on [{a!r}, {b!r}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         if not a < mid < b:
             return mid
@@ -87,6 +91,25 @@ def brackets_from_samples(
     return out
 
 
+def find_roots(
+    fn: Callable[[float], float],
+    xs: Sequence[float] | np.ndarray,
+    ys: Sequence[float] | np.ndarray | None = None,
+) -> Iterator[float]:
+    """Roots of ``fn`` in the sign-change brackets of its samples on ``xs``.
+
+    ``ys`` are the samples (``fn`` at every ``xs`` when omitted).  A
+    degenerate bracket yields its point as it stands; every other bracket
+    is bisected on ``fn``.  Roots come lazily and in ascending order for
+    ascending ``xs``, so ``next(find_roots(...), None)`` bisects only the
+    first bracket.
+    """
+    if ys is None:
+        ys = [fn(x) for x in xs]
+    for a, b in brackets_from_samples(xs, ys):
+        yield a if a == b else bisect(fn, a, b)
+
+
 @dataclass(frozen=True)
 class NewtonResult:
     """Outcome of a complex Newton run."""
@@ -102,24 +125,22 @@ def newton_complex(
     z0: complex,
     *,
     dfn: Callable[[complex], complex] | None = None,
-    residual_tol: float = 1e-12,
     max_iter: int = 40,
-    fd_scale: float = 1e-7,
 ) -> NewtonResult:
     """Newton iteration in the complex plane.
 
     Falls back to a central finite difference with step
-    ``fd_scale * (1 + |z|)`` when no derivative is supplied.
+    ``1e-7 * (1 + |z|)`` when no derivative is supplied.
     """
     z = complex(z0)
     fz = fn(z)
     for it in range(1, max_iter + 1):
-        if abs(fz) < residual_tol:
+        if abs(fz) < NEWTON_RESIDUAL_TOL:
             return NewtonResult(z, abs(fz), it - 1, True)
         if dfn is not None:
             dz = dfn(z)
         else:
-            h = fd_scale * (1.0 + abs(z))
+            h = 1e-7 * (1.0 + abs(z))
             dz = (fn(z + h) - fn(z - h)) / (2.0 * h)
         if dz == 0 or not cmath.isfinite(dz):
             return NewtonResult(z, abs(fz), it, False)
@@ -134,6 +155,6 @@ def newton_complex(
             fz_new = fn(z_new)
             halvings += 1
         if z_new == z:
-            return NewtonResult(z, abs(fz), it, abs(fz) < residual_tol)
+            return NewtonResult(z, abs(fz), it, abs(fz) < NEWTON_RESIDUAL_TOL)
         z, fz = z_new, fz_new
-    return NewtonResult(z, abs(fz), max_iter, abs(fz) < residual_tol)
+    return NewtonResult(z, abs(fz), max_iter, abs(fz) < NEWTON_RESIDUAL_TOL)

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rootfind import bisect, brackets_from_samples
+from ._rootfind import find_roots
 from .dispersion import (
-    INTEGER_WINDOW,
     discriminant,
     discriminant_negative,
     discriminant_zero_limit,
@@ -160,13 +159,9 @@ def _edge_roots(alpha: float, s_lo: float, s_hi: float) -> list[float]:
         grid = np.linspace(a, b, max(64, n_pts // max(1, math.ceil(s_hi - s_lo))))
         vals = _halftrace_signed_vec(grid, alpha)
         for target in (1.0, -1.0):
-            for lo, hi in brackets_from_samples(grid, vals - target):
-                if lo == hi:
-                    root = lo
-                else:
-                    root = bisect(
-                        lambda s: _halftrace_signed(s, alpha) - target, lo, hi
-                    )
+            for root in find_roots(
+                lambda s: _halftrace_signed(s, alpha) - target, grid, vals - target
+            ):
                 if abs(root - round(root)) > _SNAP:
                     roots.append(root)
     roots.sort()

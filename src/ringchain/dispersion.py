@@ -25,8 +25,6 @@ import cmath
 import math
 
 __all__ = [
-    "ROOT_TOL",
-    "RESIDUAL_TOL",
     "INTEGER_WINDOW",
     "SMALL_ARG",
     "ZERO_ENERGY_ALPHA_MIN",
@@ -45,10 +43,6 @@ __all__ = [
     "is_near_integer",
 ]
 
-# Absolute tolerance to which bracketed roots are reported.
-ROOT_TOL = 1e-12
-# Acceptable residual of a spectral condition at a reported root.
-RESIDUAL_TOL = 1e-10
 # Real wavenumbers closer than this to an integer are treated as the
 # flat-band point itself and routed to the degenerate handling.
 INTEGER_WINDOW = 1e-9
@@ -80,9 +74,9 @@ class InsufficientDataError(RuntimeError):
     """Too few valid samples to fit the requested model."""
 
 
-def is_near_integer(k: float, window: float = INTEGER_WINDOW) -> bool:
-    """True when a real wavenumber is within ``window`` of an integer."""
-    return abs(k - round(k)) < window
+def is_near_integer(k: float) -> bool:
+    """True when a real wavenumber is within ``INTEGER_WINDOW`` of an integer."""
+    return abs(k - round(k)) < INTEGER_WINDOW
 
 
 def _sin_ratio(k: float | complex) -> float | complex:

@@ -4,11 +4,12 @@ Bending one ring by ``theta`` keeps the essential spectrum but inserts at
 most one eigenvalue per spectral gap and parity sector.  Positive-energy
 eigenvalues solve ``±cos(k*theta) = gap_function(k)`` on a gap interval
 (``+`` even sector, ``-`` odd sector); negative-energy ones solve the
-hyperbolic analogue.  Every solver below works the same way: a dense scan
-of the residual over the admissible interval, bisection of each bracket to
-full precision, then edge filtering — an eigenvalue sitting on a band edge
-(within ``EDGE_WINDOW``) is reported as absent, since the candidate
-eigenfunction stops being square-summable there.
+hyperbolic analogue.  Every solver below finds its roots through
+``_rootfind.find_roots``: a scan of the residual over the admissible
+interval, bisection of each bracket to full precision, then edge filtering
+— an eigenvalue sitting on a band edge (within ``EDGE_WINDOW``) is
+reported as absent, since the candidate eigenfunction stops being
+square-summable there.
 """
 from __future__ import annotations
 
@@ -17,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect, brackets_from_samples
-from .bands import _edge_roots, _negative_sweep_limit
+from ._rootfind import bisect, find_roots
+from .bands import _edge_roots, _halftrace_signed_vec, _negative_sweep_limit
 from .dispersion import (
-    INTEGER_WINDOW,
-    ROOT_TOL,
     ZERO_ENERGY_ALPHA_MIN,
     ContinuationError,
-    DomainError,
     discriminant,
     gap_function,
     gap_function_negative,
@@ -185,14 +183,17 @@ def gap_intervals(alpha: float, n_max: int) -> list[GapInterval]:
 def _noninteger_edge(alpha: float, lo: float, hi: float, target: float) -> float:
     """Root of ``half-trace = target`` strictly inside ``(lo, hi)``."""
     grid = np.linspace(lo + 1e-9, hi - 1e-9, 512)
-    vals = np.cos(np.pi * grid) + 0.25 * alpha * np.pi * np.sinc(grid) - target
-    br = brackets_from_samples(grid, vals)
-    if not br:
+    root = next(
+        find_roots(
+            lambda k: float(discriminant(k, alpha)) - target,
+            grid,
+            _halftrace_signed_vec(grid, alpha) - target,
+        ),
+        None,
+    )
+    if root is None:
         raise RuntimeError(f"no gap edge located in ({lo}, {hi})")
-    a, b = br[0]
-    if a == b:
-        return a
-    return bisect(lambda k: float(discriminant(k, alpha)) - target, a, b)
+    return root
 
 
 def singular_angles(n: int, parity: str) -> tuple[float, ...]:
@@ -223,6 +224,11 @@ def _parity_sign(parity: str) -> float:
     if parity == "-":
         return -1.0
     raise ValueError("parity must be '+' or '-'")
+
+
+def _gap_residual(k: float, alpha: float, theta: float, sgn: float) -> float:
+    """Gap condition ``sgn*cos(k*theta) - gap_function(k)`` (``sgn = ±1``)."""
+    return sgn * math.cos(k * theta) - gap_function(k, alpha)
 
 
 def _gap_function_vec(ks: np.ndarray, alpha: float) -> np.ndarray:
@@ -279,15 +285,8 @@ def solve_gap(
     sgn = _parity_sign(parity)
     ks = np.linspace(lo, hi, GAP_SCAN_POINTS)
     resid = sgn * np.cos(ks * theta) - _gap_function_vec(ks, alpha)
-
-    def scalar(k: float) -> float:
-        return sgn * math.cos(k * theta) - gap_function(k, alpha)
-
-    roots: list[float] = []
-    for a, b in brackets_from_samples(ks, resid):
-        roots.append(a if a == b else bisect(scalar, a, b))
     deduped: list[float] = []
-    for r in sorted(roots):
+    for r in find_roots(lambda k: _gap_residual(k, alpha, theta, sgn), ks, resid):
         if not deduped or r - deduped[-1] > 1e-9:
             deduped.append(r)
     edge = gap.band_edge
@@ -306,35 +305,27 @@ def solve_gap_near_edge(
     theta: float,
     gap: GapInterval,
     parity: str,
-    *,
-    window: float = 1e-2,
 ) -> float | None:
     """Eigenvalue wavenumber hugging the non-integer band edge.
 
     Small bend angles push the gap root exponentially close to the band
     edge, far below the resolution of the uniform scan in ``solve_gap``;
-    this variant bisects directly on a one-sided bracket at the edge.
-    Returns ``None`` when no sign change exists in the bracket.
+    this variant bisects directly on a one-sided bracket, at most 1e-2
+    wide, at the edge.  Returns ``None`` when no sign change exists in the
+    bracket.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie strictly between 0 and pi")
     sgn = _parity_sign(parity)
     edge = gap.band_edge
-    inner = edge - 1e-13 if edge == gap.k_hi else edge + 1e-13
-    width = gap.k_hi - gap.k_lo
-    outer = edge - min(window, 0.5 * width) if edge == gap.k_hi else edge + min(
-        window, 0.5 * width
+    reach = min(1e-2, 0.5 * (gap.k_hi - gap.k_lo))
+    if edge == gap.k_hi:
+        ends = [edge - reach, edge - 1e-13]
+    else:
+        ends = [edge + 1e-13, edge + reach]
+    return next(
+        find_roots(lambda k: _gap_residual(k, alpha, theta, sgn), ends), None
     )
-
-    def scalar(k: float) -> float:
-        return sgn * math.cos(k * theta) - gap_function(k, alpha)
-
-    fi, fo = scalar(inner), scalar(outer)
-    if fi == 0.0:
-        return inner
-    if (fi > 0.0) == (fo > 0.0):
-        return None
-    return bisect(scalar, min(inner, outer), max(inner, outer))
 
 
 def _negative_edges(alpha: float) -> tuple[float, float | None]:
@@ -379,45 +370,37 @@ def odd_zero_crossing_angle(alpha: float) -> float:
     return math.sqrt(2.0 * gap_function_negative_curvature(alpha))
 
 
-def _odd_negative_residual_scaled(kappa: float, alpha: float, theta: float) -> float:
-    """``(-cosh(kappa*theta) - gap_function_negative)/kappa**2``, stably.
+def _negative_residual(kappa: float, alpha: float, theta: float, sgn: float) -> float:
+    """Hyperbolic gap condition ``sgn*cosh(kappa*theta) - gap_function_negative``."""
+    return sgn * math.cosh(kappa * theta) - gap_function_negative(kappa, alpha)
 
-    Uses the product form ``cosh a - cosh b = 2 sinh((a+b)/2) sinh((a-b)/2)``
-    so the double zero at ``kappa = 0`` cancels analytically; the limit
-    value is ``C - theta**2/2`` with ``C`` the negative-gap curvature.
+
+def _odd_residual_scaled(s: float, alpha: float, theta: float) -> float:
+    """Odd-sector residual divided by ``-E`` (``E = sign(s)*s**2``), stably.
+
+    On ``x = |s|`` it is ``(cos(x*theta) + gap_function(x))/x**2`` for
+    ``s > 0`` and ``(-cosh(x*theta) - gap_function_negative(x))/x**2`` for
+    ``s < 0``: the sin/cos and sinh/cosh forms of one expression, continuous
+    across zero energy.  The product forms ``cos b - cos a = 2 sin((a+b)/2)
+    sin((a-b)/2)`` and ``cosh a - cosh b = 2 sinh((a+b)/2) sinh((a-b)/2)``,
+    with ``a = pi*x`` and ``b = theta*x``, cancel the double zero at
+    ``s = 0`` analytically; the limit value is ``C - theta**2/2`` with
+    ``C`` the negative-gap curvature.
     """
-    if kappa < 1e-8:
+    x = abs(s)
+    if x < 1e-8:
         return gap_function_negative_curvature(alpha) - 0.5 * theta * theta
-    a = 0.25 * alpha * math.sinh(math.pi * kappa) / kappa
-    d = math.cosh(math.pi * kappa) + 0.25 * alpha * math.sinh(math.pi * kappa) / kappa
-    denom = a - math.sqrt(max(d * d - 1.0, 0.0))
-    sp = math.sinh(math.pi * kappa)
-    term1 = (
-        2.0
-        * math.sinh(0.5 * kappa * (math.pi + theta))
-        * math.sinh(0.5 * kappa * (math.pi - theta))
-    )
-    return (term1 + sp * sp / denom) / (kappa * kappa)
-
-
-def _odd_positive_residual_scaled(k: float, alpha: float, theta: float) -> float:
-    """Continuation of the scaled odd residual to positive energies.
-
-    Matches ``_odd_negative_residual_scaled`` continuously across zero;
-    its roots on ``k > 0`` are exactly the odd-sector gap roots.
-    """
-    if k < 1e-8:
-        return gap_function_negative_curvature(alpha) - 0.5 * theta * theta
-    t = 0.25 * alpha * math.sin(math.pi * k) / k
-    d = math.cos(math.pi * k) + t
+    sin, cos = (math.sin, math.cos) if s >= 0.0 else (math.sinh, math.cosh)
+    t = 0.25 * alpha * sin(math.pi * x) / x
+    d = cos(math.pi * x) + t
     denom = t - math.sqrt(max(d * d - 1.0, 0.0))  # half-trace <= -1 here
-    sp = math.sin(math.pi * k)
+    sp = sin(math.pi * x)
     term1 = (
         2.0
-        * math.sin(0.5 * k * (math.pi + theta))
-        * math.sin(0.5 * k * (math.pi - theta))
+        * sin(0.5 * x * (math.pi + theta))
+        * sin(0.5 * x * (math.pi - theta))
     )
-    return (term1 + sp * sp / denom) / (k * k)
+    return (term1 + sp * sp / denom) / (x * x)
 
 
 def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
@@ -440,32 +423,19 @@ def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
         lo = x1 + 1e-12
         if not lo < hi - 1e-12:
             return None
-
-        def scalar(kp: float) -> float:
-            return math.cosh(kp * theta) - gap_function_negative(kp, alpha)
-
         grid = np.linspace(lo, hi - 1e-12, GAP_SCAN_POINTS)
-        vals = np.array([scalar(x) for x in grid])
-        br = brackets_from_samples(grid, vals)
-        if not br:
-            return None
-        a, b = br[0]
-        return a if a == b else bisect(scalar, a, b)
+        return next(
+            find_roots(lambda kp: _negative_residual(kp, alpha, theta, 1.0), grid),
+            None,
+        )
     # Odd sector below threshold.
     if x_m1 is None:
         return None
-
-    def scaled(kp: float) -> float:
-        return _odd_negative_residual_scaled(kp, alpha, theta)
-
     grid = np.linspace(1e-9, x_m1 - 1e-11, GAP_SCAN_POINTS)
-    vals = np.array([scaled(x) for x in grid])
-    br = brackets_from_samples(grid, vals)
-    if not br:
-        return None
-    a, b = br[0]
-    root = a if a == b else bisect(scaled, a, b)
-    return root if root > EDGE_WINDOW else None
+    root = next(
+        find_roots(lambda kp: _odd_residual_scaled(-kp, alpha, theta), grid), None
+    )
+    return root if root is not None and root > EDGE_WINDOW else None
 
 
 def double_eigenvalue_residual(k: float, alpha: float) -> float:
@@ -502,13 +472,9 @@ def double_points_in_gap(alpha: float, gap: GapInterval) -> list[float]:
     roots: list[float] = []
     for a, b in zip(cuts, cuts[1:]):
         grid = np.linspace(a + 1e-9, b - 1e-9, 512)
-        vals = np.array([double_eigenvalue_residual(x, alpha) for x in grid])
-        for xa, xb in brackets_from_samples(grid, vals):
-            roots.append(
-                xa
-                if xa == xb
-                else bisect(lambda k: double_eigenvalue_residual(k, alpha), xa, xb)
-            )
+        roots.extend(
+            find_roots(lambda k: double_eigenvalue_residual(k, alpha), grid)
+        )
     return roots
 
 
@@ -532,17 +498,17 @@ def _merge_records(
         mid = 0.5 * (kp + km)
         if abs(double_eigenvalue_residual(mid, alpha)) < 1e-6:
             res = max(
-                abs(math.cos(kp * theta) - gap_function(kp, alpha)),
-                abs(-math.cos(km * theta) - gap_function(km, alpha)),
+                abs(_gap_residual(kp, alpha, theta, 1.0)),
+                abs(_gap_residual(km, alpha, theta, -1.0)),
             )
             return [
                 EigenvalueRecord(theta, mid, mid * mid, "+-", gap.n, 2, res)
             ]
     if kp is not None:
-        res = abs(math.cos(kp * theta) - gap_function(kp, alpha))
+        res = abs(_gap_residual(kp, alpha, theta, 1.0))
         out.append(EigenvalueRecord(theta, kp, kp * kp, "+", gap.n, 1, res))
     if km is not None:
-        res = abs(-math.cos(km * theta) - gap_function(km, alpha))
+        res = abs(_gap_residual(km, alpha, theta, -1.0))
         out.append(EigenvalueRecord(theta, km, km * km, "-", gap.n, 1, res))
     return out
 
@@ -565,16 +531,11 @@ def gap_eigenvalues(
     if alpha < 0.0 and want_plus:
         kap = solve_negative(alpha, theta, "+")
         if kap is not None:
-            res = abs(math.cosh(kap * theta) - gap_function_negative(kap, alpha))
+            res = abs(_negative_residual(kap, alpha, theta, 1.0))
             records.append(
                 EigenvalueRecord(theta, kap, -kap * kap, "+", 0, 1, res)
             )
-    for gap in gap_intervals(alpha, n_max) if alpha != 0.0 else []:
-        if gap.n == 0 and alpha > 0.0:
-            kp = solve_gap(alpha, theta, gap, "+") if want_plus else None
-            km = solve_gap(alpha, theta, gap, "-") if want_minus else None
-            records.extend(_merge_records(alpha, theta, gap, kp, km))
-            continue
+    for gap in gap_intervals(alpha, n_max):
         kp = solve_gap(alpha, theta, gap, "+") if want_plus else None
         km = solve_gap(alpha, theta, gap, "-") if want_minus else None
         if (
@@ -586,9 +547,7 @@ def gap_eigenvalues(
         ):
             kap = solve_negative(alpha, theta, "-")
             if kap is not None:
-                res = abs(
-                    -math.cosh(kap * theta) - gap_function_negative(kap, alpha)
-                )
+                res = abs(_negative_residual(kap, alpha, theta, -1.0))
                 records.append(
                     EigenvalueRecord(theta, kap, -kap * kap, "-", 1, 1, res)
                 )
@@ -611,19 +570,10 @@ def _solve_zero_gap_odd_signed(alpha: float, theta: float) -> float | None:
         return None
     if is_singular_angle(theta, 1, "-"):
         return None
-
-    def scaled(s: float) -> float:
-        if s >= 0.0:
-            return _odd_positive_residual_scaled(s, alpha, theta)
-        return _odd_negative_residual_scaled(-s, alpha, theta)
-
     grid = np.linspace(-(x_m1 - 1e-11), 1.0 - INTEGER_EXCLUSION, GAP_SCAN_POINTS)
-    vals = np.array([scaled(s) for s in grid])
-    br = brackets_from_samples(grid, vals)
-    if not br:
-        return None
-    a, b = br[0]
-    return a if a == b else bisect(scaled, a, b)
+    return next(
+        find_roots(lambda s: _odd_residual_scaled(s, alpha, theta), grid), None
+    )
 
 
 def trace_eigenvalue_curve(
@@ -657,10 +607,6 @@ def trace_eigenvalue_curve(
                 s = -kap if kap is not None else None
             else:
                 s = None
-        elif gap_index == 0:
-            if gap is None:
-                raise ValueError("gap 0 exists only for a repulsive coupling")
-            s = solve_gap(alpha, theta, gap, parity)
         elif deep_odd:
             s = _solve_zero_gap_odd_signed(alpha, theta)
         else:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rootfind import NewtonResult, bisect, newton_complex
+from ._rootfind import NewtonResult, find_roots, newton_complex
 from .dispersion import ContinuationError, InsufficientDataError
 from .gaps import (
     GapInterval,
@@ -58,6 +58,8 @@ __all__ = [
 # Continuation step bounds (in bend angle, radians).
 MAX_STEP = 1e-2
 MIN_STEP = 1e-7
+# Largest Newton residual a continuation node may keep.
+RESIDUAL_ACCEPT = 1e-9
 # Step cap once the trajectory closes in on a flat-band point, where the
 # branch point makes Newton's basin shrink.
 NEAR_SINGULAR_STEP = 1e-5
@@ -192,7 +194,6 @@ def refine_resonance(
     k_guess: complex,
     *,
     exact_derivative: bool = False,
-    residual_tol: float = 1e-12,
     max_iter: int = 30,
 ) -> NewtonResult:
     """Newton-polish a resonance-residual zero from a guess."""
@@ -207,7 +208,6 @@ def refine_resonance(
         residual,
         k_guess,
         dfn=derivative if exact_derivative else None,
-        residual_tol=residual_tol,
         max_iter=max_iter,
     )
 
@@ -250,9 +250,6 @@ def continue_curve(
     branch: str = "lower",
     seed: SingularPoint | None = None,
     exact_derivative: bool = False,
-    residual_accept: float = 1e-9,
-    max_step: float = MAX_STEP,
-    min_step: float = MIN_STEP,
 ) -> ResonanceCurve:
     """Continue a residual zero across a monotone grid of bend angles.
 
@@ -271,7 +268,7 @@ def continue_curve(
     start = refine_resonance(
         alpha, thetas[0], parity, k_start, exact_derivative=exact_derivative
     )
-    if not start.converged or start.residual > residual_accept:
+    if not start.converged or start.residual > RESIDUAL_ACCEPT:
         raise ValueError("k_start does not converge onto a residual zero")
     samples: list[tuple[float, complex]] = [(thetas[0], start.root)]
     prev: tuple[float, complex] | None = None
@@ -291,7 +288,7 @@ def continue_curve(
     for t_target in thetas[1:]:
         while not done and cur[0] != t_target:
             dist = abs(cur[1] - round(cur[1].real))
-            cap = max_step
+            cap = MAX_STEP
             if dist < 3e-3:
                 cap = NEAR_SINGULAR_STEP
             elif dist < 3e-2:
@@ -308,10 +305,10 @@ def continue_curve(
                 )
                 moved = abs(res.root - k_pred)
                 plausible = moved < max(0.05, 10.0 * abs(cur[1] - k_pred))
-                if res.converged and res.residual <= residual_accept and plausible:
+                if res.converged and res.residual <= RESIDUAL_ACCEPT and plausible:
                     break
                 step *= 0.5
-                if abs(step) < min_step:
+                if abs(step) < MIN_STEP:
                     raise ContinuationError(
                         f"step underflow at theta={cur[0]:.8g} (branch {branch})"
                     )
@@ -379,18 +376,11 @@ def real_branch_offset(
         return resonance_residual(complex(k), alpha, theta, parity).real
 
     if gap.k_lo == n:  # repulsive: root above the integer
-        a, b = n + 1e-13, gap.k_hi - 1e-13
+        ends = [n + 1e-13, gap.k_hi - 1e-13]
     else:  # attractive: root below
-        a, b = gap.k_lo + 1e-13, n - 1e-13
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a - n
-    if fb == 0.0:
-        return b - n
-    if (fa > 0.0) == (fb > 0.0):
-        return None
-    root = bisect(f, a, b, fa=fa, fb=fb)
-    return root - n
+        ends = [gap.k_lo + 1e-13, n - 1e-13]
+    root = next(find_roots(f, ends), None)
+    return None if root is None else root - n
 
 
 @dataclass(frozen=True)
@@ -466,27 +456,19 @@ def gentle_bend_coefficient(k0: float, alpha: float) -> float:
     return (k0 * k0 / 8.0) * (alpha / 4.0) ** 3 / denom
 
 
-def fit_gentle_coefficient(
-    alpha: float,
-    gap: GapInterval,
-    *,
-    parity: str = "+",
-    thetas=None,
-) -> float:
+def fit_gentle_coefficient(alpha: float, gap: GapInterval) -> float:
     """Measured quartic coefficient of the near-edge eigenvalue descent.
 
-    Solves the gap condition hard against the band edge on a grid of
-    small angles and extracts the ``theta**4`` coefficient by a weighted
-    fit of ``offset/theta**4`` against ``theta**2`` (the next term of the
-    even expansion).
+    Solves the even-sector gap condition hard against the band edge on 12
+    angles from 0.01 to 0.1 and extracts the ``theta**4`` coefficient by a
+    weighted fit of ``offset/theta**4`` against ``theta**2`` (the next term
+    of the even expansion).
     """
-    if thetas is None:
-        thetas = np.geomspace(0.01, 0.1, 12)
     k0 = gap.band_edge
     t2: list[float] = []
     ratio: list[float] = []
-    for theta in thetas:
-        k = solve_gap_near_edge(alpha, float(theta), gap, parity)
+    for theta in np.geomspace(0.01, 0.1, 12):
+        k = solve_gap_near_edge(alpha, float(theta), gap, "+")
         if k is None:
             continue
         off = abs(k0 - k)
@@ -523,8 +505,6 @@ def count_zeros_box(
     re_hi: float,
     im_lo: float,
     im_hi: float,
-    *,
-    max_refine: int = 60,
 ) -> int:
     """Number of residual zeros in a rectangle, by the argument principle.
 
@@ -549,7 +529,7 @@ def count_zeros_box(
         for i in range(m):
             nodes.append(c0 + (c1 - c0) * (i / m))
     zs = np.array(nodes, dtype=complex)
-    for _ in range(max_refine):
+    for _ in range(60):
         vals = resonance_residual_grid(zs, alpha, theta, parity)
         mags = np.abs(vals)
         neighbour = np.maximum(np.roll(mags, 1), np.roll(mags, -1))

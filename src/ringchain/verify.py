@@ -183,15 +183,18 @@ def _candidate_indices(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
 
 
-def _cleared_roots_on_segment(
-    lo: float, hi: float, alpha: float, theta: float, parity: str, nodes: int = 2001
+def _cleared_roots(
+    xs: np.ndarray, alpha: float, theta: float, parity: str, unit: complex
 ) -> list[float]:
-    """Real zeros of the cleared residual on ``[lo, hi]`` by scan + bisection."""
-    xs = np.linspace(lo, hi, nodes)
-    vals = resonance_residual_grid(xs, alpha, theta, parity)
+    """Zeros ``x`` of the cleared residual at ``k = unit*x``, by scan + bisection.
 
-    def cleared(k: float) -> float:
-        return resonance_residual(complex(k), alpha, theta, parity).real
+    ``unit`` is 1 for the real axis and ``1j`` for the imaginary axis, where
+    the residual is exactly real too.
+    """
+    vals = resonance_residual_grid(unit * xs, alpha, theta, parity).real
+
+    def cleared(x: float) -> float:
+        return resonance_residual(unit * x, alpha, theta, parity).real
 
     roots: list[float] = []
     for i in _candidate_indices(vals):
@@ -204,29 +207,6 @@ def _cleared_roots_on_segment(
             )
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
-    return roots
-
-
-def _cleared_roots_imaginary(
-    kappa_hi: float, alpha: float, theta: float, parity: str, nodes: int = 4001
-) -> list[float]:
-    """Zeros of the cleared residual at ``k = i*kappa`` for ``kappa`` in
-    ``(0, kappa_hi]``; the residual is exactly real there."""
-    xs = np.linspace(1e-6, kappa_hi, nodes)
-    vals = resonance_residual_grid(1j * xs, alpha, theta, parity).real
-
-    def cleared(kap: float) -> float:
-        return resonance_residual(1j * kap, alpha, theta, parity).real
-
-    roots: list[float] = []
-    for i in _candidate_indices(vals):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-        else:
-            roots.append(
-                bisect(cleared, float(xs[i]), float(xs[i + 1]),
-                       fa=float(vals[i]), fb=float(vals[i + 1]))
-            )
     return roots
 
 
@@ -255,8 +235,9 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
         gap = next(g for g in gap_intervals(alpha, n) if g.n == n)
         for parity in ("+", "-"):
             k_gap = solve_gap(alpha, theta, gap, parity)
-            roots = _cleared_roots_on_segment(
-                gap.k_lo + 1e-12, gap.k_hi - 1e-12, alpha, theta, parity
+            roots = _cleared_roots(
+                np.linspace(gap.k_lo + 1e-12, gap.k_hi - 1e-12, 2001),
+                alpha, theta, parity, 1,
             )
             roots = [
                 r for r in roots
@@ -270,10 +251,10 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
             # Below the spectrum threshold the same cleared residual,
             # evaluated on the imaginary axis, must reproduce the
             # hyperbolic-form eigenvalues.
-            kap_hi = kappa_cutoff(alpha) + 1.0
+            kappas = np.linspace(1e-6, kappa_cutoff(alpha) + 1.0, 4001)
             for parity in ("+", "-"):
                 kappa_ref = solve_negative(alpha, theta, parity)
-                roots = _cleared_roots_imaginary(kap_hi, alpha, theta, parity)
+                roots = _cleared_roots(kappas, alpha, theta, parity, 1j)
                 if not _matches_reference(roots, kappa_ref):
                     mismatches += 1
                 elif kappa_ref is not None:

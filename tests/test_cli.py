@@ -230,6 +230,16 @@ def test_residual_gate_exits_three():
     assert "numeric failure" in proc.stderr
 
 
+def test_resonance_residual_gate_exits_three():
+    # The traced samples carry residuals near 1e-13, above this demand.
+    proc = run_cli(
+        "resonances", "--alpha", "3", "--nmax", "1",
+        "--theta-count", "20", "--tol-residual", "1e-14",
+    )
+    assert proc.returncode == 3
+    assert "numeric failure" in proc.stderr
+
+
 def test_outputs_are_deterministic(tmp_path):
     args = (
         "eigenvalues", "--alpha", "-3", "--theta-start", "0.3",

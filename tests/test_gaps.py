@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringchain import (
+    ZERO_ENERGY_ALPHA_MIN,
     gap_eigenvalues,
     gap_function,
     gap_function_negative,
@@ -24,9 +25,12 @@ from ringchain import (
     solve_negative,
     trace_eigenvalue_curve,
 )
+from ringchain.gaps import _negative_edges, _odd_residual_scaled
 
 THETA = st.floats(min_value=0.3, max_value=math.pi - 0.3, allow_nan=False)
 COUPLING = st.floats(min_value=1.0, max_value=6.0, allow_nan=False)
+# Couplings below the borderline, where the odd residual crosses zero energy.
+DEEP = st.floats(min_value=-8.0, max_value=ZERO_ENERGY_ALPHA_MIN - 1e-3)
 
 
 def test_gap_intervals_repulsive_layout():
@@ -218,3 +222,33 @@ def test_first_gap_even_root_properties(alpha, theta):
     assume(k is not None)
     assert gap1.k_lo < k < gap1.k_hi
     assert abs(math.cos(k * theta) - gap_function(k, alpha)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=DEEP,
+    theta=st.floats(min_value=0.01, max_value=math.pi - 0.01),
+    frac=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_scaled_odd_residual_matches_both_energy_forms(alpha, theta, frac):
+    # Positive energy E = s**2: the odd residual -cos - gap_function over -E.
+    s = frac
+    ref = -(-math.cos(s * theta) - gap_function(s, alpha)) / (s * s)
+    got = _odd_residual_scaled(s, alpha, theta)
+    assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+    # Negative energy E = -kappa**2 at s = -kappa, below the threshold band.
+    kappa = frac * _negative_edges(alpha)[1]
+    ref = (-math.cosh(kappa * theta) - gap_function_negative(kappa, alpha)) / (
+        kappa * kappa
+    )
+    got = _odd_residual_scaled(-kappa, alpha, theta)
+    assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=DEEP, theta=st.floats(min_value=0.01, max_value=math.pi - 0.01))
+def test_scaled_odd_residual_tends_to_its_zero_energy_limit(alpha, theta):
+    limit = gap_function_negative_curvature(alpha) - 0.5 * theta * theta
+    for s in (1e-3, 1e-4, 1e-5, 1e-6):
+        for signed in (s, -s):
+            assert abs(_odd_residual_scaled(signed, alpha, theta) - limit) <= 1e3 * s * s

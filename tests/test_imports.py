@@ -1,0 +1,49 @@
+"""Every module-level import in the package is used or re-exported."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringchain"
+# perfbench/tracer.py patches ``ringchain.cli.gap_intervals``, which the CLI
+# itself no longer calls.
+PATCH_POINTS = {("cli", "gap_intervals")}
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem,
+)
+def test_module_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = [
+        name
+        for name in _imported_names(tree)
+        if name not in used
+        and name not in _exported(tree)
+        and (path.stem, name) not in PATCH_POINTS
+    ]
+    assert not unused, f"{path.name} imports {unused} without using them"

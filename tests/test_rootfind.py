@@ -1,12 +1,13 @@
-"""Tests for the sign-change scanners behind every bracketed root solve."""
+"""Tests for the sign-change scanners and the scan-bracket-bisect path."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringchain._rootfind import brackets_from_samples
+from ringchain._rootfind import bisect, brackets_from_samples, find_roots
 from ringchain.verify import _candidate_indices
 
 NAN, INF = math.nan, math.inf
@@ -36,6 +37,25 @@ def reference_brackets(xs, ys):
     if len(ys) and good[-1] and ys[-1] == 0.0:
         out.append((xs[-1], xs[-1]))
     return out
+
+
+def reference_roots(fn, xs, ys):
+    """The per-site loop that ``find_roots`` replaced."""
+    roots = []
+    for a, b in brackets_from_samples(xs, ys):
+        roots.append(a if a == b else bisect(fn, a, b))
+    return roots
+
+
+class Counted:
+    """A callable that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
 
 
 def reference_candidates(vals):
@@ -104,3 +124,67 @@ def test_cleared_scan_candidates_match_the_per_element_rule(ys):
         got = _candidate_indices(vals).tolist()
         want = reference_candidates(vals)
     assert got == want
+
+
+def test_find_roots_yields_an_exact_zero_sample_as_it_stands():
+    fn = Counted(lambda x: x - 1.0)
+    xs = np.array([0.0, 1.0, 2.0, 3.0])
+    roots = list(find_roots(fn, xs))
+    # The zero at 1 is a degenerate bracket: no bisection, only the samples.
+    assert roots == [1.0] and type(roots[0]) is np.float64
+    assert fn.calls == len(xs)
+
+
+def test_find_roots_ascend():
+    xs = np.linspace(0.5, 20.0, 300)
+    roots = list(find_roots(math.sin, xs))
+    assert roots == sorted(roots)
+    assert roots == pytest.approx([j * math.pi for j in range(1, 7)], abs=1e-14)
+
+
+def test_find_roots_with_samples_does_not_sample_fn():
+    fn = Counted(lambda x: x - 1.5)
+    xs = [0.0, 1.0, 2.0, 3.0]
+    assert list(find_roots(fn, xs, [1.0, 1.0, 2.0, 3.0])) == []
+    assert fn.calls == 0
+    # The samples place the bracket; fn only bisects it.
+    assert list(find_roots(fn, xs, [1.0, 1.0, -1.0, -1.0])) == [1.5]
+    direct = Counted(fn.fn)
+    bisect(direct, 1.0, 2.0)
+    assert fn.calls == direct.calls
+
+
+def test_next_bisects_only_the_first_bracket():
+    xs = np.linspace(0.5, 10.0, 100)
+    fn = Counted(math.sin)
+    first = next(find_roots(fn, xs))
+    a, b = brackets_from_samples(xs, [math.sin(x) for x in xs])[0]
+    direct = Counted(math.sin)
+    assert first == bisect(direct, a, b)
+    assert fn.calls == len(xs) + direct.calls
+    everything = Counted(math.sin)
+    assert len(list(find_roots(everything, xs))) == 3
+    assert everything.calls > fn.calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    zeros=st.lists(
+        st.one_of(
+            st.integers(0, 20).map(lambda i: 0.5 * i),  # on the grid
+            st.floats(0.0, 10.0),
+        ),
+        max_size=5,
+    ),
+    n=st.integers(1, 60),
+    sampled=st.booleans(),
+)
+def test_find_roots_match_the_per_site_loop(zeros, n, sampled):
+    def fn(x):
+        return math.prod(x - z for z in zeros)
+
+    xs = np.linspace(0.0, 10.0, n)
+    ys = [fn(x) for x in xs]
+    got = list(find_roots(fn, xs, ys if sampled else None))
+    assert got == reference_roots(fn, xs, ys)
+    assert got == sorted(got)
