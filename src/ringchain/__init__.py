@@ -40,6 +40,7 @@ from .gaps import (
     double_eigenvalue_residual,
     double_points_in_gap,
     gap_eigenvalues,
+    gap_eigenvalues_grid,
     gap_intervals,
     is_singular_angle,
     kappa_cutoff,
@@ -123,6 +124,7 @@ __all__ = [
     "double_points_in_gap",
     "recover_double_angle",
     "gap_eigenvalues",
+    "gap_eigenvalues_grid",
     "trace_eigenvalue_curve",
     # transfer
     "TransferMatrix",

@@ -1,11 +1,13 @@
-"""Scalar root-finding helpers shared by the spectral solvers.
+"""Root-finding helpers shared by the spectral solvers.
 
 Everything here is deliberately simple: bisection run to floating-point
-exhaustion for guaranteed real brackets, a vectorised sign-change scanner
-for bracketing, the one scan-bracket-bisect path (``find_roots``) that
-every real solver takes, and a damped complex Newton iteration for the
-resonance residual.  The solvers in the public modules own all model
-knowledge; this module only sees callables.
+exhaustion for guaranteed real brackets, one bracket at a time
+(``bisect``) or many at once in numpy (``bisect_batch``, same rules, same
+roots); a vectorised sign-change scanner for one sampled function or for
+every row of a block of them (``bracket_rows``); the scan-bracket-bisect
+path of the scalar solvers (``find_roots``); and a damped complex Newton
+iteration for the resonance residual.  The solvers in the public modules
+own all model knowledge; this module only sees callables.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ import numpy as np
 
 __all__ = [
     "bisect",
+    "bisect_batch",
+    "bracket_rows",
     "brackets_from_samples",
     "find_roots",
     "newton_complex",
@@ -66,29 +70,86 @@ def bisect(
     return 0.5 * (a + b)
 
 
+def bisect_batch(
+    fn: Callable[[np.ndarray], np.ndarray],
+    a: Sequence[float] | np.ndarray,
+    b: Sequence[float] | np.ndarray,
+) -> np.ndarray:
+    """``bisect`` on every bracket ``[a[i], b[i]]`` at once.
+
+    ``fn`` maps an array holding one point per bracket to the values
+    there.  Each bracket follows ``bisect``'s rules: a reversed bracket is
+    swapped, an endpoint whose value is an exact zero is returned, a
+    midpoint whose value is an exact zero is returned, and the loop stops
+    once the midpoint is no longer strictly inside.  With the same kernel
+    every root equals the one ``bisect`` returns, bit for bit.  Raises
+    ``ValueError`` when a bracket does not change sign.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    swap = ~(a < b)
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    fa, fb = fn(a), fn(b)
+    za, zb = fa == 0.0, fb == 0.0
+    flat = np.flatnonzero(~(za | zb) & ((fa > 0.0) == (fb > 0.0)))
+    if flat.size:
+        i = flat[0]
+        raise ValueError(f"no sign change on [{a[i]!r}, {b[i]!r}]")
+    # A finished bracket collapses onto its root (a == b), after which its
+    # midpoint is never strictly inside again.
+    a, b = np.where(zb & ~za, b, a), np.where(za, a, b)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        inside = (a < mid) & (mid < b)
+        if not inside.any():
+            break
+        fm = fn(mid)
+        up = (fm > 0.0) == (fa > 0.0)
+        stop = ~inside | (fm == 0.0)
+        a = np.where(up | stop, mid, a)
+        b = np.where(up & ~stop, b, mid)
+        fa = np.where(up, fm, fa)
+    return 0.5 * (a + b)
+
+
+def bracket_rows(
+    xs: Sequence[float] | np.ndarray,
+    ys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign-change brackets of every row of ``ys``, each row sampled on ``xs``.
+
+    NaN samples break the scan locally instead of poisoning it; an exact
+    zero at a sample point is reported as a degenerate bracket (interior
+    zeros only when the next sample is finite).  Returns the arrays
+    ``(row, lo, hi)``, ordered by row and ascending in sample order
+    within a row; ``lo`` and ``hi`` are values of ``xs``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape[1] == 0:
+        return np.empty(0, dtype=int), xs[:0], xs[:0]
+    good = np.isfinite(ys)
+    y0, y1 = ys[:, :-1], ys[:, 1:]
+    hit = np.zeros(ys.shape, dtype=bool)
+    hit[:, :-1] = good[:, :-1] & good[:, 1:] & ((y0 == 0.0) | ((y0 > 0.0) != (y1 > 0.0)))
+    hit[:, -1] = good[:, -1] & (ys[:, -1] == 0.0)
+    rows, cols = np.nonzero(hit)
+    lo = xs[cols]
+    hi = np.where(ys[rows, cols] == 0.0, lo, xs[np.minimum(cols + 1, xs.size - 1)])
+    return rows, lo, hi
+
+
 def brackets_from_samples(
     xs: Sequence[float] | np.ndarray,
     ys: Sequence[float] | np.ndarray,
 ) -> list[tuple[float, float]]:
-    """Return the sub-intervals of a sampled function that change sign.
+    """``bracket_rows`` for one sampled function, as ``(lo, hi)`` pairs.
 
-    NaN samples break the scan locally instead of poisoning it; an exact
-    zero at a sample point is reported as a degenerate bracket (interior
-    zeros only when the next sample is finite).  Brackets come in
-    ascending sample order as pairs of ``np.float64`` values of ``xs``.
+    Brackets come in ascending sample order as pairs of ``np.float64``
+    values of ``xs``.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    good = np.isfinite(ys)
-    y0, y1 = ys[:-1], ys[1:]
-    hit = good[:-1] & good[1:] & ((y0 == 0.0) | ((y0 > 0.0) != (y1 > 0.0)))
-    idx = np.flatnonzero(hit)
-    lo = xs[idx]
-    hi = np.where(ys[idx] == 0.0, lo, xs[idx + 1])
-    out: list[tuple[float, float]] = list(zip(lo, hi))
-    if len(ys) and good[-1] and ys[-1] == 0.0:
-        out.append((xs[-1], xs[-1]))
-    return out
+    _, lo, hi = bracket_rows(xs, np.reshape(np.asarray(ys, dtype=float), (1, -1)))
+    return list(zip(lo, hi))
 
 
 def find_roots(

@@ -23,7 +23,7 @@ from .bands import compute_bands
 from .dispersion import ContinuationError
 # ``gap_intervals`` is no longer called here, but perfbench/tracer.py
 # patches ``ringchain.cli.gap_intervals``, so the name stays importable.
-from .gaps import gap_eigenvalues, gap_intervals, is_singular_angle  # noqa: F401
+from .gaps import gap_eigenvalues_grid, gap_intervals, is_singular_angle  # noqa: F401
 from .resonance import enumerate_singular_points, trace_complex_branch
 from .verify import CRITERION_LABELS, run_all, summarize
 
@@ -48,9 +48,7 @@ CURVE_COLUMNS = (
 )
 BAND_COLUMNS = ("band_index", "e_lo", "e_hi", "k_lo", "k_hi", "closed_lo", "closed_hi")
 
-# Solvers bisect to machine exhaustion (~1e-16), so any permitted
-# tolerance override is attained automatically; the floor rejects
-# requests below double precision.
+# The floor of --tol-residual: requests below double precision are rejected.
 MIN_TOLERANCE = 1e-14
 
 
@@ -143,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--emax", type=float, default=30.0, help="energy ceiling (> 1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol-root", type=float, default=1e-12)
         p.add_argument("--tol-residual", type=float, default=1e-9)
 
     p_bands = sub.add_parser("bands", help="band spectrum of the straight chain")
@@ -201,8 +198,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         )
 
     tol_residual = args.tol_residual
-    if args.tol_root < MIN_TOLERANCE or tol_residual < MIN_TOLERANCE:
-        raise ValueError(f"tolerances must be >= {MIN_TOLERANCE}")
+    if tol_residual < MIN_TOLERANCE:
+        raise ValueError(f"--tol-residual must be >= {MIN_TOLERANCE}")
     e_max = getattr(args, "emax", 30.0)
     if e_max <= 1.0:
         raise ValueError("--emax must exceed 1")
@@ -311,8 +308,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _eigenvalue_rows(cfg: RunConfig, theta: float) -> list[tuple[str, ...]]:
-    records = gap_eigenvalues(cfg.alpha, theta, cfg.n_max, cfg.parity)
+def _eigenvalue_rows(cfg: RunConfig, theta: float, records) -> list[tuple[str, ...]]:
     if any(r.residual > cfg.tol_residual for r in records):
         worst = max(r.residual for r in records)
         raise ContinuationError(
@@ -349,7 +345,12 @@ def _eigenvalue_rows(cfg: RunConfig, theta: float) -> list[tuple[str, ...]]:
 
 def cmd_eigenvalues(cfg: RunConfig) -> int:
     thetas = [cfg.theta] if cfg.theta is not None else _theta_grid(cfg)
-    rows = [row for theta in thetas for row in _eigenvalue_rows(cfg, theta)]
+    per_angle = gap_eigenvalues_grid(cfg.alpha, thetas, cfg.n_max, cfg.parity)
+    rows = [
+        row
+        for theta, records in zip(thetas, per_angle)
+        for row in _eigenvalue_rows(cfg, theta, records)
+    ]
     if cfg.output_format == "json":
         payload = {
             "alpha": cfg.alpha,

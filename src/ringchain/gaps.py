@@ -4,23 +4,30 @@ Bending one ring by ``theta`` keeps the essential spectrum but inserts at
 most one eigenvalue per spectral gap and parity sector.  Positive-energy
 eigenvalues solve ``±cos(k*theta) = gap_function(k)`` on a gap interval
 (``+`` even sector, ``-`` odd sector); negative-energy ones solve the
-hyperbolic analogue.  Every solver below finds its roots through
-``_rootfind.find_roots``: a scan of the residual over the admissible
-interval, bisection of each bracket to full precision, then edge filtering
-— an eigenvalue sitting on a band edge (within ``EDGE_WINDOW``) is
-reported as absent, since the candidate eigenfunction stops being
-square-summable there.
+hyperbolic analogue.  One engine solves a whole grid of bend angles at a
+fixed coupling: work that depends only on the coupling (gap intervals,
+threshold edges, the cutoff, the gap function on each scan grid) is done
+once; the residual is sampled as (angles x points) blocks of at most
+``SCAN_BLOCK`` angles; every bracket of every (angle, gap, parity) slot is
+bisected together to full precision (``_rootfind.bisect_batch``); then
+each slot is filtered on its own — an eigenvalue sitting on a band edge
+(within ``EDGE_WINDOW``) is reported as absent, since the candidate
+eigenfunction stops being square-summable there.  The one-angle solvers
+are the one-angle case of the same engine, and ``solve_gap_batch`` runs
+its positive-energy part over one-angle queries at many couplings.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect, find_roots
+from ._rootfind import bisect, bisect_batch, bracket_rows, find_roots
 from .bands import _edge_roots, _halftrace_signed_vec, _negative_sweep_limit
 from .dispersion import (
+    SMALL_ARG,
     ZERO_ENERGY_ALPHA_MIN,
     ContinuationError,
     discriminant,
@@ -41,6 +48,7 @@ __all__ = [
     "singular_angles",
     "is_singular_angle",
     "solve_gap",
+    "solve_gap_batch",
     "solve_gap_near_edge",
     "solve_negative",
     "kappa_cutoff",
@@ -49,11 +57,18 @@ __all__ = [
     "double_points_in_gap",
     "recover_double_angle",
     "gap_eigenvalues",
+    "gap_eigenvalues_grid",
     "trace_eigenvalue_curve",
 ]
 
 # Points per dense residual scan of one gap.
 GAP_SCAN_POINTS = 1024
+# Angles sampled together in one residual scan; bounds the memory of the
+# (angles x GAP_SCAN_POINTS) sample blocks of a long sweep.
+SCAN_BLOCK = 16
+# One-angle queries solved together by ``solve_gap_batch``: enough to spread
+# the cost of the bisection loop, few enough to bound the arrays they hold.
+QUERY_BLOCK = 256
 # Roots are not sought closer than this to an integer wavenumber, where the
 # flat band lives and the gap function degenerates.
 INTEGER_EXCLUSION = 1e-6
@@ -231,13 +246,89 @@ def _gap_residual(k: float, alpha: float, theta: float, sgn: float) -> float:
     return sgn * math.cos(k * theta) - gap_function(k, alpha)
 
 
-def _gap_function_vec(ks: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorised ``gap_function`` for scan grids known to lie in a gap."""
-    d = np.cos(np.pi * ks) + 0.25 * alpha * np.pi * np.sinc(ks)
-    root = np.sqrt(np.clip(d * d - 1.0, 0.0, None))
-    denom = 0.25 * alpha * np.pi * np.sinc(ks) + np.where(d >= 0.0, root, -root)
-    s = np.sin(np.pi * ks)
-    return -np.cos(np.pi * ks) + s * s / denom
+def _gap_function_vec(ks: np.ndarray, alpha) -> np.ndarray:
+    """``gap_function`` on an array, operation for operation, for points in a gap."""
+    pk = np.pi * ks
+    s = np.sin(pk)
+    c = np.cos(pk)
+    ratio = s / ks
+    small = np.abs(ks) < SMALL_ARG
+    if small.any():  # the series of dispersion._sin_ratio
+        x2 = pk * pk
+        series = np.pi * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
+        ratio = np.where(small, series, ratio)
+    t = 0.25 * alpha * ratio
+    d = c + t
+    root = np.sqrt(np.maximum(d * d - 1.0, 0.0))
+    return -c + s * s / (t + np.where(d >= 0.0, root, -root))
+
+
+def _gap_function_negative_vec(kappas: np.ndarray, alpha) -> np.ndarray:
+    """``gap_function_negative`` on an array of decay parameters ``kappa > 0``."""
+    s = np.sinh(np.pi * kappas)
+    c = np.cosh(np.pi * kappas)
+    t = 0.25 * alpha * (s / kappas)
+    d = c + t
+    root = np.sqrt(np.maximum(d * d - 1.0, 0.0))
+    return -c - s * s / (t + np.where(d >= 0.0, root, -root))
+
+
+def _angles(thetas) -> np.ndarray:
+    """Bend angles as a float array, each strictly between 0 and pi."""
+    th = np.asarray(thetas, dtype=float).reshape(-1)
+    if not np.all((0.0 < th) & (th < math.pi)):
+        raise ValueError("theta must lie strictly between 0 and pi")
+    return th
+
+
+def _singular_mask(thetas: np.ndarray, n: int, parity: str) -> np.ndarray:
+    """``is_singular_angle`` at every angle of ``thetas``."""
+    angles = np.array(singular_angles(n, parity), dtype=float)
+    return np.any(np.abs(thetas[:, None] - angles) < SINGULAR_ANGLE_TOL, axis=1)
+
+
+def _scan(xs: np.ndarray, thetas: np.ndarray, residual):
+    """Brackets of ``residual(theta_column)`` on ``xs`` at every angle.
+
+    The residual is sampled as (angles x points) blocks of at most
+    ``SCAN_BLOCK`` angles.  Returns ``(angle index, lo, hi)`` arrays ordered
+    by angle and ascending within an angle.
+    """
+    parts = [(np.empty(0, dtype=int), xs[:0], xs[:0])]
+    for start in range(0, len(thetas), SCAN_BLOCK):
+        rows, lo, hi = bracket_rows(xs, residual(thetas[start:start + SCAN_BLOCK, None]))
+        parts.append((rows + start, lo, hi))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _bisect_brackets(kernel, lo: np.ndarray, hi: np.ndarray, *params) -> np.ndarray:
+    """Root in every bracket: a degenerate one as it stands, the rest bisected together.
+
+    ``kernel(x, *params)`` is evaluated with one value of each of
+    ``params`` per bracket.
+    """
+    live = lo != hi
+    sub = [p[live] for p in params]
+    roots = lo.copy()
+    roots[live] = bisect_batch(lambda x: kernel(x, *sub), lo[live], hi[live])
+    return roots
+
+
+def _first_roots(xs: np.ndarray, thetas: np.ndarray, kernel, residual=None) -> np.ndarray:
+    """Root in the first bracket of ``kernel(xs, theta)`` at every angle; NaN where none.
+
+    ``residual(theta_column)`` samples the scan blocks; by default it is the
+    kernel itself.
+    """
+    if residual is None:
+        def residual(th):
+            return kernel(xs, th)
+    rows, lo, hi = _scan(xs, thetas, residual)
+    first = np.unique(rows, return_index=True)[1]
+    rows, lo, hi = rows[first], lo[first], hi[first]
+    roots = np.full(len(thetas), np.nan)
+    roots[rows] = _bisect_brackets(kernel, lo, hi, thetas[rows])
+    return roots
 
 
 def _scan_domain(gap: GapInterval) -> tuple[float, float] | None:
@@ -258,6 +349,63 @@ def _scan_domain(gap: GapInterval) -> tuple[float, float] | None:
     return lo, hi
 
 
+def _gap_roots(slots) -> list[np.ndarray]:
+    """Positive-energy roots of every slot ``(alpha, gap, parity, thetas)``.
+
+    Gives one wavenumber per angle of each slot, NaN where the slot has no
+    eigenvalue there (see ``solve_gap``).  The gap function is sampled
+    once for each run of slots with the same coupling and gap; all
+    brackets of all slots are bisected together on one kernel with a
+    per-bracket coupling and parity sign.
+    """
+    out = [np.full(len(thetas), np.nan) for *_, thetas in slots]
+    sampled = None
+    found = []
+    for slot, (alpha, gap, parity, thetas) in enumerate(slots):
+        sgn = _parity_sign(parity)
+        live = np.flatnonzero(~_singular_mask(thetas, gap.n, parity))
+        dom = _scan_domain(gap)
+        if dom is None:
+            continue
+        if sampled != (alpha, gap):  # the parities of a gap come in turn
+            sampled = alpha, gap
+            ks = np.linspace(dom[0], dom[1], GAP_SCAN_POINTS)
+            g_k = _gap_function_vec(ks, alpha)
+        rows, lo, hi = _scan(ks, thetas[live], lambda th: sgn * np.cos(ks * th) - g_k)
+        n = rows.size
+        found.append((np.full(n, slot), live[rows], lo, hi, thetas[live][rows],
+                      np.full(n, sgn), np.full(n, alpha)))
+    if not found:
+        return out
+    slot, angle, lo, hi, *params = (np.concatenate(col) for col in zip(*found))
+    roots = _bisect_brackets(
+        lambda k, th, sgn, al: sgn * np.cos(k * th) - _gap_function_vec(k, al),
+        lo, hi, *params,
+    )
+    # Per slot and angle: drop near-duplicates of the last kept root, then
+    # roots on the band edge; more than one survivor means the scan is
+    # inconsistent.
+    kept: dict[tuple[int, int], list] = {}
+    for key, r in zip(zip(slot.tolist(), angle.tolist()), roots):
+        rs = kept.setdefault(key, [])
+        if not rs or r - rs[-1] > 1e-9:
+            rs.append(r)
+    for (s, i), rs in kept.items():
+        gap = slots[s][1]
+        rs = [r for r in rs if abs(r - gap.band_edge) > EDGE_WINDOW]
+        if len(rs) > 1:
+            raise RuntimeError(
+                f"multiple gap roots {rs} in gap {gap.n}: scan inconsistency"
+            )
+        if rs:
+            out[s][i] = rs[0]
+    return out
+
+
+def _found(x: np.float64) -> np.float64 | None:
+    return None if np.isnan(x) else x
+
+
 def solve_gap(
     alpha: float,
     theta: float,
@@ -272,32 +420,26 @@ def solve_gap(
     not change sign.  At most one root can exist; finding more than one
     surviving candidate raises ``RuntimeError``.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError("theta must lie strictly between 0 and pi")
-    if alpha == 0.0:
-        raise ValueError("the uncoupled chain has no gap eigenvalues")
-    if gap.n >= 1 and is_singular_angle(theta, gap.n, parity):
-        return None
-    dom = _scan_domain(gap)
-    if dom is None:
-        return None
-    lo, hi = dom
-    sgn = _parity_sign(parity)
-    ks = np.linspace(lo, hi, GAP_SCAN_POINTS)
-    resid = sgn * np.cos(ks * theta) - _gap_function_vec(ks, alpha)
-    deduped: list[float] = []
-    for r in find_roots(lambda k: _gap_residual(k, alpha, theta, sgn), ks, resid):
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    edge = gap.band_edge
-    deduped = [r for r in deduped if abs(r - edge) > EDGE_WINDOW]
-    if not deduped:
-        return None
-    if len(deduped) > 1:
-        raise RuntimeError(
-            f"multiple gap roots {deduped} in gap {gap.n}: scan inconsistency"
-        )
-    return deduped[0]
+    return solve_gap_batch([(alpha, theta, gap, parity)])[0]
+
+
+def solve_gap_batch(queries) -> list[float | None]:
+    """``solve_gap`` for every ``(alpha, theta, gap, parity)`` query.
+
+    The queries (any iterable) are solved together, ``QUERY_BLOCK`` at a
+    time.
+    """
+    out: list[float | None] = []
+    queries = iter(queries)
+    while block := list(itertools.islice(queries, QUERY_BLOCK)):
+        slots = []
+        for alpha, theta, gap, parity in block:
+            thetas = _angles([theta])
+            if alpha == 0.0:
+                raise ValueError("the uncoupled chain has no gap eigenvalues")
+            slots.append((alpha, gap, parity, thetas))
+        out += [_found(roots[0]) for roots in _gap_roots(slots)]
+    return out
 
 
 def solve_gap_near_edge(
@@ -375,7 +517,7 @@ def _negative_residual(kappa: float, alpha: float, theta: float, sgn: float) -> 
     return sgn * math.cosh(kappa * theta) - gap_function_negative(kappa, alpha)
 
 
-def _odd_residual_scaled(s: float, alpha: float, theta: float) -> float:
+def _odd_residual_scaled(s, alpha: float, theta):
     """Odd-sector residual divided by ``-E`` (``E = sign(s)*s**2``), stably.
 
     On ``x = |s|`` it is ``(cos(x*theta) + gap_function(x))/x**2`` for
@@ -385,22 +527,58 @@ def _odd_residual_scaled(s: float, alpha: float, theta: float) -> float:
     sin((a-b)/2)`` and ``cosh a - cosh b = 2 sinh((a+b)/2) sinh((a-b)/2)``,
     with ``a = pi*x`` and ``b = theta*x``, cancel the double zero at
     ``s = 0`` analytically; the limit value is ``C - theta**2/2`` with
-    ``C`` the negative-gap curvature.
+    ``C`` the negative-gap curvature.  ``s`` and ``theta`` broadcast.
     """
-    x = abs(s)
-    if x < 1e-8:
-        return gap_function_negative_curvature(alpha) - 0.5 * theta * theta
-    sin, cos = (math.sin, math.cos) if s >= 0.0 else (math.sinh, math.cosh)
-    t = 0.25 * alpha * sin(math.pi * x) / x
-    d = cos(math.pi * x) + t
-    denom = t - math.sqrt(max(d * d - 1.0, 0.0))  # half-trace <= -1 here
-    sp = sin(math.pi * x)
-    term1 = (
-        2.0
-        * sin(0.5 * x * (math.pi + theta))
-        * sin(0.5 * x * (math.pi - theta))
+    x = np.abs(s)
+    neg = np.asarray(s) < 0.0
+
+    def sin(z):
+        return np.where(neg, np.sinh(z), np.sin(z))
+
+    def cos(z):
+        return np.where(neg, np.cosh(z), np.cos(z))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = 0.25 * alpha * sin(np.pi * x) / x
+        d = cos(np.pi * x) + t
+        denom = t - np.sqrt(np.maximum(d * d - 1.0, 0.0))  # half-trace <= -1 here
+        sp = sin(np.pi * x)
+        term1 = 2.0 * sin(0.5 * x * (np.pi + theta)) * sin(0.5 * x * (np.pi - theta))
+        value = (term1 + sp * sp / denom) / (x * x)
+    small = x < 1e-8
+    if not np.any(small):
+        return value
+    limit = gap_function_negative_curvature(alpha) - 0.5 * theta * theta
+    return np.where(small, limit, value)
+
+
+def _negative_even_roots(alpha: float, thetas: np.ndarray, x1: float) -> np.ndarray:
+    """Even negative-energy ``kappa`` at every angle (NaN where none)."""
+    hi = kappa_cutoff(alpha)
+    lo = x1 + 1e-12
+    if not lo < hi - 1e-12:
+        return np.full(len(thetas), np.nan)
+    grid = np.linspace(lo, hi - 1e-12, GAP_SCAN_POINTS)
+    g = _gap_function_negative_vec(grid, alpha)
+    return _first_roots(
+        grid,
+        thetas,
+        lambda kp, th: np.cosh(kp * th) - _gap_function_negative_vec(kp, alpha),
+        lambda th: np.cosh(grid * th) - g,
     )
-    return (term1 + sp * sp / denom) / (x * x)
+
+
+def _negative_odd_roots(
+    alpha: float, thetas: np.ndarray, x_m1: float | None
+) -> np.ndarray:
+    """Odd negative-energy ``kappa`` at every angle (NaN where none)."""
+    if x_m1 is None:
+        return np.full(len(thetas), np.nan)
+    grid = np.linspace(1e-9, x_m1 - 1e-11, GAP_SCAN_POINTS)
+    roots = _first_roots(
+        grid, thetas, lambda kp, th: _odd_residual_scaled(-kp, alpha, th)
+    )
+    return np.where(roots > EDGE_WINDOW, roots, np.nan)
 
 
 def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
@@ -412,43 +590,26 @@ def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
     coupling and only for bend angles under ``odd_zero_crossing_angle``.
     Returns ``None`` when there is nothing to find.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError("theta must lie strictly between 0 and pi")
+    thetas = _angles([theta])
     if alpha >= 0.0:
         return None
     sgn = _parity_sign(parity)
     x1, x_m1 = _negative_edges(alpha)
     if sgn > 0.0:
-        hi = kappa_cutoff(alpha)
-        lo = x1 + 1e-12
-        if not lo < hi - 1e-12:
-            return None
-        grid = np.linspace(lo, hi - 1e-12, GAP_SCAN_POINTS)
-        return next(
-            find_roots(lambda kp: _negative_residual(kp, alpha, theta, 1.0), grid),
-            None,
-        )
-    # Odd sector below threshold.
-    if x_m1 is None:
-        return None
-    grid = np.linspace(1e-9, x_m1 - 1e-11, GAP_SCAN_POINTS)
-    root = next(
-        find_roots(lambda kp: _odd_residual_scaled(-kp, alpha, theta), grid), None
-    )
-    return root if root is not None and root > EDGE_WINDOW else None
+        return _found(_negative_even_roots(alpha, thetas, x1)[0])
+    return _found(_negative_odd_roots(alpha, thetas, x_m1)[0])
 
 
-def double_eigenvalue_residual(k: float, alpha: float) -> float:
+def double_eigenvalue_residual(k, alpha: float):
     """Residual ``k*tan(pi*k) - alpha/2`` of the parity-degeneracy condition.
 
     Vanishes exactly where the even and odd gap eigenvalues coincide (the
     gap function has a zero).  Near half-integer ``k`` the tangent blows
-    up; the residual is then reported as a signed infinity.
+    up; the residual is then reported as a signed infinity.  Takes a
+    number or an array.
     """
-    t = math.tan(math.pi * k)
-    if abs(t) > 1e15:
-        return math.copysign(math.inf, k * t)
-    return k * t - 0.5 * alpha
+    t = np.tan(np.pi * k)
+    return np.where(np.abs(t) > 1e15, np.copysign(np.inf, k * t), k * t - 0.5 * alpha)[()]
 
 
 def double_points_in_gap(alpha: float, gap: GapInterval) -> list[float]:
@@ -473,7 +634,11 @@ def double_points_in_gap(alpha: float, gap: GapInterval) -> list[float]:
     for a, b in zip(cuts, cuts[1:]):
         grid = np.linspace(a + 1e-9, b - 1e-9, 512)
         roots.extend(
-            find_roots(lambda k: double_eigenvalue_residual(k, alpha), grid)
+            find_roots(
+                lambda k: double_eigenvalue_residual(k, alpha),
+                grid,
+                double_eigenvalue_residual(grid, alpha),
+            )
         )
     return roots
 
@@ -513,6 +678,55 @@ def _merge_records(
     return out
 
 
+def gap_eigenvalues_grid(
+    alpha: float, thetas, n_max: int, parity: str = "both"
+) -> list[list[EigenvalueRecord]]:
+    """``gap_eigenvalues`` at every angle of ``thetas``, solved together.
+
+    Returns one sorted record list per angle, in the order of ``thetas``.
+    The gap intervals, the threshold edges, the cutoff and the gap
+    function on each scan grid are computed once for the whole grid.
+    """
+    if alpha == 0.0:
+        raise ValueError("the uncoupled chain has no gap eigenvalues")
+    thetas = _angles(thetas)
+    absent = np.full(len(thetas), np.nan)
+    want_plus = parity in ("both", "+")
+    want_minus = parity in ("both", "-")
+    parities = [p for p, want in (("+", want_plus), ("-", want_minus)) if want]
+    gaps = gap_intervals(alpha, n_max)
+    slots = [(alpha, gap, p, thetas) for gap in gaps for p in parities]
+    roots = dict(zip(((g.n, p) for _, g, p, _ in slots), _gap_roots(slots)))
+    kap_even = kap_odd = absent
+    if alpha < 0.0 and want_plus:
+        kap_even = _negative_even_roots(alpha, thetas, _negative_edges(alpha)[0])
+    if want_minus and alpha < ZERO_ENERGY_ALPHA_MIN:
+        # The odd eigenvalue of the first gap drops below zero energy.
+        need = np.isnan(roots[1, "-"]) & ~_singular_mask(thetas, 1, "-")
+        if need.any():
+            kap_odd = absent.copy()
+            kap_odd[need] = _negative_odd_roots(
+                alpha, thetas[need], _negative_edges(alpha)[1]
+            )
+    out: list[list[EigenvalueRecord]] = []
+    for i, theta in enumerate(thetas.tolist()):
+        records: list[EigenvalueRecord] = []
+        kap = _found(kap_even[i])
+        if kap is not None:
+            res = abs(_negative_residual(kap, alpha, theta, 1.0))
+            records.append(EigenvalueRecord(theta, kap, -kap * kap, "+", 0, 1, res))
+        for gap in gaps:
+            kap = _found(kap_odd[i]) if gap.n == 1 else None
+            if kap is not None:
+                res = abs(_negative_residual(kap, alpha, theta, -1.0))
+                records.append(EigenvalueRecord(theta, kap, -kap * kap, "-", 1, 1, res))
+            kp, km = (_found(roots.get((gap.n, p), absent)[i]) for p in ("+", "-"))
+            records.extend(_merge_records(alpha, theta, gap, kp, km))
+        records.sort(key=lambda r: (r.gap_index, r.energy, r.parity))
+        out.append(records)
+    return out
+
+
 def gap_eigenvalues(
     alpha: float, theta: float, n_max: int, parity: str = "both"
 ) -> list[EigenvalueRecord]:
@@ -523,57 +737,28 @@ def gap_eigenvalues(
     and, below the borderline coupling, the odd one in the negative reach
     of the first gap (``gap_index = 1``).
     """
-    if alpha == 0.0:
-        raise ValueError("the uncoupled chain has no gap eigenvalues")
-    want_plus = parity in ("both", "+")
-    want_minus = parity in ("both", "-")
-    records: list[EigenvalueRecord] = []
-    if alpha < 0.0 and want_plus:
-        kap = solve_negative(alpha, theta, "+")
-        if kap is not None:
-            res = abs(_negative_residual(kap, alpha, theta, 1.0))
-            records.append(
-                EigenvalueRecord(theta, kap, -kap * kap, "+", 0, 1, res)
-            )
-    for gap in gap_intervals(alpha, n_max):
-        kp = solve_gap(alpha, theta, gap, "+") if want_plus else None
-        km = solve_gap(alpha, theta, gap, "-") if want_minus else None
-        if (
-            km is None
-            and want_minus
-            and gap.n == 1
-            and alpha < ZERO_ENERGY_ALPHA_MIN
-            and not is_singular_angle(theta, 1, "-")
-        ):
-            kap = solve_negative(alpha, theta, "-")
-            if kap is not None:
-                res = abs(_negative_residual(kap, alpha, theta, -1.0))
-                records.append(
-                    EigenvalueRecord(theta, kap, -kap * kap, "-", 1, 1, res)
-                )
-        records.extend(_merge_records(alpha, theta, gap, kp, km))
-    records.sort(key=lambda r: (r.gap_index, r.energy, r.parity))
-    return records
+    return gap_eigenvalues_grid(alpha, [theta], n_max, parity)[0]
 
 
-def _solve_zero_gap_odd_signed(alpha: float, theta: float) -> float | None:
-    """Signed root ``s`` of the odd condition in the gap touching zero.
+def _signed_odd_roots(alpha: float, thetas: np.ndarray) -> np.ndarray:
+    """Signed roots ``s`` of the odd condition in the gap touching zero.
 
     For couplings below the borderline the odd eigenvalue of the first
     gap moves continuously from negative to positive energy as the bend
     angle grows; this solver works in the signed variable
     (``energy = sign(s)*s**2``) with the zero-crossing removed by scaling,
-    so the crossing itself is no obstacle.
+    so the crossing itself is no obstacle.  NaN where there is no root.
     """
-    x1, x_m1 = _negative_edges(alpha)
+    roots = np.full(len(thetas), np.nan)
+    x_m1 = _negative_edges(alpha)[1]
     if x_m1 is None:
-        return None
-    if is_singular_angle(theta, 1, "-"):
-        return None
+        return roots
+    live = ~_singular_mask(thetas, 1, "-")
     grid = np.linspace(-(x_m1 - 1e-11), 1.0 - INTEGER_EXCLUSION, GAP_SCAN_POINTS)
-    return next(
-        find_roots(lambda s: _odd_residual_scaled(s, alpha, theta), grid), None
+    roots[live] = _first_roots(
+        grid, thetas[live], lambda s, th: _odd_residual_scaled(s, alpha, th)
     )
+    return roots
 
 
 def trace_eigenvalue_curve(
@@ -593,33 +778,27 @@ def trace_eigenvalue_curve(
     jump beyond ``jump_factor`` times the predicted increment raises
     ``ContinuationError``.
     """
-    samples: list[tuple[float, float]] = []
+    grid = list(thetas)
+    th = _angles(grid)
     deep_odd = (
         parity == "-" and gap_index == 1 and alpha < ZERO_ENERGY_ALPHA_MIN
     )
     gaps = gap_intervals(alpha, max(gap_index, 1)) if alpha != 0.0 else []
     gap = next((g for g in gaps if g.n == gap_index), None)
-    for theta in thetas:
-        s: float | None
-        if gap_index == 0 and alpha < 0.0:
-            if parity == "+":
-                kap = solve_negative(alpha, theta, "+")
-                s = -kap if kap is not None else None
-            else:
-                s = None
-        elif deep_odd:
-            s = _solve_zero_gap_odd_signed(alpha, theta)
-        else:
-            if gap is None:
-                raise ValueError(f"gap {gap_index} not available")
-            k = solve_gap(alpha, theta, gap, parity)
-            if k is None and parity == "-" and gap_index == 1 and alpha < 0.0:
-                kap = solve_negative(alpha, theta, "-")
-                s = -kap if kap is not None else None
-            else:
-                s = k
-        if s is not None:
-            samples.append((theta, s))
+    if gap_index == 0 and alpha < 0.0:
+        s = np.full(len(th), np.nan)
+        if parity == "+":
+            s = -_negative_even_roots(alpha, th, _negative_edges(alpha)[0])
+    elif deep_odd:
+        s = _signed_odd_roots(alpha, th)
+    else:
+        if gap is None:
+            raise ValueError(f"gap {gap_index} not available")
+        s = _gap_roots([(alpha, gap, parity, th)])[0]
+        miss = np.isnan(s)
+        if parity == "-" and gap_index == 1 and alpha < 0.0 and miss.any():
+            s[miss] = -_negative_odd_roots(alpha, th[miss], _negative_edges(alpha)[1])
+    samples = [(theta, r) for theta, r in zip(grid, s) if not np.isnan(r)]
     # Secant continuity audit on the energies.
     for i in range(2, len(samples)):
         t0, s0 = samples[i - 2]

@@ -26,13 +26,14 @@ from .dispersion import (
 )
 from .gaps import (
     double_points_in_gap,
-    gap_eigenvalues,
+    gap_eigenvalues_grid,
     gap_intervals,
     kappa_cutoff,
     odd_zero_crossing_angle,
     recover_double_angle,
     singular_angles,
     solve_gap,
+    solve_gap_batch,
     solve_negative,
     trace_eigenvalue_curve,
 )
@@ -156,10 +157,10 @@ def _criterion_gap_counts() -> tuple[bool, dict, str]:
         indices = [g.n for g in gap_intervals(alpha, 5)]
         if alpha < 0.0:
             indices = [0] + indices
-        for i in range(50):
-            theta = (i + 0.5) * math.pi / 50.0
+        thetas = [(i + 0.5) * math.pi / 50.0 for i in range(50)]
+        for theta, records in zip(thetas, gap_eigenvalues_grid(alpha, thetas, 5)):
             counts: dict[int, int] = {}
-            for r in gap_eigenvalues(alpha, theta, 5):
+            for r in records:
                 counts[r.gap_index] = counts.get(r.gap_index, 0) + r.multiplicity
             for idx in indices:
                 c = counts.get(idx, 0)
@@ -218,10 +219,8 @@ def _matches_reference(roots: list[float], reference: float | None) -> bool:
 
 def _criterion_form_equivalence() -> tuple[bool, dict, str]:
     rng = np.random.default_rng(_RNG_SEED_FORMS)
-    trials = 0
-    mismatches = 0
-    worst = 0.0
-    while trials < 1000:
+    draws = []
+    while len(draws) < 1000:
         alpha = float(rng.uniform(1.0, 6.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         n = int(rng.integers(1, 6))
         theta = float(rng.uniform(0.3, math.pi - 0.3))
@@ -231,10 +230,17 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
             for t0 in singular_angles(n, p)
         ):
             continue
-        trials += 1
         gap = next(g for g in gap_intervals(alpha, n) if g.n == n)
+        draws.append((alpha, theta, gap))
+    trials = len(draws)
+    k_gaps = iter(
+        solve_gap_batch((a, t, g, p) for a, t, g in draws for p in ("+", "-"))
+    )
+    mismatches = 0
+    worst = 0.0
+    for alpha, theta, gap in draws:
         for parity in ("+", "-"):
-            k_gap = solve_gap(alpha, theta, gap, parity)
+            k_gap = next(k_gaps)
             roots = _cleared_roots(
                 np.linspace(gap.k_lo + 1e-12, gap.k_hi - 1e-12, 2001),
                 alpha, theta, parity, 1,
@@ -455,8 +461,8 @@ def _criterion_transfer_invariants() -> tuple[bool, dict, str]:
             max_char = max(max_char, abs(lam * lam - 2.0 * g * lam + 1.0))
     pool: list[tuple[float, object]] = []
     for alpha in (3.0, -3.0):
-        for theta in (0.6, 1.3, 2.0, 2.7):
-            for r in gap_eigenvalues(alpha, theta, 5, "+"):
+        for records in gap_eigenvalues_grid(alpha, (0.6, 1.3, 2.0, 2.7), 5, "+"):
+            for r in records:
                 if r.energy > 0.0 and r.gap_index >= 1:
                     pool.append((alpha, r))
     worst_decay = 0.0

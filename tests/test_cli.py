@@ -195,6 +195,7 @@ def test_usage_errors_exit_two():
         ("eigenvalues", "--alpha", "3", "--theta-start", "0.5",
          "--theta-stop", "2.0", "--theta-count", "1"),
         ("eigenvalues", "--alpha", "3", "--theta", "1.0", "--tol-root", "1e-18"),
+        ("eigenvalues", "--alpha", "3", "--theta", "1.0", "--tol-residual", "1e-18"),
         ("verify", "--criteria", "99"),
         ("frobnicate",),
     ]
@@ -213,7 +214,7 @@ def test_numeric_failure_exits_three(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ContinuationError("synthetic failure")
 
-    monkeypatch.setattr("ringchain.cli.gap_eigenvalues", explode)
+    monkeypatch.setattr("ringchain.cli.gap_eigenvalues_grid", explode)
     code = main(["eigenvalues", "--alpha", "3", "--theta", "1.0"])
     captured = capsys.readouterr()
     assert code == 3

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +15,9 @@ from ringchain import (
     gap_function_negative,
     gap_function_negative_curvature,
     gap_intervals,
+    double_eigenvalue_residual,
     double_points_in_gap,
+    gap_eigenvalues_grid,
     is_singular_angle,
     kappa_cutoff,
     lowest_band_threshold,
@@ -25,7 +28,7 @@ from ringchain import (
     solve_negative,
     trace_eigenvalue_curve,
 )
-from ringchain.gaps import _negative_edges, _odd_residual_scaled
+from ringchain.gaps import _negative_edges, _odd_residual_scaled, solve_gap_batch
 
 THETA = st.floats(min_value=0.3, max_value=math.pi - 0.3, allow_nan=False)
 COUPLING = st.floats(min_value=1.0, max_value=6.0, allow_nan=False)
@@ -224,6 +227,22 @@ def test_first_gap_even_root_properties(alpha, theta):
     assert abs(math.cos(k * theta) - gap_function(k, alpha)) < 1e-9
 
 
+def negative_odd_reference(kappa, alpha, theta):
+    """``(-cosh(kappa*theta) - gap_function_negative(kappa))/kappa**2`` to 50 digits.
+
+    In doubles this form loses about 1e-16/kappa**2 to cancellation, which
+    exceeds the tolerance below kappa ~ 3e-4 (couplings just under the
+    borderline); the reference must not carry that error.
+    """
+    with mpmath.workdps(50):
+        k, a, th = (mpmath.mpf(v) for v in (kappa, alpha, theta))
+        t = a / 4 * mpmath.sinh(mpmath.pi * k) / k
+        d = mpmath.cosh(mpmath.pi * k) + t
+        denom = t + mpmath.sign(d) * mpmath.sqrt(d * d - 1)
+        g = -mpmath.cosh(mpmath.pi * k) - mpmath.sinh(mpmath.pi * k) ** 2 / denom
+        return float((-mpmath.cosh(k * th) - g) / (k * k))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=DEEP,
@@ -238,9 +257,7 @@ def test_scaled_odd_residual_matches_both_energy_forms(alpha, theta, frac):
     assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
     # Negative energy E = -kappa**2 at s = -kappa, below the threshold band.
     kappa = frac * _negative_edges(alpha)[1]
-    ref = (-math.cosh(kappa * theta) - gap_function_negative(kappa, alpha)) / (
-        kappa * kappa
-    )
+    ref = negative_odd_reference(kappa, alpha, theta)
     got = _odd_residual_scaled(-kappa, alpha, theta)
     assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
@@ -252,3 +269,54 @@ def test_scaled_odd_residual_tends_to_its_zero_energy_limit(alpha, theta):
     for s in (1e-3, 1e-4, 1e-5, 1e-6):
         for signed in (s, -s):
             assert abs(_odd_residual_scaled(signed, alpha, theta) - limit) <= 1e3 * s * s
+
+
+@pytest.mark.parametrize("alpha", [3.0, -3.0])
+def test_grid_rows_equal_the_one_angle_solve(alpha):
+    # The CLI's 128-angle grid, plus angles singular for gaps 2 and 3.
+    thetas = [(i + 0.5) * math.pi / 128 for i in range(128)]
+    thetas += [math.pi / 2.0, 2.0 * math.pi / 3.0]
+    assert is_singular_angle(thetas[-1], 3, "+")
+    grid = gap_eigenvalues_grid(alpha, thetas, 5)
+    assert len(grid) == len(thetas)
+    for theta, records in zip(thetas, grid):
+        one = gap_eigenvalues(alpha, theta, 5)
+        assert [repr(r) for r in records] == [repr(r) for r in one]
+    assert not any(r.gap_index == 3 and "+" in r.parity for r in grid[-1])
+
+
+def test_gap_solves_batched_across_couplings_equal_one_by_one():
+    queries = [
+        (alpha, theta, gap, parity)
+        for alpha in (3.0, -3.0, 1.7)
+        for theta in (0.4, 2.0 * math.pi / 3.0, 2.5)
+        for gap in gap_intervals(alpha, 3)
+        for parity in ("+", "-")
+    ]
+    batched = solve_gap_batch(queries)
+    assert batched == [solve_gap(*q) for q in queries]
+    assert any(k is None for k in batched) and any(k is not None for k in batched)
+
+
+def test_traced_curves_equal_the_one_angle_solvers():
+    alpha = -3.0
+    thetas = np.linspace(0.3, 2.8, 12)
+    gap = gap_intervals(alpha, 2)[-1]
+    curve = trace_eigenvalue_curve(alpha, "+", 2, thetas)
+    assert list(curve.samples) == [(t, solve_gap(alpha, t, gap, "+")) for t in thetas]
+    curve = trace_eigenvalue_curve(alpha, "+", 0, thetas)
+    assert list(curve.samples) == [(t, -solve_negative(alpha, t, "+")) for t in thetas]
+
+
+def test_double_eigenvalue_residual_on_an_array_keeps_the_scalar_rule():
+    # Just above 0.5 and 1.5 the tangent is below -1e15, at 1.5 above 1e15.
+    ks = np.array([1.2, 1.2756700453097611, 0.5000000000000001, 1.5, 1.5000000000000002, 2.9])
+    got = double_eigenvalue_residual(ks, 3.0)
+    want = []
+    for k in ks.tolist():
+        t = math.tan(math.pi * k)
+        want.append(math.copysign(math.inf, k * t) if abs(t) > 1e15 else k * t - 1.5)
+    assert got[2:5].tolist() == [-math.inf, math.inf, -math.inf]
+    assert np.sign(got).tolist() == np.sign(want).tolist()
+    assert got == pytest.approx(want, rel=1e-12)
+    assert double_eigenvalue_residual(1.2, 3.0) == got[0]

@@ -5,9 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ringchain._rootfind import bisect, brackets_from_samples, find_roots
+from ringchain._rootfind import (
+    bisect,
+    bisect_batch,
+    bracket_rows,
+    brackets_from_samples,
+    find_roots,
+)
 from ringchain.verify import _candidate_indices
 
 NAN, INF = math.nan, math.inf
@@ -188,3 +194,57 @@ def test_find_roots_match_the_per_site_loop(zeros, n, sampled):
     got = list(find_roots(fn, xs, ys if sampled else None))
     assert got == reference_roots(fn, xs, ys)
     assert got == sorted(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(SAMPLES, min_size=1, max_size=5), width=st.integers(0, 12))
+def test_bracket_rows_apply_the_rule_to_each_row(rows, width):
+    ys = np.array([(r + [1.0] * width)[:width] for r in rows], dtype=float).reshape(len(rows), width)
+    xs = np.arange(width, dtype=float) * 0.37
+    got_rows, lo, hi = bracket_rows(xs, ys)
+    want = [(i, a, b) for i, y in enumerate(ys) for a, b in reference_brackets(xs, y)]
+    assert list(zip(got_rows.tolist(), lo, hi)) == want
+
+
+# Dyadic points, where a bisection midpoint can land exactly on a zero.
+DYADIC = st.integers(-32, 32).map(lambda i: i / 8.0)
+POINT = st.one_of(DYADIC, st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    zeros=st.lists(POINT, min_size=1, max_size=4),
+    ends=st.lists(st.tuples(POINT, POINT), min_size=1, max_size=12),
+    flip=st.booleans(),
+)
+def test_bisect_batch_matches_bisect_bit_for_bit(zeros, ends, flip):
+    def fn(x):
+        # Plain arithmetic: the same rounding on a float and on an array.
+        out = -1.0 if flip else 1.0
+        for z in zeros:
+            out = out * (x - z)
+        return out
+
+    def changes_sign(a, b):
+        fa, fb = fn(a), fn(b)
+        return fa == 0.0 or fb == 0.0 or (fa > 0.0) != (fb > 0.0)
+
+    # Exact zeros at either end, reversed brackets and zeros at midpoints
+    # all occur among these.
+    ends = [(a, b) for a, b in ends + [(zeros[0], 4.5), (4.5, zeros[0])] if changes_sign(a, b)]
+    assume(ends)
+    a, b = (np.array(col) for col in zip(*ends))
+    got = bisect_batch(fn, a, b)
+    want = [bisect(fn, x, y) for x, y in ends]
+    assert got.tolist() == want
+
+
+def test_bisect_batch_rules_on_fixed_brackets():
+    fn = lambda x: x - 0.5  # noqa: E731
+    # A midpoint that is an exact zero, a reversed bracket, a zero at
+    # either end.
+    got = bisect_batch(fn, [0.0, 1.0, 0.5, 0.0], [1.0, 0.0, 2.0, 0.5])
+    assert got.tolist() == [0.5, 0.5, 0.5, 0.5]
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect_batch(fn, [0.0, 1.0], [1.0, 2.0])
+    assert bisect_batch(fn, [], []).size == 0
