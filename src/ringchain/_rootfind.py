@@ -118,24 +118,26 @@ def bracket_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sign-change brackets of every row of ``ys``, each row sampled on ``xs``.
 
-    NaN samples break the scan locally instead of poisoning it; an exact
-    zero at a sample point is reported as a degenerate bracket (interior
-    zeros only when the next sample is finite).  Returns the arrays
-    ``(row, lo, hi)``, ordered by row and ascending in sample order
-    within a row; ``lo`` and ``hi`` are values of ``xs``.
+    ``xs`` is one grid shared by every row, or one grid per row (the
+    shape of ``ys``).  NaN samples break the scan locally instead of
+    poisoning it; an exact zero at a sample point is reported as a
+    degenerate bracket (interior zeros only when the next sample is
+    finite).  Returns the arrays ``(row, lo, hi)``, ordered by row and
+    ascending in sample order within a row; ``lo`` and ``hi`` are values
+    of ``xs``.
     """
-    xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    xs = np.broadcast_to(np.asarray(xs, dtype=float), ys.shape)
     if ys.shape[1] == 0:
-        return np.empty(0, dtype=int), xs[:0], xs[:0]
+        return np.empty(0, dtype=int), np.empty(0), np.empty(0)
     good = np.isfinite(ys)
     y0, y1 = ys[:, :-1], ys[:, 1:]
     hit = np.zeros(ys.shape, dtype=bool)
     hit[:, :-1] = good[:, :-1] & good[:, 1:] & ((y0 == 0.0) | ((y0 > 0.0) != (y1 > 0.0)))
     hit[:, -1] = good[:, -1] & (ys[:, -1] == 0.0)
     rows, cols = np.nonzero(hit)
-    lo = xs[cols]
-    hi = np.where(ys[rows, cols] == 0.0, lo, xs[np.minimum(cols + 1, xs.size - 1)])
+    lo = xs[rows, cols]
+    hi = np.where(ys[rows, cols] == 0.0, lo, xs[rows, np.minimum(cols + 1, ys.shape[1] - 1)])
     return rows, lo, hi
 
 

@@ -13,8 +13,10 @@ bisected together to full precision (``_rootfind.bisect_batch``); then
 each slot is filtered on its own — an eigenvalue sitting on a band edge
 (within ``EDGE_WINDOW``) is reported as absent, since the candidate
 eigenfunction stops being square-summable there.  The one-angle solvers
-are the one-angle case of the same engine, and ``solve_gap_batch`` runs
-its positive-energy part over one-angle queries at many couplings.
+are the one-angle case of the same engine; ``solve_gap_batch`` and
+``solve_negative_batch`` run it over one-angle queries at many couplings,
+each query scanned on its own grid, and the gap edges of many couplings
+are bisected together in the same way.
 """
 from __future__ import annotations
 
@@ -25,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import bisect, bisect_batch, bracket_rows, find_roots
-from .bands import _edge_roots, _halftrace_signed_vec, _negative_sweep_limit
+from .bands import _edge_roots, _negative_sweep_limit
 from .dispersion import (
     SMALL_ARG,
     ZERO_ENERGY_ALPHA_MIN,
     ContinuationError,
-    discriminant,
     gap_function,
     gap_function_negative,
     gap_function_negative_curvature,
@@ -51,6 +52,7 @@ __all__ = [
     "solve_gap_batch",
     "solve_gap_near_edge",
     "solve_negative",
+    "solve_negative_batch",
     "kappa_cutoff",
     "odd_zero_crossing_angle",
     "double_eigenvalue_residual",
@@ -63,9 +65,11 @@ __all__ = [
 
 # Points per dense residual scan of one gap.
 GAP_SCAN_POINTS = 1024
-# Angles sampled together in one residual scan; bounds the memory of the
-# (angles x GAP_SCAN_POINTS) sample blocks of a long sweep.
-SCAN_BLOCK = 16
+# Rows (angles or queries) sampled together in one residual scan; bounds
+# the memory of the (rows x GAP_SCAN_POINTS) sample blocks.  At 8 rows each
+# block array takes 64 KB; 16-row blocks of the per-row-grid scans raised
+# the peak RSS of ``verify`` and of an attractive sweep by about 0.9 MB.
+SCAN_BLOCK = 8
 # One-angle queries solved together by ``solve_gap_batch``: enough to spread
 # the cost of the bisection loop, few enough to bound the arrays they hold.
 QUERY_BLOCK = 256
@@ -173,42 +177,45 @@ def gap_intervals(alpha: float, n_max: int) -> list[GapInterval]:
         raise ValueError("the uncoupled chain has no spectral gaps")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    ns = range(0 if alpha > 0.0 else 1, n_max + 1)
+    return _gaps_at([alpha] * len(ns), ns)
+
+
+def _gaps_at(alphas, ns) -> list[GapInterval]:
+    """Gap ``ns[i]`` of the straight chain at coupling ``alphas[i]``, for every ``i``.
+
+    The non-integer edge of gap ``n`` is the root of ``discriminant = +1``
+    (``n`` even) or ``-1`` (``n`` odd) in the unit cell ``[n, n+1]`` of a
+    repulsive coupling or ``[n-1, n]`` of an attractive one.  The cell
+    ``[0, 1]`` is bisected whole, every other cell in the first bracket of
+    a 512-point scan; all edges are bisected together.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    ns = np.asarray(ns, dtype=int)
+    cells = np.where(alphas > 0.0, ns, ns - 1)
+    targets = np.where(ns % 2 == 0, 1.0, -1.0)
+    edges = np.empty(len(ns))
+    for whole, points in ((True, 2), (False, 512)):
+        sel = (cells == 0) == whole
+        edges[sel] = _first_roots(
+            cells[sel] + 1e-9,
+            (cells[sel] + 1.0) - 1e-9,
+            lambda k, al, target: _discriminant_vec(k, al) - target,
+            alphas[sel],
+            targets[sel],
+            points=points,
+        )
     out: list[GapInterval] = []
-    if alpha > 0.0:
-        k0 = bisect(lambda k: discriminant(k, alpha) - 1.0, 1e-9, 1.0 - 1e-9)
-        out.append(GapInterval(0, 0.0, k0, 1))
-        for n in range(1, n_max + 1):
-            target = 1.0 if n % 2 == 0 else -1.0
-            edge = float(_noninteger_edge(alpha, n, n + 1.0, target))
-            out.append(GapInterval(n, float(n), edge, int(target)))
-        return out
-    # Attractive coupling: gaps below the integers.
-    if discriminant(1e-9, alpha) + 1.0 > 0.0:
-        edge = bisect(lambda k: discriminant(k, alpha) + 1.0, 1e-9, 1.0 - 1e-9)
-        out.append(GapInterval(1, edge, 1.0, -1))
-    else:
-        out.append(GapInterval(1, 0.0, 1.0, -1))
-    for n in range(2, n_max + 1):
-        target = 1.0 if n % 2 == 0 else -1.0
-        edge = float(_noninteger_edge(alpha, n - 1.0, n, target))
-        out.append(GapInterval(n, edge, float(n), int(target)))
+    for alpha, n, cell, target, edge in zip(
+        alphas.tolist(), ns.tolist(), cells.tolist(), targets.tolist(), edges.tolist()
+    ):
+        if alpha < 0.0 and cell == 0 and not edge > 1e-9:
+            edge = 0.0  # the half-trace starts at or below -1: the gap reaches k = 0
+        if math.isnan(edge):
+            raise RuntimeError(f"no gap edge located in ({cell}, {cell + 1})")
+        lo, hi = (float(n), edge) if alpha > 0.0 else (edge, float(n))
+        out.append(GapInterval(n, lo, hi, int(target)))
     return out
-
-
-def _noninteger_edge(alpha: float, lo: float, hi: float, target: float) -> float:
-    """Root of ``half-trace = target`` strictly inside ``(lo, hi)``."""
-    grid = np.linspace(lo + 1e-9, hi - 1e-9, 512)
-    root = next(
-        find_roots(
-            lambda k: float(discriminant(k, alpha)) - target,
-            grid,
-            _halftrace_signed_vec(grid, alpha) - target,
-        ),
-        None,
-    )
-    if root is None:
-        raise RuntimeError(f"no gap edge located in ({lo}, {hi})")
-    return root
 
 
 def singular_angles(n: int, parity: str) -> tuple[float, ...]:
@@ -246,18 +253,29 @@ def _gap_residual(k: float, alpha: float, theta: float, sgn: float) -> float:
     return sgn * math.cos(k * theta) - gap_function(k, alpha)
 
 
+def _sin_ratio_vec(ks: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``dispersion._sin_ratio`` on an array, from ``s = sin(pi*ks)``."""
+    ratio = s / ks
+    small = np.abs(ks) < SMALL_ARG
+    if small.any():
+        x2 = (np.pi * ks) * (np.pi * ks)
+        series = np.pi * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
+        ratio = np.where(small, series, ratio)
+    return ratio
+
+
+def _discriminant_vec(ks: np.ndarray, alpha) -> np.ndarray:
+    """``discriminant`` on an array of real wavenumbers, operation for operation."""
+    pk = np.pi * ks
+    return np.cos(pk) + 0.25 * alpha * _sin_ratio_vec(ks, np.sin(pk))
+
+
 def _gap_function_vec(ks: np.ndarray, alpha) -> np.ndarray:
     """``gap_function`` on an array, operation for operation, for points in a gap."""
     pk = np.pi * ks
     s = np.sin(pk)
     c = np.cos(pk)
-    ratio = s / ks
-    small = np.abs(ks) < SMALL_ARG
-    if small.any():  # the series of dispersion._sin_ratio
-        x2 = pk * pk
-        series = np.pi * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
-        ratio = np.where(small, series, ratio)
-    t = 0.25 * alpha * ratio
+    t = 0.25 * alpha * _sin_ratio_vec(ks, s)
     d = c + t
     root = np.sqrt(np.maximum(d * d - 1.0, 0.0))
     return -c + s * s / (t + np.where(d >= 0.0, root, -root))
@@ -287,17 +305,17 @@ def _singular_mask(thetas: np.ndarray, n: int, parity: str) -> np.ndarray:
     return np.any(np.abs(thetas[:, None] - angles) < SINGULAR_ANGLE_TOL, axis=1)
 
 
-def _scan(xs: np.ndarray, thetas: np.ndarray, residual):
-    """Brackets of ``residual(theta_column)`` on ``xs`` at every angle.
+def _scan(rows: int, sample):
+    """Brackets of ``rows`` sampled rows, in blocks of at most ``SCAN_BLOCK`` rows.
 
-    The residual is sampled as (angles x points) blocks of at most
-    ``SCAN_BLOCK`` angles.  Returns ``(angle index, lo, hi)`` arrays ordered
-    by angle and ascending within an angle.
+    ``sample(block)`` gives the grid (shared, or one per row) and the
+    samples of the rows in the slice ``block``.  Returns ``(row, lo, hi)``
+    arrays ordered by row and ascending within a row.
     """
-    parts = [(np.empty(0, dtype=int), xs[:0], xs[:0])]
-    for start in range(0, len(thetas), SCAN_BLOCK):
-        rows, lo, hi = bracket_rows(xs, residual(thetas[start:start + SCAN_BLOCK, None]))
-        parts.append((rows + start, lo, hi))
+    parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
+    for start in range(0, rows, SCAN_BLOCK):
+        found, lo, hi = bracket_rows(*sample(slice(start, start + SCAN_BLOCK)))
+        parts.append((found + start, lo, hi))
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -314,20 +332,28 @@ def _bisect_brackets(kernel, lo: np.ndarray, hi: np.ndarray, *params) -> np.ndar
     return roots
 
 
-def _first_roots(xs: np.ndarray, thetas: np.ndarray, kernel, residual=None) -> np.ndarray:
-    """Root in the first bracket of ``kernel(xs, theta)`` at every angle; NaN where none.
+def _first_roots(lo, hi, kernel, *params, points: int = GAP_SCAN_POINTS) -> np.ndarray:
+    """Root in the first bracket of ``kernel(x, *params)`` on every row; NaN where none.
 
-    ``residual(theta_column)`` samples the scan blocks; by default it is the
-    kernel itself.
+    Row ``i`` samples ``kernel`` with the ``i``-th value of every parameter
+    on its own grid of ``points`` points spanning ``[lo[i], hi[i]]``, in
+    blocks of at most ``SCAN_BLOCK`` rows; a row without ``lo < hi`` has no
+    root.  The first brackets of all rows are bisected together.  The
+    arguments broadcast to one value per row.
     """
-    if residual is None:
-        def residual(th):
-            return kernel(xs, th)
-    rows, lo, hi = _scan(xs, thetas, residual)
+    lo, hi, *params = np.broadcast_arrays(lo, hi, *params)
+    live = np.flatnonzero(lo < hi)
+
+    def sample(block):
+        rows = live[block]
+        xs = np.linspace(lo[rows], hi[rows], points, axis=-1)
+        return xs, kernel(xs, *(p[rows, None] for p in params))
+
+    rows, a, b = _scan(live.size, sample)
     first = np.unique(rows, return_index=True)[1]
-    rows, lo, hi = rows[first], lo[first], hi[first]
-    roots = np.full(len(thetas), np.nan)
-    roots[rows] = _bisect_brackets(kernel, lo, hi, thetas[rows])
+    rows = live[rows[first]]
+    roots = np.full(lo.shape, np.nan)
+    roots[rows] = _bisect_brackets(kernel, a[first], b[first], *(p[rows] for p in params))
     return roots
 
 
@@ -371,7 +397,8 @@ def _gap_roots(slots) -> list[np.ndarray]:
             sampled = alpha, gap
             ks = np.linspace(dom[0], dom[1], GAP_SCAN_POINTS)
             g_k = _gap_function_vec(ks, alpha)
-        rows, lo, hi = _scan(ks, thetas[live], lambda th: sgn * np.cos(ks * th) - g_k)
+        th = thetas[live, None]
+        rows, lo, hi = _scan(live.size, lambda b: (ks, sgn * np.cos(ks * th[b]) - g_k))
         n = rows.size
         found.append((np.full(n, slot), live[rows], lo, hi, thetas[live][rows],
                       np.full(n, sgn), np.full(n, alpha)))
@@ -470,20 +497,27 @@ def solve_gap_near_edge(
     )
 
 
-def _negative_edges(alpha: float) -> tuple[float, float | None]:
-    """Threshold-band edges on the decay axis: ``(x1, x_minus1 or None)``.
+def _negative_edges(alpha: float) -> tuple[float, float]:
+    """Threshold-band edges on the decay axis: ``(x1, x_minus1)``.
 
     ``x1`` is the largest root of ``|discriminant_negative| = 1`` (the
     bottom of the spectrum sits at ``-x1**2``); ``x_minus1`` is the root
     of ``discriminant_negative = -1`` which exists only below the
-    borderline coupling ``ZERO_ENERGY_ALPHA_MIN``.
+    borderline coupling ``ZERO_ENERGY_ALPHA_MIN`` (NaN above it).
     """
     roots = _edge_roots(alpha, _negative_sweep_limit(alpha), -1e-9)
     if not roots:
         raise RuntimeError("no negative-branch edges found")
     x1 = -roots[0]
-    x_m1 = -roots[-1] if len(roots) >= 2 else None
+    x_m1 = -roots[-1] if len(roots) >= 2 else math.nan
     return x1, x_m1
+
+
+def _per_coupling(fn, alphas) -> np.ndarray:
+    """``fn(alpha)`` at every coupling of ``alphas``, evaluated once per distinct value."""
+    alphas = np.asarray(alphas, dtype=float).tolist()
+    values = {alpha: fn(alpha) for alpha in dict.fromkeys(alphas)}
+    return np.array([values[alpha] for alpha in alphas], dtype=float)
 
 
 def kappa_cutoff(alpha: float) -> float:
@@ -517,7 +551,7 @@ def _negative_residual(kappa: float, alpha: float, theta: float, sgn: float) -> 
     return sgn * math.cosh(kappa * theta) - gap_function_negative(kappa, alpha)
 
 
-def _odd_residual_scaled(s, alpha: float, theta):
+def _odd_residual_scaled(s, alpha, theta, curvature):
     """Odd-sector residual divided by ``-E`` (``E = sign(s)*s**2``), stably.
 
     On ``x = |s|`` it is ``(cos(x*theta) + gap_function(x))/x**2`` for
@@ -527,7 +561,8 @@ def _odd_residual_scaled(s, alpha: float, theta):
     sin((a-b)/2)`` and ``cosh a - cosh b = 2 sinh((a+b)/2) sinh((a-b)/2)``,
     with ``a = pi*x`` and ``b = theta*x``, cancel the double zero at
     ``s = 0`` analytically; the limit value is ``C - theta**2/2`` with
-    ``C`` the negative-gap curvature.  ``s`` and ``theta`` broadcast.
+    ``C = curvature``, the negative-gap curvature at ``alpha``.  All
+    arguments broadcast.
     """
     x = np.abs(s)
     neg = np.asarray(s) < 0.0
@@ -545,40 +580,22 @@ def _odd_residual_scaled(s, alpha: float, theta):
         sp = sin(np.pi * x)
         term1 = 2.0 * sin(0.5 * x * (np.pi + theta)) * sin(0.5 * x * (np.pi - theta))
         value = (term1 + sp * sp / denom) / (x * x)
-    small = x < 1e-8
-    if not np.any(small):
-        return value
-    limit = gap_function_negative_curvature(alpha) - 0.5 * theta * theta
-    return np.where(small, limit, value)
+    return np.where(x < 1e-8, curvature - 0.5 * theta * theta, value)
 
 
-def _negative_even_roots(alpha: float, thetas: np.ndarray, x1: float) -> np.ndarray:
-    """Even negative-energy ``kappa`` at every angle (NaN where none)."""
-    hi = kappa_cutoff(alpha)
-    lo = x1 + 1e-12
-    if not lo < hi - 1e-12:
-        return np.full(len(thetas), np.nan)
-    grid = np.linspace(lo, hi - 1e-12, GAP_SCAN_POINTS)
-    g = _gap_function_negative_vec(grid, alpha)
+def _negative_even_roots(alpha, theta, x1, cutoff) -> np.ndarray:
+    """Even negative-energy ``kappa`` of every row (NaN where none).
+
+    ``x1`` are the threshold edges and ``cutoff`` the values of
+    ``kappa_cutoff``; the arguments broadcast to one value per row.
+    """
     return _first_roots(
-        grid,
-        thetas,
-        lambda kp, th: np.cosh(kp * th) - _gap_function_negative_vec(kp, alpha),
-        lambda th: np.cosh(grid * th) - g,
+        x1 + 1e-12,
+        cutoff - 1e-12,
+        lambda kp, al, th: np.cosh(kp * th) - _gap_function_negative_vec(kp, al),
+        alpha,
+        theta,
     )
-
-
-def _negative_odd_roots(
-    alpha: float, thetas: np.ndarray, x_m1: float | None
-) -> np.ndarray:
-    """Odd negative-energy ``kappa`` at every angle (NaN where none)."""
-    if x_m1 is None:
-        return np.full(len(thetas), np.nan)
-    grid = np.linspace(1e-9, x_m1 - 1e-11, GAP_SCAN_POINTS)
-    roots = _first_roots(
-        grid, thetas, lambda kp, th: _odd_residual_scaled(-kp, alpha, th)
-    )
-    return np.where(roots > EDGE_WINDOW, roots, np.nan)
 
 
 def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
@@ -590,14 +607,43 @@ def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
     coupling and only for bend angles under ``odd_zero_crossing_angle``.
     Returns ``None`` when there is nothing to find.
     """
-    thetas = _angles([theta])
-    if alpha >= 0.0:
-        return None
-    sgn = _parity_sign(parity)
-    x1, x_m1 = _negative_edges(alpha)
-    if sgn > 0.0:
-        return _found(_negative_even_roots(alpha, thetas, x1)[0])
-    return _found(_negative_odd_roots(alpha, thetas, x_m1)[0])
+    return solve_negative_batch([(alpha, theta, parity)])[0]
+
+
+def solve_negative_batch(queries) -> list[float | None]:
+    """``solve_negative`` for every ``(alpha, theta, parity)`` query.
+
+    The queries (any iterable) are solved together: the threshold edges,
+    the cutoff and the curvature are computed once per distinct coupling,
+    each query's residual is sampled on its own grid, and the brackets of
+    all queries of one parity are bisected together.
+    """
+    rows = []
+    for alpha, theta, parity in queries:
+        _angles([theta])
+        rows.append((alpha, theta, 0.0 if alpha >= 0.0 else _parity_sign(parity)))
+    alpha, theta, sgn = np.array(rows, dtype=float).reshape(-1, 3).T
+    x1, x_m1 = np.full((2, len(rows)), np.nan)
+    live = sgn != 0.0
+    x1[live], x_m1[live] = _per_coupling(_negative_edges, alpha[live]).reshape(-1, 2).T
+    roots = np.full(len(rows), np.nan)
+    even = sgn > 0.0
+    roots[even] = _negative_even_roots(
+        alpha[even], theta[even], x1[even], _per_coupling(kappa_cutoff, alpha[even])
+    )
+    # The odd eigenvalue exists only below the borderline coupling.
+    odd = (sgn < 0.0) & ~np.isnan(x_m1)
+    curvature = _per_coupling(gap_function_negative_curvature, alpha[odd])
+    kappa = _first_roots(
+        1e-9,
+        x_m1[odd] - 1e-11,
+        lambda kp, al, th, c: _odd_residual_scaled(-kp, al, th, c),
+        alpha[odd],
+        theta[odd],
+        curvature,
+    )
+    roots[odd] = np.where(kappa > EDGE_WINDOW, kappa, np.nan)
+    return [_found(r) for r in roots]
 
 
 def double_eigenvalue_residual(k, alpha: float):
@@ -694,32 +740,34 @@ def gap_eigenvalues_grid(
     want_plus = parity in ("both", "+")
     want_minus = parity in ("both", "-")
     parities = [p for p, want in (("+", want_plus), ("-", want_minus)) if want]
+    # Below the borderline the odd eigenvalue of the first gap passes
+    # through zero energy; it is solved in the signed variable.
+    deep_odd = want_minus and alpha < ZERO_ENERGY_ALPHA_MIN
     gaps = gap_intervals(alpha, n_max)
-    slots = [(alpha, gap, p, thetas) for gap in gaps for p in parities]
+    slots = [
+        (alpha, gap, p, thetas)
+        for gap in gaps
+        for p in parities
+        if not (deep_odd and gap.n == 1 and p == "-")
+    ]
     roots = dict(zip(((g.n, p) for _, g, p, _ in slots), _gap_roots(slots)))
     kap_even = kap_odd = absent
-    if alpha < 0.0 and want_plus:
-        kap_even = _negative_even_roots(alpha, thetas, _negative_edges(alpha)[0])
-    if want_minus and alpha < ZERO_ENERGY_ALPHA_MIN:
-        # The odd eigenvalue of the first gap drops below zero energy.
-        need = np.isnan(roots[1, "-"]) & ~_singular_mask(thetas, 1, "-")
-        if need.any():
-            kap_odd = absent.copy()
-            kap_odd[need] = _negative_odd_roots(
-                alpha, thetas[need], _negative_edges(alpha)[1]
-            )
+    if alpha < 0.0 and (want_plus or deep_odd):
+        x1, x_m1 = _negative_edges(alpha)
+        if want_plus:
+            kap_even = _negative_even_roots(alpha, thetas, x1, kappa_cutoff(alpha))
+        if deep_odd:
+            s = _signed_odd_roots(alpha, thetas, x_m1)
+            roots[1, "-"] = np.where(s > 0.0, s, np.nan)
+            kap_odd = np.where(s < 0.0, -s, np.nan)
     out: list[list[EigenvalueRecord]] = []
     for i, theta in enumerate(thetas.tolist()):
         records: list[EigenvalueRecord] = []
-        kap = _found(kap_even[i])
-        if kap is not None:
-            res = abs(_negative_residual(kap, alpha, theta, 1.0))
-            records.append(EigenvalueRecord(theta, kap, -kap * kap, "+", 0, 1, res))
+        for kap, sgn, p, n in ((kap_even[i], 1.0, "+", 0), (kap_odd[i], -1.0, "-", 1)):
+            if not np.isnan(kap):
+                res = abs(_negative_residual(kap, alpha, theta, sgn))
+                records.append(EigenvalueRecord(theta, kap, -kap * kap, p, n, 1, res))
         for gap in gaps:
-            kap = _found(kap_odd[i]) if gap.n == 1 else None
-            if kap is not None:
-                res = abs(_negative_residual(kap, alpha, theta, -1.0))
-                records.append(EigenvalueRecord(theta, kap, -kap * kap, "-", 1, 1, res))
             kp, km = (_found(roots.get((gap.n, p), absent)[i]) for p in ("+", "-"))
             records.extend(_merge_records(alpha, theta, gap, kp, km))
         records.sort(key=lambda r: (r.gap_index, r.energy, r.parity))
@@ -740,25 +788,24 @@ def gap_eigenvalues(
     return gap_eigenvalues_grid(alpha, [theta], n_max, parity)[0]
 
 
-def _signed_odd_roots(alpha: float, thetas: np.ndarray) -> np.ndarray:
+def _signed_odd_roots(alpha: float, thetas: np.ndarray, x_m1: float) -> np.ndarray:
     """Signed roots ``s`` of the odd condition in the gap touching zero.
 
     For couplings below the borderline the odd eigenvalue of the first
     gap moves continuously from negative to positive energy as the bend
     angle grows; this solver works in the signed variable
     (``energy = sign(s)*s**2``) with the zero-crossing removed by scaling,
-    so the crossing itself is no obstacle.  NaN where there is no root.
+    so the crossing itself is no obstacle.  ``x_m1`` is the deeper
+    threshold edge of ``_negative_edges``.  NaN where there is no root.
     """
-    roots = np.full(len(thetas), np.nan)
-    x_m1 = _negative_edges(alpha)[1]
-    if x_m1 is None:
-        return roots
-    live = ~_singular_mask(thetas, 1, "-")
-    grid = np.linspace(-(x_m1 - 1e-11), 1.0 - INTEGER_EXCLUSION, GAP_SCAN_POINTS)
-    roots[live] = _first_roots(
-        grid, thetas[live], lambda s, th: _odd_residual_scaled(s, alpha, th)
+    return _first_roots(
+        -(x_m1 - 1e-11),
+        1.0 - INTEGER_EXCLUSION,
+        _odd_residual_scaled,
+        alpha,
+        thetas,
+        gap_function_negative_curvature(alpha),
     )
-    return roots
 
 
 def trace_eigenvalue_curve(
@@ -780,24 +827,20 @@ def trace_eigenvalue_curve(
     """
     grid = list(thetas)
     th = _angles(grid)
-    deep_odd = (
-        parity == "-" and gap_index == 1 and alpha < ZERO_ENERGY_ALPHA_MIN
-    )
-    gaps = gap_intervals(alpha, max(gap_index, 1)) if alpha != 0.0 else []
-    gap = next((g for g in gaps if g.n == gap_index), None)
     if gap_index == 0 and alpha < 0.0:
         s = np.full(len(th), np.nan)
         if parity == "+":
-            s = -_negative_even_roots(alpha, th, _negative_edges(alpha)[0])
-    elif deep_odd:
-        s = _signed_odd_roots(alpha, th)
+            s = -_negative_even_roots(
+                alpha, th, _negative_edges(alpha)[0], kappa_cutoff(alpha)
+            )
+    elif parity == "-" and gap_index == 1 and alpha < ZERO_ENERGY_ALPHA_MIN:
+        s = _signed_odd_roots(alpha, th, _negative_edges(alpha)[1])
     else:
+        gaps = gap_intervals(alpha, max(gap_index, 1)) if alpha != 0.0 else []
+        gap = next((g for g in gaps if g.n == gap_index), None)
         if gap is None:
             raise ValueError(f"gap {gap_index} not available")
         s = _gap_roots([(alpha, gap, parity, th)])[0]
-        miss = np.isnan(s)
-        if parity == "-" and gap_index == 1 and alpha < 0.0 and miss.any():
-            s[miss] = -_negative_odd_roots(alpha, th[miss], _negative_edges(alpha)[1])
     samples = [(theta, r) for theta, r in zip(grid, s) if not np.isnan(r)]
     # Secant continuity audit on the energies.
     for i in range(2, len(samples)):

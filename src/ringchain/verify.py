@@ -25,6 +25,7 @@ from .dispersion import (
     discriminant_negative,
 )
 from .gaps import (
+    _gaps_at,
     double_points_in_gap,
     gap_eigenvalues_grid,
     gap_intervals,
@@ -34,7 +35,7 @@ from .gaps import (
     singular_angles,
     solve_gap,
     solve_gap_batch,
-    solve_negative,
+    solve_negative_batch,
     trace_eigenvalue_curve,
 )
 from .resonance import (
@@ -230,11 +231,15 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
             for t0 in singular_angles(n, p)
         ):
             continue
-        gap = next(g for g in gap_intervals(alpha, n) if g.n == n)
-        draws.append((alpha, theta, gap))
+        draws.append((alpha, n, theta))
     trials = len(draws)
+    alphas, ns, thetas = zip(*draws)
+    draws = list(zip(alphas, thetas, _gaps_at(alphas, ns)))
     k_gaps = iter(
         solve_gap_batch((a, t, g, p) for a, t, g in draws for p in ("+", "-"))
+    )
+    kappa_refs = iter(
+        solve_negative_batch((a, t, p) for a, t, _ in draws if a < 0.0 for p in ("+", "-"))
     )
     mismatches = 0
     worst = 0.0
@@ -259,7 +264,7 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
             # hyperbolic-form eigenvalues.
             kappas = np.linspace(1e-6, kappa_cutoff(alpha) + 1.0, 4001)
             for parity in ("+", "-"):
-                kappa_ref = solve_negative(alpha, theta, parity)
+                kappa_ref = next(kappa_refs)
                 roots = _cleared_roots(kappas, alpha, theta, parity, 1j)
                 if not _matches_reference(roots, kappa_ref):
                     mismatches += 1
@@ -353,9 +358,8 @@ def _criterion_negative_bounds() -> tuple[bool, dict, str]:
     threshold = lowest_band_threshold(alpha)
     worst_margin = math.inf
     ok = True
-    for i in range(20):
-        theta = (i + 0.5) * math.pi / 20.0
-        kap = solve_negative(alpha, theta, "+")
+    thetas = [(i + 0.5) * math.pi / 20.0 for i in range(20)]
+    for kap in solve_negative_batch((alpha, theta, "+") for theta in thetas):
         if kap is None:
             ok = False
             continue

@@ -7,9 +7,11 @@ Every criterion contributes one pass/fail line to the terminal summary.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import conftest
+from ringchain import _rootfind, gaps, verify
 from ringchain.verify import EXPECTED_FAILURES, run_criterion
 
 # Runtime budgets per criterion, in seconds.
@@ -62,6 +64,36 @@ def test_criterion_04_gap_counting():
 
 def test_criterion_05_spectral_form_equivalence():
     run_and_record("5")
+
+
+def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):
+    # Criterion 5 checks the batched solvers against verify's own scan and
+    # scalar bisection of the cleared residual; the oracle must still work
+    # with every batched entry point broken.
+    alpha, theta = -3.0, 1.0
+    kappa = gaps.solve_negative(alpha, theta, "+")
+    gap = gaps.gap_intervals(-alpha, 1)[1]
+    k = gaps.solve_gap(-alpha, theta, gap, "-")
+    kappas = np.linspace(1e-6, gaps.kappa_cutoff(alpha) + 1.0, 4001)
+    ks = np.linspace(gap.k_lo + 1e-12, gap.k_hi - 1e-12, 2001)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle called the batched engine")
+
+    for module, name in (
+        (_rootfind, "bisect_batch"),
+        (gaps, "bisect_batch"),
+        (gaps, "solve_negative_batch"),
+        (gaps, "solve_gap_batch"),
+        (verify, "solve_negative_batch"),
+        (verify, "solve_gap_batch"),
+    ):
+        monkeypatch.setattr(module, name, broken)
+    roots = verify._cleared_roots(kappas, alpha, theta, "+", 1j)
+    assert len(roots) == 1 and abs(roots[0] - kappa) <= 1e-9
+    roots = verify._cleared_roots(ks, -alpha, theta, "-", 1)
+    roots = [r for r in roots if min(r - gap.k_lo, gap.k_hi - r) > 1e-9]
+    assert len(roots) == 1 and abs(roots[0] - k) <= 1e-9
 
 
 def test_criterion_06_branch_exponent():

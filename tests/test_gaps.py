@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ringchain import (
     ZERO_ENERGY_ALPHA_MIN,
+    discriminant,
     gap_eigenvalues,
     gap_function,
     gap_function_negative,
@@ -28,7 +29,14 @@ from ringchain import (
     solve_negative,
     trace_eigenvalue_curve,
 )
-from ringchain.gaps import _negative_edges, _odd_residual_scaled, solve_gap_batch
+from ringchain._rootfind import bisect, find_roots
+from ringchain.gaps import (
+    _gaps_at,
+    _negative_edges,
+    _odd_residual_scaled,
+    solve_gap_batch,
+    solve_negative_batch,
+)
 
 THETA = st.floats(min_value=0.3, max_value=math.pi - 0.3, allow_nan=False)
 COUPLING = st.floats(min_value=1.0, max_value=6.0, allow_nan=False)
@@ -57,6 +65,9 @@ def test_gap_intervals_attractive_layout():
         assert g.integer_edge == float(g.n)
         assert g.band_edge == g.k_lo
         assert g.k_lo < g.k_hi
+    # At the borderline the half-trace is exactly -1 at the first sample:
+    # the first gap still reaches k = 0.
+    assert gap_intervals(ZERO_ENERGY_ALPHA_MIN, 1)[0].k_lo == 0.0
 
 
 def test_first_gap_fixture_roots():
@@ -252,23 +263,26 @@ def negative_odd_reference(kappa, alpha, theta):
 def test_scaled_odd_residual_matches_both_energy_forms(alpha, theta, frac):
     # Positive energy E = s**2: the odd residual -cos - gap_function over -E.
     s = frac
+    curvature = gap_function_negative_curvature(alpha)
     ref = -(-math.cos(s * theta) - gap_function(s, alpha)) / (s * s)
-    got = _odd_residual_scaled(s, alpha, theta)
+    got = _odd_residual_scaled(s, alpha, theta, curvature)
     assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
     # Negative energy E = -kappa**2 at s = -kappa, below the threshold band.
     kappa = frac * _negative_edges(alpha)[1]
     ref = negative_odd_reference(kappa, alpha, theta)
-    got = _odd_residual_scaled(-kappa, alpha, theta)
+    got = _odd_residual_scaled(-kappa, alpha, theta, curvature)
     assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 @settings(max_examples=30, deadline=None)
 @given(alpha=DEEP, theta=st.floats(min_value=0.01, max_value=math.pi - 0.01))
 def test_scaled_odd_residual_tends_to_its_zero_energy_limit(alpha, theta):
-    limit = gap_function_negative_curvature(alpha) - 0.5 * theta * theta
+    curvature = gap_function_negative_curvature(alpha)
+    limit = curvature - 0.5 * theta * theta
     for s in (1e-3, 1e-4, 1e-5, 1e-6):
         for signed in (s, -s):
-            assert abs(_odd_residual_scaled(signed, alpha, theta) - limit) <= 1e3 * s * s
+            got = _odd_residual_scaled(signed, alpha, theta, curvature)
+            assert abs(got - limit) <= 1e3 * s * s
 
 
 @pytest.mark.parametrize("alpha", [3.0, -3.0])
@@ -320,3 +334,86 @@ def test_double_eigenvalue_residual_on_an_array_keeps_the_scalar_rule():
     assert np.sign(got).tolist() == np.sign(want).tolist()
     assert got == pytest.approx(want, rel=1e-12)
     assert double_eigenvalue_residual(1.2, 3.0) == got[0]
+
+
+# Attractive couplings on both sides of the borderline, and a repulsive one.
+NEGATIVE_QUERY = st.tuples(
+    st.one_of(
+        st.floats(min_value=-6.0, max_value=ZERO_ENERGY_ALPHA_MIN - 1e-3),
+        st.floats(min_value=ZERO_ENERGY_ALPHA_MIN + 1e-3, max_value=-0.5),
+        st.just(2.0),
+    ),
+    st.floats(min_value=1e-3, max_value=math.pi - 1e-3),
+    st.sampled_from("+-"),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(queries=st.lists(NEGATIVE_QUERY, min_size=1, max_size=6), repeat=st.booleans())
+def test_negative_solves_batched_across_couplings_equal_one_by_one(queries, repeat):
+    if repeat:  # the same coupling at a second angle and the other parity
+        alpha, theta, parity = queries[0]
+        queries.append((alpha, math.pi - theta, "-" if parity == "+" else "+"))
+    batched = solve_negative_batch(queries)
+    assert [repr(k) for k in batched] == [repr(solve_negative(*q)) for q in queries]
+
+
+def scalar_gap_edge(alpha, n):
+    """The non-integer edge of gap ``n`` by scalar scan and bisection."""
+    cell = n if alpha > 0.0 else n - 1
+    target = 1.0 if n % 2 == 0 else -1.0
+
+    def fn(k):
+        return discriminant(k, alpha) - target
+
+    if cell == 0:
+        if alpha < 0.0 and not fn(1e-9) > 0.0:
+            return 0.0  # the first attractive gap reaches k = 0
+        return bisect(fn, 1e-9, 1.0 - 1e-9)
+    return next(find_roots(fn, np.linspace(cell + 1e-9, cell + 1.0 - 1e-9, 512)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    couplings=st.lists(
+        st.tuples(
+            st.floats(min_value=0.5, max_value=6.0),
+            st.sampled_from([1.0, -1.0]),
+            st.integers(1, 6),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_gap_edges_batched_across_couplings_equal_gap_intervals(couplings):
+    alphas, ns, want = [], [], []
+    for size, sign, n_max in couplings:
+        alpha = sign * size
+        for gap in gap_intervals(alpha, n_max):
+            alphas.append(alpha)
+            ns.append(gap.n)
+            want.append(gap)
+            edge = gap.k_hi if alpha > 0.0 else gap.k_lo
+            assert edge == scalar_gap_edge(alpha, gap.n)
+    assert [repr(g) for g in _gaps_at(alphas, ns)] == [repr(g) for g in want]
+
+
+def test_gap_one_odd_root_near_zero_energy_matches_high_precision():
+    # Just past the zero-crossing angle both terms of the unscaled odd
+    # condition are 1 - O(k**2) and cancel; the root was once off by 6.3e-9.
+    alpha, theta = -2.941805, 1.902136176978195
+    (k,) = [r.k for r in gap_eigenvalues(alpha, theta, 1) if r.parity == "-"]
+    with mpmath.workdps(50):
+        a, th = mpmath.mpf(alpha), mpmath.mpf(theta)
+
+        def odd_condition(x):
+            t = a / 4 * mpmath.sin(mpmath.pi * x) / x
+            d = mpmath.cos(mpmath.pi * x) + t
+            g = -mpmath.cos(mpmath.pi * x) + mpmath.sin(mpmath.pi * x) ** 2 / (
+                t - mpmath.sqrt(d * d - 1)
+            )
+            return -mpmath.cos(x * th) - g
+
+        ref = mpmath.findroot(odd_condition, (mpmath.mpf("0.0033"), mpmath.mpf("0.0034")),
+                              solver="anderson")
+        assert abs(float((k - ref) / ref)) <= 1e-10

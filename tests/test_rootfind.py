@@ -197,12 +197,19 @@ def test_find_roots_match_the_per_site_loop(zeros, n, sampled):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(SAMPLES, min_size=1, max_size=5), width=st.integers(0, 12))
-def test_bracket_rows_apply_the_rule_to_each_row(rows, width):
+@given(
+    rows=st.lists(SAMPLES, min_size=1, max_size=5),
+    width=st.integers(0, 12),
+    per_row=st.booleans(),
+)
+def test_bracket_rows_apply_the_rule_to_each_row(rows, width, per_row):
     ys = np.array([(r + [1.0] * width)[:width] for r in rows], dtype=float).reshape(len(rows), width)
     xs = np.arange(width, dtype=float) * 0.37
+    if per_row:  # one grid per row
+        xs = xs + np.arange(len(rows))[:, None]
     got_rows, lo, hi = bracket_rows(xs, ys)
-    want = [(i, a, b) for i, y in enumerate(ys) for a, b in reference_brackets(xs, y)]
+    grids = np.broadcast_to(xs, ys.shape)
+    want = [(i, a, b) for i, y in enumerate(ys) for a, b in reference_brackets(grids[i], y)]
     assert list(zip(got_rows.tolist(), lo, hi)) == want
 
 
