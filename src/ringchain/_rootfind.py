@@ -6,12 +6,15 @@ exhaustion for guaranteed real brackets, one bracket at a time
 roots); a vectorised sign-change scanner for one sampled function or for
 every row of a block of them (``bracket_rows``); the scan-bracket-bisect
 path of the scalar solvers (``find_roots``); and a damped complex Newton
-iteration for the resonance residual.  The solvers in the public modules
-own all model knowledge; this module only sees callables.
+iteration with an exact derivative, run to exhaustion, for the resonance
+residual.  The solvers in the public modules own all model knowledge;
+this module only sees callables.
 """
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -27,8 +30,10 @@ __all__ = [
     "NewtonResult",
 ]
 
-# Newton stops once |F| drops below this.
+# A Newton root must bring |F| below this.
 NEWTON_RESIDUAL_TOL = 1e-12
+# Newton stops once its step is within this many ulp of |z|.
+NEWTON_ULP_STEPS = 4
 
 
 def bisect(
@@ -186,38 +191,41 @@ class NewtonResult:
 def newton_complex(
     fn: Callable[[complex], complex],
     z0: complex,
+    dfn: Callable[[complex], complex],
     *,
-    dfn: Callable[[complex], complex] | None = None,
     max_iter: int = 40,
 ) -> NewtonResult:
-    """Newton iteration in the complex plane.
+    """Damped Newton iteration in the complex plane, run to exhaustion.
 
-    Falls back to a central finite difference with step
-    ``1e-7 * (1 + |z|)`` when no derivative is supplied.
+    While ``|F| >= NEWTON_RESIDUAL_TOL`` a step that fails to reduce
+    ``|F|`` is halved, at most 8 times.  The iteration stops once the
+    Newton step is within ``NEWTON_ULP_STEPS`` ulp of ``|z|``, or once
+    ``|F| < NEWTON_RESIDUAL_TOL`` and the step stops shrinking, i.e. only
+    rounding is left; either way with ``converged`` set when ``|F|`` is
+    below the tolerance.  A run that hits ``max_iter`` or a vanishing
+    derivative has not converged.
     """
     z = complex(z0)
     fz = fn(z)
-    for it in range(1, max_iter + 1):
-        if abs(fz) < NEWTON_RESIDUAL_TOL:
-            return NewtonResult(z, abs(fz), it - 1, True)
-        if dfn is not None:
-            dz = dfn(z)
-        else:
-            h = 1e-7 * (1.0 + abs(z))
-            dz = (fn(z + h) - fn(z - h)) / (2.0 * h)
+    last = math.inf
+    for it in range(max_iter):
+        dz = dfn(z)
         if dz == 0 or not cmath.isfinite(dz):
             return NewtonResult(z, abs(fz), it, False)
         step = fz / dz
+        small = abs(fz) < NEWTON_RESIDUAL_TOL
+        size = abs(step)
+        at_ulp = size <= NEWTON_ULP_STEPS * sys.float_info.epsilon * abs(z)
+        if at_ulp or (small and size >= last):
+            return NewtonResult(z, abs(fz), it, small)
+        last = size
         z_new = z - step
         fz_new = fn(z_new)
-        # Crude damping: halve the step while it fails to reduce |F|.
         halvings = 0
-        while abs(fz_new) > abs(fz) and halvings < 8:
+        while not small and abs(fz_new) > abs(fz) and halvings < 8:
             step *= 0.5
             z_new = z - step
             fz_new = fn(z_new)
             halvings += 1
-        if z_new == z:
-            return NewtonResult(z, abs(fz), it, abs(fz) < NEWTON_RESIDUAL_TOL)
         z, fz = z_new, fz_new
-    return NewtonResult(z, abs(fz), max_iter, abs(fz) < NEWTON_RESIDUAL_TOL)
+    return NewtonResult(z, abs(fz), max_iter, False)

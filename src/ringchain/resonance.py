@@ -58,11 +58,13 @@ __all__ = [
 # Continuation step bounds (in bend angle, radians).
 MAX_STEP = 1e-2
 MIN_STEP = 1e-7
-# Largest Newton residual a continuation node may keep.
-RESIDUAL_ACCEPT = 1e-9
-# Step cap once the trajectory closes in on a flat-band point, where the
-# branch point makes Newton's basin shrink.
-NEAR_SINGULAR_STEP = 1e-5
+# Share of the angle the tangent needs to reach the nearest integer that
+# one continuation step may take.
+STEP_FRACTION = 0.1
+# A corrector that moves k by more than this share of its distance to
+# the nearest integer has jumped branches; the three branches meeting at
+# a flat-band point lie about sqrt(3) times that distance apart.
+PLAUSIBLE_MOVE = 0.5
 # A trajectory within this distance of an integer is snapped onto the
 # singular point it is entering.
 SNAP_DISTANCE = 1e-5
@@ -91,25 +93,40 @@ def resonance_residual(
     )
 
 
-def resonance_residual_dk(
+def _residual_partials(
     k: complex, alpha: float, theta: float, parity: str
-) -> complex:
-    """Exact ``k``-derivative of ``resonance_residual`` (product rule)."""
+) -> tuple[complex, complex]:
+    """Partial derivatives ``(F_k, F_theta)`` of the cleared residual.
+
+    ``F`` depends on ``theta`` only through ``A = cos(k theta)``; with
+    ``F_A`` its derivative in ``A`` and ``F_k|A`` the one in ``k`` at fixed
+    ``A``, ``F_k = F_k|A - theta sin(k theta) F_A`` and
+    ``F_theta = -k sin(k theta) F_A``.
+    """
     s = _parity_sign(parity)
     kc = complex(k)
     a = cmath.cos(kc * theta)
     b = cmath.cos(math.pi * kc)
     sp = cmath.sin(math.pi * kc)
-    da = -theta * cmath.sin(kc * theta)
     db = -math.pi * sp
-    dsp = math.pi * cmath.cos(math.pi * kc)
     p = 1.0 + s * a * b
-    dp = s * (da * b + a * db)
     r = s * a + b
-    dr = s * da + db
     t = 1.0 + 2.0 * s * a * b + a * a
-    dt = 2.0 * s * (da * b + a * db) + 2.0 * a * da
-    return alpha * (dp * r + p * dr) - 2.0 * sp * t - 2.0 * kc * (dsp * t + sp * dt)
+    f_a = alpha * s * (b * r + p) - 4.0 * kc * sp * (s * b + a)
+    f_k_at_a = (
+        alpha * db * (s * a * r + p)
+        - 2.0 * sp * t
+        - 2.0 * kc * (math.pi * b * t + 2.0 * s * a * sp * db)
+    )
+    sin_kt = cmath.sin(kc * theta)
+    return f_k_at_a - theta * sin_kt * f_a, -kc * sin_kt * f_a
+
+
+def resonance_residual_dk(
+    k: complex, alpha: float, theta: float, parity: str
+) -> complex:
+    """Exact ``k``-derivative of ``resonance_residual``."""
+    return _residual_partials(k, alpha, theta, parity)[0]
 
 
 @dataclass(frozen=True)
@@ -193,10 +210,9 @@ def refine_resonance(
     parity: str,
     k_guess: complex,
     *,
-    exact_derivative: bool = False,
     max_iter: int = 30,
 ) -> NewtonResult:
-    """Newton-polish a resonance-residual zero from a guess."""
+    """Newton-polish a resonance-residual zero from a guess, to exhaustion."""
 
     def residual(k: complex) -> complex:
         return resonance_residual(k, alpha, theta, parity)
@@ -204,12 +220,7 @@ def refine_resonance(
     def derivative(k: complex) -> complex:
         return resonance_residual_dk(k, alpha, theta, parity)
 
-    return newton_complex(
-        residual,
-        k_guess,
-        dfn=derivative if exact_derivative else None,
-        max_iter=max_iter,
-    )
+    return newton_complex(residual, k_guess, derivative, max_iter=max_iter)
 
 
 @dataclass(frozen=True)
@@ -230,17 +241,6 @@ class ResonanceCurve:
         ]
 
 
-def _secant_extrapolate(
-    prev: tuple[float, complex] | None,
-    cur: tuple[float, complex],
-    t_new: float,
-) -> complex:
-    if prev is None or prev[0] == cur[0]:
-        return cur[1]
-    slope = (cur[1] - prev[1]) / (cur[0] - prev[0])
-    return cur[1] + slope * (t_new - cur[0])
-
-
 def continue_curve(
     alpha: float,
     parity: str,
@@ -249,29 +249,31 @@ def continue_curve(
     *,
     branch: str = "lower",
     seed: SingularPoint | None = None,
-    exact_derivative: bool = False,
 ) -> ResonanceCurve:
     """Continue a residual zero across a monotone grid of bend angles.
 
-    Secant prediction plus Newton correction, with adaptive sub-stepping
-    between grid nodes: failed or implausible corrections halve the step,
-    and steps shrink to ``NEAR_SINGULAR_STEP`` as the trajectory nears a
-    flat-band point.  Landing within ``SNAP_DISTANCE`` of an integer while
-    a matching singular angle is nearby snaps the endpoint onto the exact
-    singular point and stops.  Underflowing the step raises
-    ``ContinuationError``.
+    Tangent predictor ``dk/dtheta = -F_theta/F_k`` plus Newton corrector,
+    sub-stepping between grid nodes.  The step is ``STEP_FRACTION`` of the
+    angle over which the tangent would carry ``k`` onto the nearest
+    integer, ``|k - round(Re k)| / |dk/dtheta|``, capped by ``MAX_STEP``:
+    by the Puiseux law this is a fixed share of the distance to the
+    singular angle, so a flat-band point is approached in geometrically
+    shrinking steps.  A corrector that fails, or that moves ``k`` by more
+    than ``PLAUSIBLE_MOVE`` of that integer distance (a jump to another
+    branch), halves the step.  Every sample is polished to exhaustion, so
+    the samples do not depend on the steps taken.  Landing within
+    ``SNAP_DISTANCE`` of an integer while a matching singular angle is
+    nearby snaps the endpoint onto the exact singular point and stops.
+    A step below ``MIN_STEP`` raises ``ContinuationError``.
     """
     thetas = [float(t) for t in theta_grid]
     if len(thetas) < 2:
         raise ValueError("theta grid needs at least two nodes")
     direction = 1.0 if thetas[-1] > thetas[0] else -1.0
-    start = refine_resonance(
-        alpha, thetas[0], parity, k_start, exact_derivative=exact_derivative
-    )
-    if not start.converged or start.residual > RESIDUAL_ACCEPT:
+    start = refine_resonance(alpha, thetas[0], parity, k_start)
+    if not start.converged:
         raise ValueError("k_start does not converge onto a residual zero")
     samples: list[tuple[float, complex]] = [(thetas[0], start.root)]
-    prev: tuple[float, complex] | None = None
     cur = (thetas[0], start.root)
     termination = "completed"
 
@@ -288,31 +290,26 @@ def continue_curve(
     for t_target in thetas[1:]:
         while not done and cur[0] != t_target:
             dist = abs(cur[1] - round(cur[1].real))
-            cap = MAX_STEP
-            if dist < 3e-3:
-                cap = NEAR_SINGULAR_STEP
-            elif dist < 3e-2:
-                cap = 1e-3
-            step = direction * min(cap, abs(t_target - cur[0]))
+            f_k, f_theta = _residual_partials(cur[1], alpha, cur[0], parity)
+            slope = -f_theta / f_k
+            step = MAX_STEP
+            if STEP_FRACTION * dist < MAX_STEP * abs(slope):
+                step = STEP_FRACTION * dist / abs(slope)
+            step = direction * min(step, abs(t_target - cur[0]))
             while True:
                 t_new = cur[0] + step
                 if (t_new - t_target) * direction > 0.0:
                     t_new = t_target
-                k_pred = _secant_extrapolate(prev, cur, t_new)
-                res = refine_resonance(
-                    alpha, t_new, parity, k_pred,
-                    exact_derivative=exact_derivative, max_iter=12,
-                )
-                moved = abs(res.root - k_pred)
-                plausible = moved < max(0.05, 10.0 * abs(cur[1] - k_pred))
-                if res.converged and res.residual <= RESIDUAL_ACCEPT and plausible:
+                k_pred = cur[1] + slope * (t_new - cur[0])
+                res = refine_resonance(alpha, t_new, parity, k_pred)
+                if res.converged and abs(res.root - k_pred) < PLAUSIBLE_MOVE * dist:
                     break
                 step *= 0.5
                 if abs(step) < MIN_STEP:
                     raise ContinuationError(
                         f"step underflow at theta={cur[0]:.8g} (branch {branch})"
                     )
-            prev, cur = cur, (t_new, res.root)
+            cur = (t_new, res.root)
             hit = snap_target(cur[1], cur[0])
             if hit is not None:
                 samples.append((hit[0], complex(hit[1])))
@@ -334,7 +331,6 @@ def trace_complex_branch(
     delta0: float = 1e-2,
     theta_stop: float | None = None,
     n_nodes: int = 200,
-    exact_derivative: bool = False,
 ) -> ResonanceCurve:
     """Trace one complex branch away from a singular point.
 
@@ -347,15 +343,7 @@ def trace_complex_branch(
         raise ValueError("seed angle outside (0, pi)")
     k_seed = seed_from_singular_point(sp, alpha, delta0, branch)
     grid = np.linspace(t0, stop, n_nodes)
-    return continue_curve(
-        alpha,
-        sp.parity,
-        grid,
-        k_seed,
-        branch=branch,
-        seed=sp,
-        exact_derivative=exact_derivative,
-    )
+    return continue_curve(alpha, sp.parity, grid, k_seed, branch=branch, seed=sp)
 
 
 def real_branch_offset(
@@ -495,8 +483,6 @@ def resonance_residual_grid(
     )
 
 
-
-
 def count_zeros_box(
     alpha: float,
     theta: float,
@@ -550,14 +536,8 @@ def count_zeros_box(
             return int(round(winding))
         if len(zs) > 500_000:
             break
-        nxt = np.roll(zs, -1)
-        mids = 0.5 * (zs + nxt)
-        pieces = []
-        for z, m_, flag in zip(zs, mids, bad):
-            pieces.append(z)
-            if flag:
-                pieces.append(m_)
-        zs = np.array(pieces, dtype=complex)
+        mids = 0.5 * (zs + np.roll(zs, -1))
+        zs = np.insert(zs, np.flatnonzero(bad) + 1, mids[bad])
     raise RuntimeError("contour refinement did not converge")
 
 

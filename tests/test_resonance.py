@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from ringchain import (
     ContourZeroError,
@@ -29,6 +31,8 @@ from ringchain import (
     continue_curve,
     trace_complex_branch,
 )
+from ringchain import resonance
+from ringchain.cli import main
 
 K_RE = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 K_IM = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -84,6 +88,13 @@ def test_exact_derivative_matches_finite_difference():
             - resonance_residual(k - h, 3.0, 1.2, parity)
         ) / (2.0 * h)
         assert abs(exact - fd) < 1e-7
+        f_k, f_theta = resonance._residual_partials(k, 3.0, 1.2, parity)
+        assert f_k == exact
+        fd_theta = (
+            resonance_residual(k, 3.0, 1.2 + h, parity)
+            - resonance_residual(k, 3.0, 1.2 - h, parity)
+        ) / (2.0 * h)
+        assert abs(f_theta - fd_theta) < 1e-7
 
 
 def test_singular_point_angles_match_gap_inventory():
@@ -119,12 +130,11 @@ def test_seed_branches_are_conjugate():
 def test_refined_pole_fixture():
     sp = SingularPoint(2, 1, "+")
     seed = seed_from_singular_point(sp, 3.0, 0.05, "lower")
-    res = refine_resonance(3.0, sp.theta0 + 0.05, "+", seed, exact_derivative=True)
+    res = refine_resonance(3.0, sp.theta0 + 0.05, "+", seed)
     assert res.converged
     assert res.residual < 1e-12
     grid = np.linspace(sp.theta0 + 0.05, sp.theta0 + 0.3, 60)
-    curve = continue_curve(3.0, "+", grid, res.root, branch="lower", seed=sp,
-                           exact_derivative=True)
+    curve = continue_curve(3.0, "+", grid, res.root, branch="lower", seed=sp)
     assert curve.termination == "completed"
     t_last, k_last = curve.samples[-1]
     assert t_last == pytest.approx(sp.theta0 + 0.3)
@@ -163,6 +173,70 @@ def test_full_branch_trace_and_conjugacy():
         assert abs(k_l - k_u.conjugate()) < 1e-9
     # The lower branch stays in the lower half plane with positive Re k.
     assert all(k.imag <= 0.0 and k.real > 0.0 for _, k in lower.samples)
+
+
+def test_samples_do_not_depend_on_the_guess():
+    # Re-polishing every sample of a branch that runs into a flat-band
+    # point, from guesses 1e-7 off in eight directions, returns it.
+    curve = trace_complex_branch(3.0, SingularPoint(4, 2, "-"), "lower")
+    assert curve.termination == "singular-point"
+    for i, (t, k) in enumerate(curve.samples[:-1]):
+        guess = k + 1e-7 * cmath.exp(0.25j * math.pi * i)
+        res = refine_resonance(3.0, t, "-", guess)
+        assert res.converged
+        assert abs(res.root - k) <= 1e-12 * abs(k)
+
+
+def _mp_residual(k, alpha, theta, parity):
+    s = 1 if parity == "+" else -1
+    a = mpmath.cos(k * theta)
+    b = mpmath.cos(mpmath.pi * k)
+    sp = mpmath.sin(mpmath.pi * k)
+    return alpha * (1 + s * a * b) * (s * a + b) - 2 * k * sp * (1 + 2 * s * a * b + a * a)
+
+
+@pytest.mark.parametrize("alpha", [3.0, -3.0])
+@pytest.mark.parametrize("sp", [SingularPoint(3, 2, "+"), SingularPoint(4, 2, "-")])
+def test_samples_match_high_precision_roots(alpha, sp):
+    # Both ends of a branch from one flat-band point to the next, where
+    # k lies within 2e-3 of an integer, and its middle.
+    curve = trace_complex_branch(alpha, sp, "lower")
+    assert curve.termination == "singular-point"
+    mid = len(curve.samples) // 2
+    picks = curve.samples[:2] + curve.samples[mid:mid + 1] + curve.samples[-3:-1]
+    near = 0
+    with mpmath.workdps(50):
+        for t, k in picks:
+            root = mpmath.findroot(
+                lambda z: _mp_residual(z, alpha, mpmath.mpf(t), sp.parity), mpmath.mpc(k)
+            )
+            assert abs(k - complex(root)) <= 1e-13 * abs(k)
+            near += abs(k - round(k.real)) < 1e-3
+    assert near >= 1
+
+
+def test_resonance_trace_work_count(monkeypatch, tmp_path):
+    # The tangent steps approach each flat-band point in a logarithmic
+    # number of steps; a fixed step cap near the integers took 93,468.
+    calls = 0
+    refine = resonance.refine_resonance
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, "refine_resonance", counted)
+    out = tmp_path / "res.json"
+    assert main(["resonances", "--alpha", "3", "--nmax", "8", "--format", "json",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    curves = payload["curves"]
+    assert calls <= 20_000
+    assert len(curves) == 72
+    assert sum(len(c["samples"]) for c in curves) == 9128
+    assert sum(c["termination"] == "singular-point" for c in curves) == 42
+    assert payload["abandoned"] == []
 
 
 def test_real_branch_offsets_open_upward_for_repulsive_coupling():
@@ -218,6 +292,31 @@ def test_winding_count_isolates_the_pole():
     )
     assert hit == 1
     assert miss == 0
+
+
+def test_winding_refinement_inserts_each_midpoint(monkeypatch):
+    # Each pass must add the midpoint after every node whose phase step
+    # to the next is too large, exactly as a node-by-node loop does.
+    passes = []
+    grid = resonance.resonance_residual_grid
+
+    def recorded(zs, *args):
+        vals = grid(zs, *args)
+        passes.append((zs.copy(), vals))
+        return vals
+
+    monkeypatch.setattr(resonance, "resonance_residual_grid", recorded)
+    assert count_zeros_box(3.0, 1.3, "+", 0.5, 20.5, -1.0, 0.2) == 43
+    assert len(passes) == 4
+    for (zs, vals), (refined, _) in zip(passes, passes[1:]):
+        bad = np.abs(np.angle(np.roll(vals, -1) / vals)) > 0.5 * math.pi
+        mids = 0.5 * (zs + np.roll(zs, -1))
+        expected = []
+        for z, m, flag in zip(zs, mids, bad):
+            expected.append(z)
+            if flag:
+                expected.append(m)
+        assert np.array_equal(refined, np.array(expected, dtype=complex))
 
 
 def test_winding_scan_detects_on_contour_zero():
