@@ -6,7 +6,9 @@ Spectral bands are the energies where the period-map half-trace lies in
 single signed axis ``s`` with ``E = sign(s) * s**2``, so the negative
 branch (``s = -kappa``) and the positive branch (``s = k``) assemble into
 one ordered list of bands; the threshold band of an attractive coupling
-comes out of the same sweep as any other band.
+comes out of the same sweep as any other band.  The edges of many
+couplings are scanned and bisected together on the batched root path of
+``_rootfind``.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rootfind import find_roots
+from ._rootfind import _row_brackets, bisect_batch
 from .dispersion import (
     discriminant,
     discriminant_negative,
@@ -118,68 +120,60 @@ def in_spectrum(energy: float, alpha: float) -> bool:
     return abs(discriminant_zero_limit(alpha)) <= 1.0
 
 
-def _halftrace_signed(s: float, alpha: float) -> float:
-    """Half-trace as a function of the signed sweep variable."""
-    if s >= 0.0:
-        return float(discriminant(s, alpha))
-    return discriminant_negative(-s, alpha)
+def _halftrace_signed(s, alpha):
+    """Half-trace as a function of the signed sweep variable; ``alpha`` broadcasts with ``s``."""
+    s, alpha = np.broadcast_arrays(np.asarray(s, dtype=float), alpha)
+    out = np.empty(s.shape)
+    pos = s >= 0.0
+    out[pos] = discriminant(s[pos], alpha[pos])
+    out[~pos] = discriminant_negative(-s[~pos], alpha[~pos])
+    return out[()]
 
 
-def _halftrace_signed_vec(ss: np.ndarray, alpha: float) -> np.ndarray:
-    out = np.empty_like(ss)
-    pos = ss >= 0.0
-    kp = ss[pos]
-    # sin(pi k)/k = pi * sinc(k); numpy's sinc handles k = 0 continuously.
-    out[pos] = np.cos(np.pi * kp) + 0.25 * alpha * np.pi * np.sinc(kp)
-    kn = -ss[~pos]
-    x = np.pi * kn
-    out[~pos] = np.cosh(x) + 0.25 * alpha * np.pi * np.where(
-        x > 1e-8, np.sinh(x) / np.where(x > 0, x, 1.0), 1.0
-    )
+def _edge_roots(alphas, s_lo, s_hi: float, points: int) -> list[list[float]]:
+    """Non-integer roots of |half-trace| = 1 on ``(s_lo[i], s_hi)`` at ``alphas[i]``.
+
+    One sorted root list per coupling; ``s_lo`` broadcasts with
+    ``alphas``.  Each interval is scanned cell by cell, on ``points``
+    points per cell, against the targets +1 and -1 on grids kept off the
+    integers (the half-trace equals ±1 there by construction); the
+    bracketed crossings of all couplings are bisected together to full
+    precision, and roots landing within the snap window of an integer are
+    discarded — integers enter the edge list explicitly.
+    """
+    alphas, s_lo = np.broadcast_arrays(np.atleast_1d(np.asarray(alphas, dtype=float)), s_lo)
+    top = s_hi - _EDGE_OFFSET
+    cells = [
+        (i, alpha, max(cell + _EDGE_OFFSET, lo), min(cell + 1 - _EDGE_OFFSET, top), t)
+        for i, (alpha, lo) in enumerate(zip(alphas.tolist(), s_lo.tolist()))
+        for cell in range(math.floor(lo), math.ceil(s_hi))
+        for t in (1.0, -1.0)
+    ]
+    owner, alpha, a, b, target = np.array(cells, dtype=float).reshape(-1, 5).T
+
+    def kernel(x, al, t):
+        return _halftrace_signed(x, al) - t
+
+    row, lo, hi = _row_brackets(a, b, kernel, alpha, target, points=points)
+    roots = bisect_batch(lambda x: kernel(x, alpha[row], target[row]), lo, hi)
+    order = np.lexsort((roots, owner[row]))
+    out: list[list[float]] = [[] for _ in alphas]
+    for i, r in zip(owner[row][order].astype(int).tolist(), roots[order].tolist()):
+        kept = out[i]
+        if abs(r - round(r)) > _SNAP and (not kept or r - kept[-1] > _SNAP):
+            kept.append(r)
     return out
 
 
-def _edge_roots(alpha: float, s_lo: float, s_hi: float) -> list[float]:
-    """Non-integer roots of |half-trace| = 1 on ``(s_lo, s_hi)``.
-
-    The interval is scanned separately against the targets +1 and -1 on a
-    grid kept off the integers (the half-trace equals ±1 there by
-    construction); bracketed crossings are bisected to full precision and
-    roots landing within the snap window of an integer are discarded —
-    integers enter the edge list explicitly.
-    """
-    roots: list[float] = []
-    n_pts = max(64, int(BAND_SCAN_PER_UNIT * (s_hi - s_lo)))
-    m_lo = math.floor(s_lo)
-    for cell in range(m_lo, math.ceil(s_hi)):
-        a = max(float(cell) + _EDGE_OFFSET, s_lo)
-        b = min(float(cell) + 1.0 - _EDGE_OFFSET, s_hi - _EDGE_OFFSET)
-        if not a < b:
-            continue
-        grid = np.linspace(a, b, max(64, n_pts // max(1, math.ceil(s_hi - s_lo))))
-        vals = _halftrace_signed_vec(grid, alpha)
-        for target in (1.0, -1.0):
-            for root in find_roots(
-                lambda s: _halftrace_signed(s, alpha) - target, grid, vals - target
-            ):
-                if abs(root - round(root)) > _SNAP:
-                    roots.append(root)
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > _SNAP:
-            deduped.append(r)
-    return deduped
-
-
-def _negative_sweep_limit(alpha: float) -> float:
+def _negative_sweep_limit(alpha):
     """Safe lower end of the signed sweep for attractive couplings.
 
     The deepest spectral point satisfies ``kappa <= |alpha|/2 + 1`` (the
     half-trace exceeds 1 beyond it for every sign pattern), with the extra
-    unit keeping weak couplings covered as well.
+    unit keeping weak couplings covered as well.  Takes a number or an
+    array.
     """
-    return -(0.5 * abs(alpha) + 1.0)
+    return -(0.5 * np.abs(alpha) + 1.0)
 
 
 def compute_bands(alpha: float, e_max: float) -> BandSpectrum:
@@ -201,7 +195,9 @@ def compute_bands(alpha: float, e_max: float) -> BandSpectrum:
 
     k_max = math.ceil(math.sqrt(e_max)) + 1.0
     s_lo = _negative_sweep_limit(alpha) if alpha < 0.0 else _EDGE_OFFSET
-    edges = _edge_roots(alpha, s_lo, k_max)
+    width = k_max - s_lo
+    points = max(64, max(64, int(BAND_SCAN_PER_UNIT * width)) // max(1, math.ceil(width)))
+    (edges,) = _edge_roots(alpha, s_lo, k_max, points)
     boundary = sorted(
         set(edges)
         | {float(n) for n in range(1, int(k_max) + 1)}
@@ -242,7 +238,7 @@ def lowest_band_threshold(alpha: float) -> float:
     if alpha >= 0.0:
         raise ValueError("threshold below zero exists only for alpha < 0")
     s_lo = _negative_sweep_limit(alpha)
-    edges = _edge_roots(alpha, s_lo, -1e-9)
+    (edges,) = _edge_roots(alpha, s_lo, -1e-9, BAND_SCAN_PER_UNIT)
     if not edges:
         raise RuntimeError("no negative-branch band edge located")
-    return -edges[0] * edges[0] if edges[0] < 0 else float("nan")
+    return -edges[0] * edges[0]

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 from .bands import compute_bands
 from .dispersion import ContinuationError
-# ``gap_intervals`` is no longer called here, but perfbench/tracer.py
-# patches ``ringchain.cli.gap_intervals``, so the name stays importable.
-from .gaps import gap_eigenvalues_grid, gap_intervals, is_singular_angle  # noqa: F401
+from .gaps import gap_eigenvalues_grid, is_singular_angle
 from .resonance import enumerate_singular_points, trace_complex_branch
 from .verify import CRITERION_LABELS, run_all, summarize
 

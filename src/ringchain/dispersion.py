@@ -15,14 +15,21 @@ sector) or ``-cos(k*theta)`` (odd sector) against ``gap_function`` /
 ``gap_function_negative``, which are built from the decaying Floquet
 solution.
 
-All scalar routines accept plain floats (and, where meaningful, complex
-wavenumbers); the vectorised variants used by the band/gap scanners live in
-the consuming modules.
+Each formula is written once, as a numpy kernel: a number is the 0-d case
+of an array, and the coupling broadcasts with the wavenumbers.  The public
+functions check their domain and raise ``ValueError``/``DomainError``; the
+solvers call the unchecked kernels (``_gap_function``,
+``_gap_function_negative``), whose square roots are clamped onto the band
+edge.  Positive energies give the bits of the ``math``/``cmath`` formulas;
+``np.cosh``/``np.sinh`` may differ from ``math`` in the last ulp.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+
+import numpy as np
 
 __all__ = [
     "INTEGER_WINDOW",
@@ -54,6 +61,10 @@ SMALL_ARG = 1e-4
 ZERO_ENERGY_ALPHA_MIN = -8.0 / math.pi
 
 
+# CPython's complex division, applied element by element.
+_complex_quotient = np.frompyfunc(operator.truediv, 2, 1)
+
+
 class DomainError(ValueError):
     """Evaluation requested outside a function's natural domain."""
 
@@ -74,52 +85,64 @@ class InsufficientDataError(RuntimeError):
     """Too few valid samples to fit the requested model."""
 
 
-def is_near_integer(k: float) -> bool:
-    """True when a real wavenumber is within ``INTEGER_WINDOW`` of an integer."""
-    return abs(k - round(k)) < INTEGER_WINDOW
+def is_near_integer(k):
+    """True where a real wavenumber is within ``INTEGER_WINDOW`` of an integer."""
+    return (np.abs(k - np.rint(k)) < INTEGER_WINDOW)[()]
 
 
-def _sin_ratio(k: float | complex) -> float | complex:
-    """``sin(pi*k)/k`` with a series branch below ``SMALL_ARG``."""
-    if abs(k) < SMALL_ARG:
-        x2 = (math.pi * k) * (math.pi * k)
-        return math.pi * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
-    if isinstance(k, complex):
-        return cmath.sin(math.pi * k) / k
-    return math.sin(math.pi * k) / k
+def _complex_divide(a, b):
+    """``a / b`` for complex operands, rounded as CPython and ``cmath`` round it.
+
+    numpy divides complex numbers through a reciprocal, which rounds
+    differently from CPython's Smith division; complex wavenumbers keep
+    the bits of the scalar formulas.
+    """
+    return np.asarray(_complex_quotient(a, b), dtype=complex)[()]
 
 
-def _sinh_ratio(kappa: float) -> float:
-    """``sinh(pi*kappa)/kappa`` with a series branch below ``SMALL_ARG``."""
-    if abs(kappa) < SMALL_ARG:
-        x2 = (math.pi * kappa) * (math.pi * kappa)
-        return math.pi * (1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0)))
-    return math.sinh(math.pi * kappa) / kappa
+def _sin_ratio(x, s, sign=-1.0):
+    """``s/x`` for ``s = sin(pi*x)`` (``sign = -1``) or ``s = sinh(pi*x)`` (``sign = +1``).
+
+    Below ``SMALL_ARG`` the ratio is the Taylor series in
+    ``x2 = sign*(pi*x)**2``; the two series differ only in that sign.
+    """
+    divide = _complex_divide if s.dtype.kind == "c" else operator.truediv
+    small = abs(x) < SMALL_ARG
+    if not np.count_nonzero(small):
+        return divide(s, x)
+    x2 = sign * (np.pi * x) * (np.pi * x)
+    series = np.pi * (1.0 + divide(x2, 6.0) * (1.0 + divide(x2, 20.0) * (1.0 + divide(x2, 42.0))))
+    return np.where(small, series, divide(s, np.where(small, 1.0, x)))[()]
 
 
-def discriminant(k: float | complex, alpha: float) -> float | complex:
+def discriminant(k, alpha):
     """Half-trace of the one-cell period map at energy ``k**2``.
 
     Equals ``cos(pi*k) + (alpha/(4k)) sin(pi*k)``; its continuous limit at
     ``k = 0`` is ``1 + alpha*pi/4``.  Accepts complex ``k`` (in particular
     ``k = i*kappa`` reproduces ``discriminant_negative(kappa, alpha)``).
+    Takes a number or an array; ``alpha`` broadcasts with ``k``.
     """
-    if isinstance(k, complex):
-        if k.imag == 0.0:
-            k = k.real
-        else:
-            return cmath.cos(math.pi * k) + 0.25 * alpha * _sin_ratio(k)
-    return math.cos(math.pi * k) + 0.25 * alpha * _sin_ratio(k)
+    k = np.asarray(k)
+    if k.dtype.kind == "c" and not k.imag.any():
+        k = k.real
+    k = k[()]  # a number computes on numpy scalars, much faster than on a 0-d array
+    pk = np.pi * k
+    return np.cos(pk) + 0.25 * alpha * _sin_ratio(k, np.sin(pk))
 
 
-def discriminant_negative(kappa: float, alpha: float) -> float:
+def discriminant_negative(kappa, alpha):
     """Half-trace of the period map at energy ``-kappa**2`` (``kappa > 0``).
 
-    Equals ``cosh(pi*kappa) + (alpha/(4 kappa)) sinh(pi*kappa)``.
+    Equals ``cosh(pi*kappa) + (alpha/(4 kappa)) sinh(pi*kappa)``.  Takes a
+    number or an array.
     """
-    if kappa <= 0.0:
+    kappa = np.asarray(kappa, dtype=float)
+    if (kappa <= 0.0).any():
         raise ValueError("kappa must be positive")
-    return math.cosh(math.pi * kappa) + 0.25 * alpha * _sinh_ratio(kappa)
+    kappa = kappa[()]
+    pk = np.pi * kappa
+    return np.cosh(pk) + 0.25 * alpha * _sin_ratio(kappa, np.sinh(pk), 1.0)
 
 
 def discriminant_zero_limit(alpha: float) -> float:
@@ -147,11 +170,29 @@ def floquet_phases(k: float | complex, alpha: float) -> tuple[complex, complex]:
     return z1, z2
 
 
-def _gap_sign(d: float) -> float:
-    return 1.0 if d >= 0.0 else -1.0
+def _decaying_denominator(t, d):
+    """``t + sign(d)*sqrt(d**2 - 1)``, clamped onto the band edge where ``|d| < 1``."""
+    root = np.sqrt(np.maximum(d * d - 1.0, 0.0))
+    return t + np.where(d >= 0.0, root, -root)
 
 
-def gap_function(k: float, alpha: float) -> float:
+def _gap_function(k, alpha):
+    """``gap_function`` without its checks, for points in a gap."""
+    pk = np.pi * k
+    s, c = np.sin(pk), np.cos(pk)
+    t = 0.25 * alpha * _sin_ratio(k, s)
+    return -c + s * s / _decaying_denominator(t, c + t)
+
+
+def _gap_function_negative(kappa, alpha):
+    """``gap_function_negative`` without its checks, for ``kappa > 0`` off the threshold band."""
+    pk = np.pi * kappa
+    s, c = np.sinh(pk), np.cosh(pk)
+    t = 0.25 * alpha * _sin_ratio(kappa, s, 1.0)
+    return -c - s * s / _decaying_denominator(t, c + t)
+
+
+def gap_function(k, alpha):
     """Gap boundary function at positive energy ``k**2``.
 
     Defined on the closed spectral gaps (``|half-trace| >= 1``) of the
@@ -162,23 +203,21 @@ def gap_function(k: float, alpha: float) -> float:
     with ``T = (alpha/4k) sin(pi*k)``, ``d`` the half-trace and ``s`` its
     sign; this choice picks the Floquet solution that decays along the
     chain.  Even-sector gap eigenvalues solve ``cos(k*theta) = gap_function``
-    and odd-sector ones ``-cos(k*theta) = gap_function``.
+    and odd-sector ones ``-cos(k*theta) = gap_function``.  Takes a number
+    or an array.
     """
-    if k <= 0.0:
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0.0):
         raise ValueError("k must be positive")
-    if is_near_integer(k):
+    if np.any(is_near_integer(k)):
         raise ValueError("integer wavenumber: handle the flat band separately")
     d = discriminant(k, alpha)
-    disc = d * d - 1.0
-    if disc < 0.0:
-        raise DomainError(f"k={k!r} lies inside a spectral band")
-    t = 0.25 * alpha * _sin_ratio(k)
-    denom = t + _gap_sign(d) * math.sqrt(disc)
-    s = math.sin(math.pi * k)
-    return -math.cos(math.pi * k) + s * s / denom
+    if np.any(d * d - 1.0 < 0.0):
+        raise DomainError(f"k={k} lies inside a spectral band")
+    return _gap_function(k, alpha)[()]
 
 
-def gap_function_negative(kappa: float, alpha: float) -> float:
+def gap_function_negative(kappa, alpha):
     """Gap boundary function at negative energy ``-kappa**2``.
 
     Defined where ``|discriminant_negative| >= 1``:
@@ -188,19 +227,16 @@ def gap_function_negative(kappa: float, alpha: float) -> float:
     with the ``+`` branch for ``d > 1`` and the ``-`` branch for
     ``d < -1`` (again the decaying-solution choice).  Even-sector negative
     eigenvalues solve ``cosh(kappa*theta) = gap_function_negative`` and
-    odd-sector ones ``-cosh(kappa*theta) = gap_function_negative``.
+    odd-sector ones ``-cosh(kappa*theta) = gap_function_negative``.  Takes
+    a number or an array.
     """
     d = discriminant_negative(kappa, alpha)
-    disc = d * d - 1.0
-    if disc < 0.0:
-        raise DomainError(f"kappa={kappa!r} lies inside the threshold band")
-    t = 0.25 * alpha * _sinh_ratio(kappa)
-    denom = t + _gap_sign(d) * math.sqrt(disc)
-    s = math.sinh(math.pi * kappa)
-    return -math.cosh(math.pi * kappa) - s * s / denom
+    if np.any(d * d - 1.0 < 0.0):
+        raise DomainError(f"kappa={kappa} lies inside the threshold band")
+    return _gap_function_negative(np.asarray(kappa, dtype=float), alpha)[()]
 
 
-def gap_function_negative_curvature(alpha: float) -> float:
+def gap_function_negative_curvature(alpha):
     """Small-``kappa`` curvature ``C`` of the negative gap function.
 
     For couplings below ``ZERO_ENERGY_ALPHA_MIN`` the gap function on the
@@ -211,11 +247,12 @@ def gap_function_negative_curvature(alpha: float) -> float:
 
     which lies in ``(0, pi**2/2)`` and vanishes as ``alpha`` approaches
     ``ZERO_ENERGY_ALPHA_MIN``.  The odd-sector negative eigenvalue exists
-    exactly for bend angles below ``sqrt(2*C)``.
+    exactly for bend angles below ``sqrt(2*C)``.  Takes a number or an
+    array.
     """
-    a = 0.25 * math.pi * alpha
+    a = 0.25 * np.pi * np.asarray(alpha, dtype=float)
     rad = a * a + 2.0 * a
-    if rad < 0.0:
+    if np.any(rad < 0.0):
         raise ValueError("curvature defined only for alpha <= -8/pi")
-    d0 = a - math.sqrt(rad)
-    return math.pi * math.pi * (0.5 + 1.0 / d0)
+    d0 = a - np.sqrt(rad)
+    return (np.pi * np.pi * (0.5 + 1.0 / d0))[()]

@@ -8,15 +8,18 @@ hyperbolic analogue.  One engine solves a whole grid of bend angles at a
 fixed coupling: work that depends only on the coupling (gap intervals,
 threshold edges, the cutoff, the gap function on each scan grid) is done
 once; the residual is sampled as (angles x points) blocks of at most
-``SCAN_BLOCK`` angles; every bracket of every (angle, gap, parity) slot is
-bisected together to full precision (``_rootfind.bisect_batch``); then
-each slot is filtered on its own — an eigenvalue sitting on a band edge
-(within ``EDGE_WINDOW``) is reported as absent, since the candidate
-eigenfunction stops being square-summable there.  The one-angle solvers
-are the one-angle case of the same engine; ``solve_gap_batch`` and
-``solve_negative_batch`` run it over one-angle queries at many couplings,
-each query scanned on its own grid, and the gap edges of many couplings
-are bisected together in the same way.
+``_rootfind.SCAN_BLOCK`` angles; every bracket of every (angle, gap,
+parity) slot is bisected together to full precision
+(``_rootfind.bisect_batch``); then each slot is filtered on its own — an
+eigenvalue sitting on a band edge (within ``EDGE_WINDOW``) is reported as
+absent, since the candidate eigenfunction stops being square-summable
+there.  The one-angle solvers are the one-angle case of the same engine;
+``solve_gap_batch`` and ``solve_negative_batch`` run it over one-angle
+queries at many couplings, each query scanned on its own grid.  The gap
+edges, the threshold edges, the cutoff and the double points are found
+on the same scan-bracket-bisect path of ``_rootfind``, for many couplings
+at once, and every residual is built from the numpy kernels of
+``dispersion``.
 """
 from __future__ import annotations
 
@@ -26,14 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import bisect, bisect_batch, bracket_rows, find_roots
-from .bands import _edge_roots, _negative_sweep_limit
+from ._rootfind import SCAN_BLOCK, _first_roots, _row_brackets, bisect_batch, bracket_rows
+from .bands import BAND_SCAN_PER_UNIT, _edge_roots, _negative_sweep_limit
 from .dispersion import (
-    SMALL_ARG,
     ZERO_ENERGY_ALPHA_MIN,
     ContinuationError,
+    _gap_function,
+    _gap_function_negative,
+    discriminant,
     gap_function,
-    gap_function_negative,
     gap_function_negative_curvature,
 )
 
@@ -65,11 +69,6 @@ __all__ = [
 
 # Points per dense residual scan of one gap.
 GAP_SCAN_POINTS = 1024
-# Rows (angles or queries) sampled together in one residual scan; bounds
-# the memory of the (rows x GAP_SCAN_POINTS) sample blocks.  At 8 rows each
-# block array takes 64 KB; 16-row blocks of the per-row-grid scans raised
-# the peak RSS of ``verify`` and of an attractive sweep by about 0.9 MB.
-SCAN_BLOCK = 8
 # One-angle queries solved together by ``solve_gap_batch``: enough to spread
 # the cost of the bisection loop, few enough to bound the arrays they hold.
 QUERY_BLOCK = 256
@@ -200,7 +199,7 @@ def _gaps_at(alphas, ns) -> list[GapInterval]:
         edges[sel] = _first_roots(
             cells[sel] + 1e-9,
             (cells[sel] + 1.0) - 1e-9,
-            lambda k, al, target: _discriminant_vec(k, al) - target,
+            lambda k, al, target: discriminant(k, al) - target,
             alphas[sel],
             targets[sel],
             points=points,
@@ -236,8 +235,14 @@ def singular_angles(n: int, parity: str) -> tuple[float, ...]:
     return tuple(v for v in vals if 0.0 <= v < math.pi)
 
 
-def is_singular_angle(theta: float, n: int, parity: str) -> bool:
-    return any(abs(theta - v) < SINGULAR_ANGLE_TOL for v in singular_angles(n, parity))
+def is_singular_angle(theta, n: int, parity: str):
+    """True where ``theta`` lies within ``SINGULAR_ANGLE_TOL`` of a singular angle.
+
+    Takes a number or an array of angles.
+    """
+    angles = np.array(singular_angles(n, parity), dtype=float)
+    near = np.abs(np.asarray(theta, dtype=float)[..., None] - angles) < SINGULAR_ANGLE_TOL
+    return np.any(near, axis=-1)[()]
 
 
 def _parity_sign(parity: str) -> float:
@@ -248,47 +253,9 @@ def _parity_sign(parity: str) -> float:
     raise ValueError("parity must be '+' or '-'")
 
 
-def _gap_residual(k: float, alpha: float, theta: float, sgn: float) -> float:
-    """Gap condition ``sgn*cos(k*theta) - gap_function(k)`` (``sgn = ±1``)."""
-    return sgn * math.cos(k * theta) - gap_function(k, alpha)
-
-
-def _sin_ratio_vec(ks: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``dispersion._sin_ratio`` on an array, from ``s = sin(pi*ks)``."""
-    ratio = s / ks
-    small = np.abs(ks) < SMALL_ARG
-    if small.any():
-        x2 = (np.pi * ks) * (np.pi * ks)
-        series = np.pi * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
-        ratio = np.where(small, series, ratio)
-    return ratio
-
-
-def _discriminant_vec(ks: np.ndarray, alpha) -> np.ndarray:
-    """``discriminant`` on an array of real wavenumbers, operation for operation."""
-    pk = np.pi * ks
-    return np.cos(pk) + 0.25 * alpha * _sin_ratio_vec(ks, np.sin(pk))
-
-
-def _gap_function_vec(ks: np.ndarray, alpha) -> np.ndarray:
-    """``gap_function`` on an array, operation for operation, for points in a gap."""
-    pk = np.pi * ks
-    s = np.sin(pk)
-    c = np.cos(pk)
-    t = 0.25 * alpha * _sin_ratio_vec(ks, s)
-    d = c + t
-    root = np.sqrt(np.maximum(d * d - 1.0, 0.0))
-    return -c + s * s / (t + np.where(d >= 0.0, root, -root))
-
-
-def _gap_function_negative_vec(kappas: np.ndarray, alpha) -> np.ndarray:
-    """``gap_function_negative`` on an array of decay parameters ``kappa > 0``."""
-    s = np.sinh(np.pi * kappas)
-    c = np.cosh(np.pi * kappas)
-    t = 0.25 * alpha * (s / kappas)
-    d = c + t
-    root = np.sqrt(np.maximum(d * d - 1.0, 0.0))
-    return -c - s * s / (t + np.where(d >= 0.0, root, -root))
+def _gap_residual(k, alpha, theta, sgn):
+    """Gap condition ``sgn*cos(k*theta) - gap_function(k)`` (``sgn = ±1``); arguments broadcast."""
+    return sgn * np.cos(k * theta) - _gap_function(k, alpha)
 
 
 def _angles(thetas) -> np.ndarray:
@@ -297,64 +264,6 @@ def _angles(thetas) -> np.ndarray:
     if not np.all((0.0 < th) & (th < math.pi)):
         raise ValueError("theta must lie strictly between 0 and pi")
     return th
-
-
-def _singular_mask(thetas: np.ndarray, n: int, parity: str) -> np.ndarray:
-    """``is_singular_angle`` at every angle of ``thetas``."""
-    angles = np.array(singular_angles(n, parity), dtype=float)
-    return np.any(np.abs(thetas[:, None] - angles) < SINGULAR_ANGLE_TOL, axis=1)
-
-
-def _scan(rows: int, sample):
-    """Brackets of ``rows`` sampled rows, in blocks of at most ``SCAN_BLOCK`` rows.
-
-    ``sample(block)`` gives the grid (shared, or one per row) and the
-    samples of the rows in the slice ``block``.  Returns ``(row, lo, hi)``
-    arrays ordered by row and ascending within a row.
-    """
-    parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
-    for start in range(0, rows, SCAN_BLOCK):
-        found, lo, hi = bracket_rows(*sample(slice(start, start + SCAN_BLOCK)))
-        parts.append((found + start, lo, hi))
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
-def _bisect_brackets(kernel, lo: np.ndarray, hi: np.ndarray, *params) -> np.ndarray:
-    """Root in every bracket: a degenerate one as it stands, the rest bisected together.
-
-    ``kernel(x, *params)`` is evaluated with one value of each of
-    ``params`` per bracket.
-    """
-    live = lo != hi
-    sub = [p[live] for p in params]
-    roots = lo.copy()
-    roots[live] = bisect_batch(lambda x: kernel(x, *sub), lo[live], hi[live])
-    return roots
-
-
-def _first_roots(lo, hi, kernel, *params, points: int = GAP_SCAN_POINTS) -> np.ndarray:
-    """Root in the first bracket of ``kernel(x, *params)`` on every row; NaN where none.
-
-    Row ``i`` samples ``kernel`` with the ``i``-th value of every parameter
-    on its own grid of ``points`` points spanning ``[lo[i], hi[i]]``, in
-    blocks of at most ``SCAN_BLOCK`` rows; a row without ``lo < hi`` has no
-    root.  The first brackets of all rows are bisected together.  The
-    arguments broadcast to one value per row.
-    """
-    lo, hi, *params = np.broadcast_arrays(lo, hi, *params)
-    live = np.flatnonzero(lo < hi)
-
-    def sample(block):
-        rows = live[block]
-        xs = np.linspace(lo[rows], hi[rows], points, axis=-1)
-        return xs, kernel(xs, *(p[rows, None] for p in params))
-
-    rows, a, b = _scan(live.size, sample)
-    first = np.unique(rows, return_index=True)[1]
-    rows = live[rows[first]]
-    roots = np.full(lo.shape, np.nan)
-    roots[rows] = _bisect_brackets(kernel, a[first], b[first], *(p[rows] for p in params))
-    return roots
 
 
 def _scan_domain(gap: GapInterval) -> tuple[float, float] | None:
@@ -389,26 +298,24 @@ def _gap_roots(slots) -> list[np.ndarray]:
     found = []
     for slot, (alpha, gap, parity, thetas) in enumerate(slots):
         sgn = _parity_sign(parity)
-        live = np.flatnonzero(~_singular_mask(thetas, gap.n, parity))
+        live = np.flatnonzero(~is_singular_angle(thetas, gap.n, parity))
         dom = _scan_domain(gap)
         if dom is None:
             continue
         if sampled != (alpha, gap):  # the parities of a gap come in turn
             sampled = alpha, gap
             ks = np.linspace(dom[0], dom[1], GAP_SCAN_POINTS)
-            g_k = _gap_function_vec(ks, alpha)
-        th = thetas[live, None]
-        rows, lo, hi = _scan(live.size, lambda b: (ks, sgn * np.cos(ks * th[b]) - g_k))
-        n = rows.size
-        found.append((np.full(n, slot), live[rows], lo, hi, thetas[live][rows],
-                      np.full(n, sgn), np.full(n, alpha)))
+            g_k = _gap_function(ks, alpha)
+        for start in range(0, live.size, SCAN_BLOCK):  # on the one grid ks
+            at = live[start:start + SCAN_BLOCK]
+            rows, lo, hi = bracket_rows(ks, sgn * np.cos(ks * thetas[at, None]) - g_k)
+            n = rows.size
+            found.append((np.full(n, slot), at[rows], lo, hi, thetas[at][rows],
+                          np.full(n, sgn), np.full(n, alpha)))
     if not found:
         return out
-    slot, angle, lo, hi, *params = (np.concatenate(col) for col in zip(*found))
-    roots = _bisect_brackets(
-        lambda k, th, sgn, al: sgn * np.cos(k * th) - _gap_function_vec(k, al),
-        lo, hi, *params,
-    )
+    slot, angle, lo, hi, th, sgn, al = (np.concatenate(col) for col in zip(*found))
+    roots = bisect_batch(lambda k: _gap_residual(k, al, th, sgn), lo, hi)
     # Per slot and angle: drop near-duplicates of the last kept root, then
     # roots on the band edge; more than one survivor means the scan is
     # inconsistent.
@@ -469,70 +376,61 @@ def solve_gap_batch(queries) -> list[float | None]:
     return out
 
 
-def solve_gap_near_edge(
-    alpha: float,
-    theta: float,
-    gap: GapInterval,
-    parity: str,
-) -> float | None:
-    """Eigenvalue wavenumber hugging the non-integer band edge.
+def solve_gap_near_edge(alpha: float, thetas, gap: GapInterval, parity: str):
+    """Eigenvalue wavenumber hugging the non-integer band edge, at every angle of ``thetas``.
 
     Small bend angles push the gap root exponentially close to the band
     edge, far below the resolution of the uniform scan in ``solve_gap``;
     this variant bisects directly on a one-sided bracket, at most 1e-2
-    wide, at the edge.  Returns ``None`` when no sign change exists in the
-    bracket.
+    wide, at the edge, all angles together.  NaN where no sign change
+    exists in the bracket.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError("theta must lie strictly between 0 and pi")
+    th = _angles(thetas)
     sgn = _parity_sign(parity)
     edge = gap.band_edge
     reach = min(1e-2, 0.5 * (gap.k_hi - gap.k_lo))
     if edge == gap.k_hi:
-        ends = [edge - reach, edge - 1e-13]
+        lo, hi = edge - reach, edge - 1e-13
     else:
-        ends = [edge + 1e-13, edge + reach]
-    return next(
-        find_roots(lambda k: _gap_residual(k, alpha, theta, sgn), ends), None
-    )
+        lo, hi = edge + 1e-13, edge + reach
+    roots = _first_roots(lo, hi, lambda k, t: _gap_residual(k, alpha, t, sgn), th, points=2)
+    return roots.reshape(np.shape(thetas))[()]
 
 
-def _negative_edges(alpha: float) -> tuple[float, float]:
+def _negative_edges(alpha):
     """Threshold-band edges on the decay axis: ``(x1, x_minus1)``.
 
     ``x1`` is the largest root of ``|discriminant_negative| = 1`` (the
     bottom of the spectrum sits at ``-x1**2``); ``x_minus1`` is the root
     of ``discriminant_negative = -1`` which exists only below the
-    borderline coupling ``ZERO_ENERGY_ALPHA_MIN`` (NaN above it).
+    borderline coupling ``ZERO_ENERGY_ALPHA_MIN`` (NaN above it).  Takes a
+    number or an array of couplings, all scanned and bisected together.
     """
-    roots = _edge_roots(alpha, _negative_sweep_limit(alpha), -1e-9)
-    if not roots:
+    alpha = np.asarray(alpha, dtype=float)
+    roots = _edge_roots(alpha, _negative_sweep_limit(alpha), -1e-9, BAND_SCAN_PER_UNIT)
+    if not all(roots):
         raise RuntimeError("no negative-branch edges found")
-    x1 = -roots[0]
-    x_m1 = -roots[-1] if len(roots) >= 2 else math.nan
-    return x1, x_m1
+    x1 = np.array([-r[0] for r in roots]).reshape(alpha.shape)
+    x_m1 = np.array([-r[-1] if len(r) >= 2 else math.nan for r in roots]).reshape(alpha.shape)
+    return x1[()], x_m1[()]
 
 
-def _per_coupling(fn, alphas) -> np.ndarray:
-    """``fn(alpha)`` at every coupling of ``alphas``, evaluated once per distinct value."""
-    alphas = np.asarray(alphas, dtype=float).tolist()
-    values = {alpha: fn(alpha) for alpha in dict.fromkeys(alphas)}
-    return np.array([values[alpha] for alpha in alphas], dtype=float)
-
-
-def kappa_cutoff(alpha: float) -> float:
+def kappa_cutoff(alpha):
     """Unique positive root of ``kappa*tanh(pi*kappa) = -alpha/2``.
 
     The negative gap function diverges there; the even-sector negative
     eigenvalue always satisfies ``kappa < kappa_cutoff(alpha)``.  Defined
-    for attractive couplings.
+    for attractive couplings.  Takes a number or an array of couplings,
+    bisected together.
     """
-    if alpha >= 0.0:
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha >= 0.0):
         raise ValueError("cutoff defined for alpha < 0 only")
-    cap = 0.5 * abs(alpha) + 1.0
-    return bisect(
-        lambda x: x * math.tanh(math.pi * x) + 0.5 * alpha, 1e-12, cap
-    )
+    return bisect_batch(
+        lambda x: x * np.tanh(np.pi * x) + 0.5 * alpha,
+        np.full(alpha.shape, 1e-12),
+        0.5 * np.abs(alpha) + 1.0,
+    )[()]
 
 
 def odd_zero_crossing_angle(alpha: float) -> float:
@@ -546,9 +444,12 @@ def odd_zero_crossing_angle(alpha: float) -> float:
     return math.sqrt(2.0 * gap_function_negative_curvature(alpha))
 
 
-def _negative_residual(kappa: float, alpha: float, theta: float, sgn: float) -> float:
-    """Hyperbolic gap condition ``sgn*cosh(kappa*theta) - gap_function_negative``."""
-    return sgn * math.cosh(kappa * theta) - gap_function_negative(kappa, alpha)
+def _negative_residual(kappa, alpha, theta, sgn):
+    """Hyperbolic gap condition ``sgn*cosh(kappa*theta) - gap_function_negative``.
+
+    All arguments broadcast.
+    """
+    return sgn * np.cosh(kappa * theta) - _gap_function_negative(kappa, alpha)
 
 
 def _odd_residual_scaled(s, alpha, theta, curvature):
@@ -592,9 +493,10 @@ def _negative_even_roots(alpha, theta, x1, cutoff) -> np.ndarray:
     return _first_roots(
         x1 + 1e-12,
         cutoff - 1e-12,
-        lambda kp, al, th: np.cosh(kp * th) - _gap_function_negative_vec(kp, al),
+        lambda kp, al, th: _negative_residual(kp, al, th, 1.0),
         alpha,
         theta,
+        points=GAP_SCAN_POINTS,
     )
 
 
@@ -613,8 +515,8 @@ def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
 def solve_negative_batch(queries) -> list[float | None]:
     """``solve_negative`` for every ``(alpha, theta, parity)`` query.
 
-    The queries (any iterable) are solved together: the threshold edges,
-    the cutoff and the curvature are computed once per distinct coupling,
+    The queries (any iterable) are solved together: the threshold edges
+    and the cutoff are computed once per distinct coupling,
     each query's residual is sampled on its own grid, and the brackets of
     all queries of one parity are bisected together.
     """
@@ -623,24 +525,24 @@ def solve_negative_batch(queries) -> list[float | None]:
         _angles([theta])
         rows.append((alpha, theta, 0.0 if alpha >= 0.0 else _parity_sign(parity)))
     alpha, theta, sgn = np.array(rows, dtype=float).reshape(-1, 3).T
-    x1, x_m1 = np.full((2, len(rows)), np.nan)
+    x1, x_m1, cutoff = np.full((3, len(rows)), np.nan)
     live = sgn != 0.0
-    x1[live], x_m1[live] = _per_coupling(_negative_edges, alpha[live]).reshape(-1, 2).T
+    couplings, inverse = np.unique(alpha[live], return_inverse=True)
+    x1[live], x_m1[live] = (edge[inverse] for edge in _negative_edges(couplings))
+    cutoff[live] = kappa_cutoff(couplings)[inverse]
     roots = np.full(len(rows), np.nan)
     even = sgn > 0.0
-    roots[even] = _negative_even_roots(
-        alpha[even], theta[even], x1[even], _per_coupling(kappa_cutoff, alpha[even])
-    )
+    roots[even] = _negative_even_roots(alpha[even], theta[even], x1[even], cutoff[even])
     # The odd eigenvalue exists only below the borderline coupling.
     odd = (sgn < 0.0) & ~np.isnan(x_m1)
-    curvature = _per_coupling(gap_function_negative_curvature, alpha[odd])
     kappa = _first_roots(
         1e-9,
         x_m1[odd] - 1e-11,
         lambda kp, al, th, c: _odd_residual_scaled(-kp, al, th, c),
         alpha[odd],
         theta[odd],
-        curvature,
+        gap_function_negative_curvature(alpha[odd]),
+        points=GAP_SCAN_POINTS,
     )
     roots[odd] = np.where(kappa > EDGE_WINDOW, kappa, np.nan)
     return [_found(r) for r in roots]
@@ -669,24 +571,14 @@ def double_points_in_gap(alpha: float, gap: GapInterval) -> list[float]:
     if dom is None:
         return []
     lo, hi = dom
-    cuts = [lo]
-    m = math.floor(lo) + 0.5
-    while m < hi:
-        if m > lo:
-            cuts.append(m)
-        m += 1.0
-    cuts.append(hi)
-    roots: list[float] = []
-    for a, b in zip(cuts, cuts[1:]):
-        grid = np.linspace(a + 1e-9, b - 1e-9, 512)
-        roots.extend(
-            find_roots(
-                lambda k: double_eigenvalue_residual(k, alpha),
-                grid,
-                double_eigenvalue_residual(grid, alpha),
-            )
-        )
-    return roots
+    halves = np.arange(math.floor(lo) + 0.5, hi, 1.0)
+    ends = np.concatenate([[lo], halves[halves > lo], [hi]])
+
+    def kernel(k):
+        return double_eigenvalue_residual(k, alpha)
+
+    _, a, b = _row_brackets(ends[:-1] + 1e-9, ends[1:] - 1e-9, kernel, points=512)
+    return bisect_batch(kernel, a, b).tolist()
 
 
 def recover_double_angle(k_star: float, alpha: float) -> float:
@@ -700,28 +592,22 @@ def recover_double_angle(k_star: float, alpha: float) -> float:
     return math.acos(max(-1.0, min(1.0, f))) / k_star
 
 
-def _merge_records(
-    alpha: float, theta: float, gap: GapInterval, kp: float | None, km: float | None
-) -> list[EigenvalueRecord]:
-    """Combine the two parity roots of one gap, merging degenerate pairs."""
-    out: list[EigenvalueRecord] = []
-    if kp is not None and km is not None and abs(kp - km) < 1e-9:
+def _merge_records(theta: float, n: int, alpha: float, ks, res) -> list[EigenvalueRecord]:
+    """Records of gap ``n`` from its parity roots ``ks = (k+, k-)`` (NaN if absent).
+
+    ``res`` holds their residuals; a degenerate pair merges into one
+    double record.
+    """
+    kp, km = ks
+    if abs(kp - km) < 1e-9:
         mid = 0.5 * (kp + km)
         if abs(double_eigenvalue_residual(mid, alpha)) < 1e-6:
-            res = max(
-                abs(_gap_residual(kp, alpha, theta, 1.0)),
-                abs(_gap_residual(km, alpha, theta, -1.0)),
-            )
-            return [
-                EigenvalueRecord(theta, mid, mid * mid, "+-", gap.n, 2, res)
-            ]
-    if kp is not None:
-        res = abs(_gap_residual(kp, alpha, theta, 1.0))
-        out.append(EigenvalueRecord(theta, kp, kp * kp, "+", gap.n, 1, res))
-    if km is not None:
-        res = abs(_gap_residual(km, alpha, theta, -1.0))
-        out.append(EigenvalueRecord(theta, km, km * km, "-", gap.n, 1, res))
-    return out
+            return [EigenvalueRecord(theta, mid, mid * mid, "+-", n, 2, max(res))]
+    return [
+        EigenvalueRecord(theta, k, k * k, p, n, 1, r)
+        for k, r, p in zip(ks, res, "+-")
+        if not np.isnan(k)
+    ]
 
 
 def gap_eigenvalues_grid(
@@ -731,7 +617,8 @@ def gap_eigenvalues_grid(
 
     Returns one sorted record list per angle, in the order of ``thetas``.
     The gap intervals, the threshold edges, the cutoff and the gap
-    function on each scan grid are computed once for the whole grid.
+    function on each scan grid are computed once for the whole grid, and
+    the residuals of all records in one array call per energy sign.
     """
     if alpha == 0.0:
         raise ValueError("the uncoupled chain has no gap eigenvalues")
@@ -760,16 +647,21 @@ def gap_eigenvalues_grid(
             s = _signed_odd_roots(alpha, thetas, x_m1)
             roots[1, "-"] = np.where(s > 0.0, s, np.nan)
             kap_odd = np.where(s < 0.0, -s, np.nan)
+    # Both parities of every gap, an absent root as NaN: (gap, parity, angle).
+    ks = np.array([[roots.get((g.n, p), absent) for p in "+-"] for g in gaps])
+    sgn = np.array([[1.0], [-1.0]])
+    res = np.abs(_gap_residual(ks, alpha, thetas, sgn))
+    kaps = np.array([kap_even, kap_odd])
+    kap_res = np.abs(_negative_residual(kaps, alpha, thetas, sgn))
     out: list[list[EigenvalueRecord]] = []
     for i, theta in enumerate(thetas.tolist()):
-        records: list[EigenvalueRecord] = []
-        for kap, sgn, p, n in ((kap_even[i], 1.0, "+", 0), (kap_odd[i], -1.0, "-", 1)):
-            if not np.isnan(kap):
-                res = abs(_negative_residual(kap, alpha, theta, sgn))
-                records.append(EigenvalueRecord(theta, kap, -kap * kap, p, n, 1, res))
-        for gap in gaps:
-            kp, km = (_found(roots.get((gap.n, p), absent)[i]) for p in ("+", "-"))
-            records.extend(_merge_records(alpha, theta, gap, kp, km))
+        records = [
+            EigenvalueRecord(theta, kap, -kap * kap, p, n, 1, r)
+            for kap, r, p, n in zip(kaps[:, i], kap_res[:, i], "+-", (0, 1))
+            if not np.isnan(kap)
+        ]
+        for gap, k, r in zip(gaps, ks[..., i], res[..., i]):
+            records += _merge_records(theta, gap.n, alpha, k, r)
         records.sort(key=lambda r: (r.gap_index, r.energy, r.parity))
         out.append(records)
     return out
@@ -805,6 +697,7 @@ def _signed_odd_roots(alpha: float, thetas: np.ndarray, x_m1: float) -> np.ndarr
         alpha,
         thetas,
         gap_function_negative_curvature(alpha),
+        points=GAP_SCAN_POINTS,
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rootfind import NewtonResult, find_roots, newton_complex
+from ._rootfind import NewtonResult, _first_roots, newton_complex
 from .dispersion import ContinuationError, InsufficientDataError
 from .gaps import (
     GapInterval,
@@ -346,29 +346,30 @@ def trace_complex_branch(
     return continue_curve(alpha, sp.parity, grid, k_seed, branch=branch, seed=sp)
 
 
-def real_branch_offset(
-    alpha: float, gap: GapInterval, theta: float, parity: str
-) -> float | None:
-    """Signed offset ``k - n`` of the gap eigenvalue, resolved near ``n``.
+def real_branch_offset(alpha: float, gap: GapInterval, thetas, parity: str):
+    """Signed offset ``k - n`` of the gap eigenvalue at every angle of ``thetas``.
 
     Bisects the entire cleared residual between the integer and the band
     edge, which stays numerically meaningful arbitrarily close to the
-    integer (unlike the gap function).  ``None`` when the sector has no
-    root there.
+    integer (unlike the gap function); all angles are bisected together.
+    NaN where the sector has no root there.
     """
     if gap.n < 1:
         raise ValueError("offset defined for gaps containing an integer")
     n = float(gap.n)
-
-    def f(k: float) -> float:
-        return resonance_residual(complex(k), alpha, theta, parity).real
-
     if gap.k_lo == n:  # repulsive: root above the integer
-        ends = [n + 1e-13, gap.k_hi - 1e-13]
+        lo, hi = n + 1e-13, gap.k_hi - 1e-13
     else:  # attractive: root below
-        ends = [gap.k_lo + 1e-13, n - 1e-13]
-    root = next(find_roots(f, ends), None)
-    return None if root is None else root - n
+        lo, hi = gap.k_lo + 1e-13, n - 1e-13
+    thetas = np.asarray(thetas, dtype=float)
+    roots = _first_roots(
+        lo,
+        hi,
+        lambda k, th: resonance_residual_grid(k, alpha, th, parity).real,
+        thetas.reshape(-1),
+        points=2,
+    )
+    return (roots - n).reshape(thetas.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -400,27 +401,24 @@ def fit_branch_exponent(
     """
     if two_sided is None:
         two_sided = sp.theta0 > 0.0
-    gap = None
+    deltas = np.geomspace(delta_lo, delta_hi, samples_per_side)
+    signed = np.concatenate([deltas, -deltas]) if two_sided else deltas
+    thetas = sp.theta0 + signed
+    inside = (0.0 < thetas) & (thetas < math.pi)
+    signed, thetas = signed[inside], thetas[inside]
     if branch == "real":
         gap = next(g for g in gap_intervals(alpha, sp.n) if g.n == sp.n)
-    deltas = np.geomspace(delta_lo, delta_hi, samples_per_side)
-    signed = list(deltas) + ([-d for d in deltas] if two_sided else [])
-    log_d: list[float] = []
-    log_e: list[float] = []
-    for d in signed:
-        theta = sp.theta0 + d
-        if not 0.0 < theta < math.pi:
-            continue
-        if branch == "real":
-            off = real_branch_offset(alpha, gap, theta, sp.parity)
-            eps = abs(off) if off is not None else None
-        else:
+        eps = np.abs(real_branch_offset(alpha, gap, thetas, sp.parity))
+    else:
+        eps = np.full(len(thetas), np.nan)
+        for i, (d, theta) in enumerate(zip(signed, thetas)):
             k_seed = seed_from_singular_point(sp, alpha, d, branch)
             res = refine_resonance(alpha, theta, sp.parity, k_seed)
-            eps = abs(res.root - sp.k0) if res.converged else None
-        if eps is not None and eps > 0.0:
-            log_d.append(math.log(abs(d)))
-            log_e.append(math.log(eps))
+            if res.converged:
+                eps[i] = abs(res.root - sp.k0)
+    use = eps > 0.0
+    log_d = [math.log(abs(d)) for d in signed[use].tolist()]
+    log_e = [math.log(e) for e in eps[use].tolist()]
     if len(log_d) < 8:
         raise InsufficientDataError(
             f"only {len(log_d)} usable samples near ({sp.n}, {sp.ell})"
@@ -452,21 +450,12 @@ def fit_gentle_coefficient(alpha: float, gap: GapInterval) -> float:
     weighted fit of ``offset/theta**4`` against ``theta**2`` (the next term
     of the even expansion).
     """
-    k0 = gap.band_edge
-    t2: list[float] = []
-    ratio: list[float] = []
-    for theta in np.geomspace(0.01, 0.1, 12):
-        k = solve_gap_near_edge(alpha, float(theta), gap, "+")
-        if k is None:
-            continue
-        off = abs(k0 - k)
-        if off <= 0.0:
-            continue
-        t2.append(theta * theta)
-        ratio.append(off / theta ** 4)
-    if len(t2) < 4:
+    thetas = np.geomspace(0.01, 0.1, 12)
+    off = np.abs(gap.band_edge - solve_gap_near_edge(alpha, thetas, gap, "+"))
+    thetas, off = thetas[off > 0.0], off[off > 0.0]
+    if len(thetas) < 4:
         raise InsufficientDataError("too few near-edge solutions for the fit")
-    _, intercept = np.polyfit(t2, ratio, 1)
+    _, intercept = np.polyfit(thetas * thetas, off / thetas ** 4, 1)
     return float(intercept)
 
 

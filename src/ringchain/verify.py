@@ -241,6 +241,7 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
     kappa_refs = iter(
         solve_negative_batch((a, t, p) for a, t, _ in draws if a < 0.0 for p in ("+", "-"))
     )
+    cutoffs = iter(kappa_cutoff([a for a, _, _ in draws if a < 0.0]))
     mismatches = 0
     worst = 0.0
     for alpha, theta, gap in draws:
@@ -262,7 +263,7 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
             # Below the spectrum threshold the same cleared residual,
             # evaluated on the imaginary axis, must reproduce the
             # hyperbolic-form eigenvalues.
-            kappas = np.linspace(1e-6, kappa_cutoff(alpha) + 1.0, 4001)
+            kappas = np.linspace(1e-6, next(cutoffs) + 1.0, 4001)
             for parity in ("+", "-"):
                 kappa_ref = next(kappa_refs)
                 roots = _cleared_roots(kappas, alpha, theta, parity, 1j)

@@ -1,10 +1,13 @@
-"""Tests for the dispersion scalars of the periodic chain."""
+"""Tests for the dispersion kernels of the periodic chain."""
 from __future__ import annotations
 
+import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ringchain import (
     ZERO_ENERGY_ALPHA_MIN,
@@ -16,7 +19,7 @@ from ringchain import (
     gap_function_negative,
     gap_function_negative_curvature,
 )
-from ringchain.dispersion import discriminant_zero_limit
+from ringchain.dispersion import SMALL_ARG, discriminant_zero_limit
 
 FINITE_ALPHA = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 POSITIVE_K = st.floats(min_value=1e-3, max_value=12.0, allow_nan=False)
@@ -156,3 +159,81 @@ def test_negative_curvature_matches_gap_function_expansion():
 
 def test_negative_curvature_vanishes_at_borderline():
     assert abs(gap_function_negative_curvature(ZERO_ENERGY_ALPHA_MIN)) < 1e-9
+
+
+def scalar_sin_ratio(k):
+    """``sin(pi*k)/k`` as the scalar ``math``/``cmath`` formula."""
+    if abs(k) < SMALL_ARG:
+        x2 = (math.pi * k) * (math.pi * k)
+        return math.pi * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
+    if isinstance(k, complex):
+        return cmath.sin(math.pi * k) / k
+    return math.sin(math.pi * k) / k
+
+
+def scalar_discriminant(k, alpha):
+    if isinstance(k, complex):
+        if k.imag == 0.0:
+            k = k.real
+        else:
+            return cmath.cos(math.pi * k) + 0.25 * alpha * scalar_sin_ratio(k)
+    return math.cos(math.pi * k) + 0.25 * alpha * scalar_sin_ratio(k)
+
+
+def scalar_gap_function(k, alpha):
+    d = scalar_discriminant(k, alpha)
+    t = 0.25 * alpha * scalar_sin_ratio(k)
+    denom = t + (1.0 if d >= 0.0 else -1.0) * math.sqrt(d * d - 1.0)
+    s = math.sin(math.pi * k)
+    return -math.cos(math.pi * k) + s * s / denom
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# Wavenumbers in the series window below SMALL_ARG and beyond it; complex
+# ones off the real axis, where the scalar formula switches to the real one.
+REAL_K = st.one_of(st.floats(0.0, 0.99 * SMALL_ARG), st.floats(SMALL_ARG, 12.0))
+COMPLEX_K = st.builds(
+    complex,
+    st.floats(-6.0, 6.0),
+    st.floats(-2.0, 2.0).filter(lambda y: abs(y) > 1e-3),
+).map(lambda z: z * 1e-5 if abs(z) < 1.0 else z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ks=st.lists(REAL_K, min_size=1, max_size=20),
+    zs=st.lists(COMPLEX_K, min_size=1, max_size=20),
+    alpha=FINITE_ALPHA,
+)
+def test_kernels_equal_the_scalar_formulas_bit_for_bit(ks, zs, alpha):
+    # One array call gives, bit for bit, what the scalar math/cmath
+    # formulas give one wavenumber at a time.
+    assert same_bits(discriminant(np.array(ks), alpha), [scalar_discriminant(k, alpha) for k in ks])
+    assert same_bits(discriminant(np.array(zs), alpha), [scalar_discriminant(z, alpha) for z in zs])
+    for z in zs[:3]:
+        assert same_bits(discriminant(z, alpha), scalar_discriminant(z, alpha))
+    # Inside a gap, away from the integers and from a vanishing denominator.
+    in_gap = [
+        k for k in ks
+        if k > 0.0 and abs(k - round(k)) >= 1e-9 and scalar_discriminant(k, alpha) ** 2 > 1.0
+    ]
+    if in_gap:
+        want = [scalar_gap_function(k, alpha) for k in in_gap]
+        assert same_bits(gap_function(np.array(in_gap), alpha), want)
+        assert same_bits(gap_function(in_gap[0], alpha), want[0])
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 2.5])
+def test_negative_half_trace_matches_high_precision_across_the_series_window(alpha):
+    # The sinh ratio switches to its Taylor series below SMALL_ARG; both
+    # branches must give the half-trace to rounding of its O(1) terms.
+    kappas = np.concatenate([np.geomspace(1e-8, 1e-2, 25), SMALL_ARG * np.array([1 - 1e-9, 1 + 1e-9])])
+    got = discriminant_negative(kappas, alpha)
+    with mpmath.workdps(50):
+        for kappa, d in zip(kappas.tolist(), got.tolist()):
+            k, a = mpmath.mpf(kappa), mpmath.mpf(alpha)
+            ref = mpmath.cosh(mpmath.pi * k) + a / 4 * mpmath.sinh(mpmath.pi * k) / k
+            assert abs(float(d - ref)) <= 1e-15

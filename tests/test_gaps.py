@@ -29,7 +29,7 @@ from ringchain import (
     solve_negative,
     trace_eigenvalue_curve,
 )
-from ringchain._rootfind import bisect, find_roots
+from ringchain._rootfind import bisect
 from ringchain.gaps import (
     _gaps_at,
     _negative_edges,
@@ -370,7 +370,13 @@ def scalar_gap_edge(alpha, n):
         if alpha < 0.0 and not fn(1e-9) > 0.0:
             return 0.0  # the first attractive gap reaches k = 0
         return bisect(fn, 1e-9, 1.0 - 1e-9)
-    return next(find_roots(fn, np.linspace(cell + 1e-9, cell + 1.0 - 1e-9, 512)))
+    xs = np.linspace(cell + 1e-9, cell + 1.0 - 1e-9, 512).tolist()
+    for a, b in zip(xs, xs[1:]):  # the first sign change, or an exact zero
+        fa = fn(a)
+        if fa == 0.0:
+            return a
+        if (fa > 0.0) != (fn(b) > 0.0):
+            return bisect(fn, a, b)
 
 
 @settings(max_examples=25, deadline=None)
@@ -417,3 +423,55 @@ def test_gap_one_odd_root_near_zero_energy_matches_high_precision():
         ref = mpmath.findroot(odd_condition, (mpmath.mpf("0.0033"), mpmath.mpf("0.0034")),
                               solver="anderson")
         assert abs(float((k - ref) / ref)) <= 1e-10
+
+
+def mp_negative_edge(alpha, target, guess):
+    """Root of ``discriminant_negative = target`` next to ``guess``, to 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+
+        def d(k):
+            return mpmath.cosh(mpmath.pi * k) + a / 4 * mpmath.sinh(mpmath.pi * k) / k - target
+
+        return mpmath.findroot(d, mpmath.mpf(guess))
+
+
+def mp_kappa_cutoff(alpha, guess):
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        return mpmath.findroot(lambda k: k * mpmath.tanh(mpmath.pi * k) + a / 2, mpmath.mpf(guess))
+
+
+def relative_error(got, ref) -> float:
+    with mpmath.workdps(50):
+        return float(abs((mpmath.mpf(got) - ref) / ref))
+
+
+# Couplings on both sides of the borderline, within 1e-6 of it as well.
+EDGE_COUPLINGS = [-0.3, -1.0, -2.0, ZERO_ENERGY_ALPHA_MIN + 1e-6, ZERO_ENERGY_ALPHA_MIN + 1e-9,
+                  ZERO_ENERGY_ALPHA_MIN - 1e-9, ZERO_ENERGY_ALPHA_MIN - 1e-6,
+                  ZERO_ENERGY_ALPHA_MIN - 0.05, -3.0, -4.5, -7.9]
+
+
+def test_threshold_edges_and_cutoff_of_many_couplings_match_high_precision():
+    alphas = np.array(EDGE_COUPLINGS)
+    x1, x_m1 = _negative_edges(alphas)
+    cutoff = kappa_cutoff(alphas)
+    for alpha, a, b, c in zip(alphas.tolist(), x1, x_m1, cutoff):
+        assert relative_error(a, mp_negative_edge(alpha, 1, a)) <= 1e-13
+        assert relative_error(c, mp_kappa_cutoff(alpha, c)) <= 1e-13
+        # The deeper edge exists exactly below the borderline.
+        assert math.isnan(b) == (alpha > ZERO_ENERGY_ALPHA_MIN)
+        if alpha <= ZERO_ENERGY_ALPHA_MIN - 0.05:
+            assert relative_error(b, mp_negative_edge(alpha, -1, b)) <= 1e-13
+    assert (x1[3], cutoff[3]) == (_negative_edges(alphas[3])[0], kappa_cutoff(alphas[3]))
+
+
+@pytest.mark.xfail(strict=True, reason="x_-1 is formed from O(1) terms that cancel near -8/pi")
+def test_deeper_threshold_edge_next_to_the_borderline_matches_high_precision():
+    # Within 1e-6 below the borderline, discriminant_negative + 1 is the
+    # difference of terms near 1 and -1, and its slope at the root is about
+    # 2e-3: double precision places x_-1 only to about 1e-10 relative.
+    alpha = ZERO_ENERGY_ALPHA_MIN - 1e-6
+    x_m1 = _negative_edges(alpha)[1]
+    assert relative_error(x_m1, mp_negative_edge(alpha, -1, x_m1)) <= 1e-13

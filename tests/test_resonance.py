@@ -242,10 +242,10 @@ def test_resonance_trace_work_count(monkeypatch, tmp_path):
 def test_real_branch_offsets_open_upward_for_repulsive_coupling():
     sp = SingularPoint(2, 1, "+")
     gap = gap_intervals(3.0, 2)[2]
-    for delta in (-5e-3, 5e-3):
-        off = real_branch_offset(3.0, gap, sp.theta0 + delta, "+")
-        assert off is not None
-        assert 0.0 < off < 1e-2
+    # Both sides of the singular angle in one call; an absent root is NaN.
+    offs = real_branch_offset(3.0, gap, sp.theta0 + np.array([-5e-3, 5e-3]), "+")
+    assert offs.shape == (2,)
+    assert np.all((0.0 < offs) & (offs < 1e-2))
 
 
 def test_branch_exponent_fixture():

@@ -1,4 +1,4 @@
-"""Tests for the sign-change scanners and the scan-bracket-bisect path."""
+"""Tests for the sign-change scanner and the batched scan-bracket-bisect path."""
 from __future__ import annotations
 
 import math
@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringchain._rootfind import (
+    _first_roots,
+    _row_brackets,
     bisect,
     bisect_batch,
     bracket_rows,
-    brackets_from_samples,
-    find_roots,
 )
 from ringchain.verify import _candidate_indices
 
@@ -27,7 +27,7 @@ SAMPLES = st.lists(SAMPLE, max_size=40)
 
 
 def reference_brackets(xs, ys):
-    """The per-element loop that ``brackets_from_samples`` must match."""
+    """The per-element loop that ``bracket_rows`` must match on every row."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     out = []
@@ -46,22 +46,25 @@ def reference_brackets(xs, ys):
 
 
 def reference_roots(fn, xs, ys):
-    """The per-site loop that ``find_roots`` replaced."""
-    roots = []
-    for a, b in brackets_from_samples(xs, ys):
-        roots.append(a if a == b else bisect(fn, a, b))
-    return roots
+    """The per-site loop of scalar scans: every bracket, bisected one at a time."""
+    return [a if a == b else bisect(fn, a, b) for a, b in reference_brackets(xs, ys)]
+
+
+def one_row(xs, ys):
+    """``bracket_rows`` on a single sampled function, as ``(lo, hi)`` pairs."""
+    _, lo, hi = bracket_rows(xs, np.reshape(np.asarray(ys, dtype=float), (1, -1)))
+    return list(zip(lo, hi))
 
 
 class Counted:
-    """A callable that counts its evaluations."""
+    """A callable that counts the points it is evaluated at."""
 
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
 
-    def __call__(self, x):
-        self.calls += 1
-        return self.fn(x)
+    def __call__(self, x, *args):
+        self.calls += np.size(x)
+        return self.fn(x, *args)
 
 
 def reference_candidates(vals):
@@ -73,37 +76,37 @@ def reference_candidates(vals):
 
 
 def test_empty_and_single_sample():
-    assert brackets_from_samples([], []) == []
-    assert brackets_from_samples([1.0], [2.0]) == []
-    assert brackets_from_samples([1.0], [0.0]) == [(1.0, 1.0)]
-    assert brackets_from_samples([1.0], [NAN]) == []
+    assert one_row([], []) == []
+    assert one_row([1.0], [2.0]) == []
+    assert one_row([1.0], [0.0]) == [(1.0, 1.0)]
+    assert one_row([1.0], [NAN]) == []
 
 
 def test_nan_breaks_the_scan_only_locally():
     xs = [0.0, 1.0, 2.0, 3.0, 4.0]
     ys = [1.0, NAN, -1.0, 1.0, -1.0]
-    assert brackets_from_samples(xs, ys) == [(2.0, 3.0), (3.0, 4.0)]
+    assert one_row(xs, ys) == [(2.0, 3.0), (3.0, 4.0)]
 
 
 def test_zero_followed_by_nan_is_not_reported():
-    assert brackets_from_samples([0.0, 1.0, 2.0], [1.0, 0.0, NAN]) == [(0.0, 1.0)]
+    assert one_row([0.0, 1.0, 2.0], [1.0, 0.0, NAN]) == [(0.0, 1.0)]
 
 
 def test_sign_change_into_exact_zero_gives_both_brackets():
     xs = [0.0, 1.0, 2.0]
-    assert brackets_from_samples(xs, [1.0, 0.0, 1.0]) == [(0.0, 1.0), (1.0, 1.0)]
+    assert one_row(xs, [1.0, 0.0, 1.0]) == [(0.0, 1.0), (1.0, 1.0)]
     # From below, the zero counts as non-positive: only the degenerate bracket.
-    assert brackets_from_samples(xs, [-1.0, 0.0, 1.0]) == [(1.0, 1.0)]
+    assert one_row(xs, [-1.0, 0.0, 1.0]) == [(1.0, 1.0)]
 
 
 def test_trailing_zero():
-    assert brackets_from_samples([0.0, 1.0, 2.0], [-1.0, -2.0, 0.0]) == [(2.0, 2.0)]
-    assert brackets_from_samples([0.0, 1.0], [0.0, 0.0]) == [(0.0, 0.0), (1.0, 1.0)]
+    assert one_row([0.0, 1.0, 2.0], [-1.0, -2.0, 0.0]) == [(2.0, 2.0)]
+    assert one_row([0.0, 1.0], [0.0, 0.0]) == [(0.0, 0.0), (1.0, 1.0)]
 
 
 def test_brackets_ascend_and_keep_sample_values():
     xs = np.linspace(0.0, 10.0, 1001)
-    out = brackets_from_samples(xs, np.sin(xs))
+    out = one_row(xs, np.sin(xs))
     assert [lo for lo, _ in out] == sorted(lo for lo, _ in out)
     # the exact zero at 0, then sign changes near pi, 2 pi and 3 pi
     assert len(out) == 4 and out[0] == (0.0, 0.0)
@@ -117,7 +120,7 @@ def test_brackets_ascend_and_keep_sample_values():
 @given(ys=SAMPLES)
 def test_brackets_match_the_per_element_loop(ys):
     xs = np.cumsum(np.arange(1, len(ys) + 1, dtype=float)) * 0.37
-    out = brackets_from_samples(xs, ys)
+    out = one_row(xs, ys)
     assert out == reference_brackets(xs, ys)
     assert all(type(v) is np.float64 for pair in out for v in pair)
 
@@ -132,45 +135,41 @@ def test_cleared_scan_candidates_match_the_per_element_rule(ys):
     assert got == want
 
 
-def test_find_roots_yields_an_exact_zero_sample_as_it_stands():
-    fn = Counted(lambda x: x - 1.0)
-    xs = np.array([0.0, 1.0, 2.0, 3.0])
-    roots = list(find_roots(fn, xs))
-    # The zero at 1 is a degenerate bracket: no bisection, only the samples.
-    assert roots == [1.0] and type(roots[0]) is np.float64
-    assert fn.calls == len(xs)
+def test_row_engine_returns_an_exact_zero_sample_as_it_stands():
+    kernel = Counted(lambda x: x - 1.0)
+    # The zero at 1 is the first sample of the grid [1, 3]: a degenerate
+    # bracket, whose root is the sample itself.  The bisection reads its two
+    # ends and takes no step.
+    assert _first_roots([1.0], [3.0], kernel, points=3).tolist() == [1.0]
+    assert kernel.calls == 3 + 2
+    # A degenerate bracket is its own root; the others are bisected as the
+    # scalar bisection does.
+    roots = bisect_batch(lambda x: x - 1.0, np.array([1.0, 0.0]), np.array([1.0, 3.0]))
+    assert roots.tolist() == [1.0, bisect(lambda x: x - 1.0, 0.0, 3.0)] == [1.0, 1.0]
 
 
-def test_find_roots_ascend():
-    xs = np.linspace(0.5, 20.0, 300)
-    roots = list(find_roots(math.sin, xs))
+def test_row_engine_roots_ascend():
+    # The second row has no lo < hi and so no bracket.
+    row, lo, hi = _row_brackets([0.5, 1.0], [20.0, 1.0], np.sin, points=300)
+    roots = bisect_batch(np.sin, lo, hi).tolist()
+    assert row.tolist() == [0] * 6
     assert roots == sorted(roots)
     assert roots == pytest.approx([j * math.pi for j in range(1, 7)], abs=1e-14)
 
 
-def test_find_roots_with_samples_does_not_sample_fn():
-    fn = Counted(lambda x: x - 1.5)
-    xs = [0.0, 1.0, 2.0, 3.0]
-    assert list(find_roots(fn, xs, [1.0, 1.0, 2.0, 3.0])) == []
-    assert fn.calls == 0
-    # The samples place the bracket; fn only bisects it.
-    assert list(find_roots(fn, xs, [1.0, 1.0, -1.0, -1.0])) == [1.5]
-    direct = Counted(fn.fn)
-    bisect(direct, 1.0, 2.0)
-    assert fn.calls == direct.calls
-
-
 def test_next_bisects_only_the_first_bracket():
     xs = np.linspace(0.5, 10.0, 100)
-    fn = Counted(math.sin)
-    first = next(find_roots(fn, xs))
-    a, b = brackets_from_samples(xs, [math.sin(x) for x in xs])[0]
+    kernel = Counted(np.sin)
+    first = _first_roots([0.5], [10.0], kernel, points=100)[0]
+    a, b = one_row(xs, np.sin(xs))[0]
     direct = Counted(math.sin)
     assert first == bisect(direct, a, b)
-    assert fn.calls == len(xs) + direct.calls
-    everything = Counted(math.sin)
-    assert len(list(find_roots(everything, xs))) == 3
-    assert everything.calls > fn.calls
+    # The samples, then exactly the evaluations of one scalar bisection.
+    assert kernel.calls == len(xs) + direct.calls
+    everything = Counted(np.sin)
+    _, lo, hi = _row_brackets([0.5], [10.0], everything, points=100)
+    assert bisect_batch(everything, lo, hi).size == 3
+    assert everything.calls > kernel.calls
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,17 +182,28 @@ def test_next_bisects_only_the_first_bracket():
         max_size=5,
     ),
     n=st.integers(1, 60),
-    sampled=st.booleans(),
+    rows=st.integers(1, 3),
 )
-def test_find_roots_match_the_per_site_loop(zeros, n, sampled):
-    def fn(x):
-        return math.prod(x - z for z in zeros)
+def test_row_engine_matches_the_per_site_loop(zeros, n, rows):
+    def fn(x, shift=0.0):
+        out = x * 0.0 + 1.0  # an array for an array, also without zeros
+        for z in zeros:
+            out = out * (x - z - shift)
+        return out
 
-    xs = np.linspace(0.0, 10.0, n)
-    ys = [fn(x) for x in xs]
-    got = list(find_roots(fn, xs, ys if sampled else None))
-    assert got == reference_roots(fn, xs, ys)
-    assert got == sorted(got)
+    # Row i is the same function shifted by i on the shifted grid.
+    shifts = np.arange(rows, dtype=float)
+    row, lo, hi = _row_brackets(shifts, 10.0 + shifts, fn, shifts, points=n)
+    got = bisect_batch(lambda x: fn(x, shifts[row]), lo, hi)
+    want = []
+    for i, shift in enumerate(shifts.tolist()):
+        xs = np.linspace(shift, 10.0 + shift, n)
+        ys = [fn(x, shift) for x in xs]
+        roots = reference_roots(lambda x: fn(x, shift), xs, ys)
+        want += [(i, r) for r in roots]
+        first = _first_roots([shift], [10.0 + shift], fn, [shift], points=n)[0]
+        assert first == roots[0] if roots else math.isnan(first)
+    assert list(zip(row.tolist(), got.tolist())) == want
 
 
 @settings(max_examples=200, deadline=None)
