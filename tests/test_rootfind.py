@@ -157,6 +157,21 @@ def test_row_engine_roots_ascend():
     assert roots == pytest.approx([j * math.pi for j in range(1, 7)], abs=1e-14)
 
 
+def test_find_roots_with_samples_does_not_sample_fn():
+    # Samples in hand, the scan never calls fn: the samples place the bracket
+    # and fn only bisects it, with the scalar bisection's evaluations.
+    fn = Counted(lambda x: x - 1.5)
+    xs = [0.0, 1.0, 2.0, 3.0]
+    _, lo, hi = bracket_rows(xs, [[1.0, 1.0, 2.0, 3.0]])
+    assert bisect_batch(fn, lo, hi).tolist() == []
+    assert fn.calls == 0
+    _, lo, hi = bracket_rows(xs, [[1.0, 1.0, -1.0, -1.0]])
+    assert bisect_batch(fn, lo, hi).tolist() == [1.5]
+    direct = Counted(fn.fn)
+    bisect(direct, 1.0, 2.0)
+    assert fn.calls == direct.calls
+
+
 def test_next_bisects_only_the_first_bracket():
     xs = np.linspace(0.5, 10.0, 100)
     kernel = Counted(np.sin)
