@@ -459,16 +459,35 @@ def fit_gentle_coefficient(alpha: float, gap: GapInterval) -> float:
     return float(intercept)
 
 
+def _cleared(a, b, q, alpha: float, s: float):
+    """The cleared residual from ``A = cos(k theta)``, ``B = cos(pi k)`` and
+    ``Q = k sin(pi k)``, with ``s`` the parity sign; works on any operands."""
+    return alpha * (1.0 + s * a * b) * (s * a + b) - 2.0 * q * (
+        1.0 + 2.0 * s * a * b + a * a
+    )
+
+
+def _axis_terms(x, theta: float, unit: complex, xp):
+    """``(A, B, Q)`` of ``_cleared`` at ``k = unit*x`` in real arithmetic.
+
+    ``unit`` is 1 (``k = x``: ``cos``, ``cos``, ``x sin``) or ``1j``
+    (``k = i x``: ``cosh``, ``cosh``, ``-x sinh``); ``xp`` is ``np`` for an
+    array or ``math`` for a float.  On both axes the complex terms are
+    real, and these are their real parts: bit for bit, except that
+    ``np.cosh``/``np.sinh`` can differ from ``cmath`` in the last ulp.
+    """
+    if unit == 1:
+        return xp.cos(x * theta), xp.cos(math.pi * x), x * xp.sin(math.pi * x)
+    return xp.cosh(x * theta), xp.cosh(math.pi * x), -x * xp.sinh(math.pi * x)
+
+
 def resonance_residual_grid(
     zs: np.ndarray, alpha: float, theta: float, parity: str
 ) -> np.ndarray:
-    """Vectorised ``resonance_residual`` over an array of complex momenta."""
-    s = _parity_sign(parity)
-    a = np.cos(zs * theta)
-    b = np.cos(np.pi * zs)
-    sp = np.sin(np.pi * zs)
-    return alpha * (1.0 + s * a * b) * (s * a + b) - 2.0 * zs * sp * (
-        1.0 + 2.0 * s * a * b + a * a
+    """Vectorised ``resonance_residual`` over an array of momenta, real or complex."""
+    return _cleared(
+        np.cos(zs * theta), np.cos(np.pi * zs), zs * np.sin(np.pi * zs),
+        alpha, _parity_sign(parity),
     )
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conftest
-from ringchain import _rootfind, gaps, verify
+from ringchain import _rootfind, gaps, resonance, verify
 from ringchain.verify import EXPECTED_FAILURES, run_criterion
 
 # Runtime budgets per criterion, in seconds.
@@ -69,7 +70,8 @@ def test_criterion_05_spectral_form_equivalence():
 def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):
     # Criterion 5 checks the batched solvers against verify's own scan and
     # scalar bisection of the cleared residual; the oracle must still work
-    # with every batched entry point broken.
+    # with every batched entry point and both complex residual kernels
+    # broken.
     alpha, theta = -3.0, 1.0
     kappa = gaps.solve_negative(alpha, theta, "+")
     gap = gaps.gap_intervals(-alpha, 1)[1]
@@ -87,13 +89,59 @@ def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):
         (gaps, "solve_gap_batch"),
         (verify, "solve_negative_batch"),
         (verify, "solve_gap_batch"),
+        (resonance, "resonance_residual"),
+        (resonance, "resonance_residual_grid"),
     ):
         monkeypatch.setattr(module, name, broken)
-    roots = verify._cleared_roots(kappas, alpha, theta, "+", 1j)
+    roots = verify._cleared_roots(kappas, alpha, theta, 1j)["+"]
     assert len(roots) == 1 and abs(roots[0] - kappa) <= 1e-9
-    roots = verify._cleared_roots(ks, -alpha, theta, "-", 1)
+    roots = verify._cleared_roots(ks, -alpha, theta, 1)["-"]
     roots = [r for r in roots if min(r - gap.k_lo, gap.k_hi - r) > 1e-9]
     assert len(roots) == 1 and abs(roots[0] - k) <= 1e-9
+
+
+def _per_parity_reference(xs, alpha, theta, parity, unit):
+    # Reference oracle in complex arithmetic, one parity at a time: a scan
+    # of the complex residual grid, then the scalar bisection of the
+    # complex residual's real part.
+    vals = resonance.resonance_residual_grid(
+        unit * xs.astype(complex), alpha, theta, parity
+    ).real
+
+    def cleared(x):
+        return resonance.resonance_residual(unit * x, alpha, theta, parity).real
+
+    roots = []
+    for i in verify._candidate_indices(vals):
+        if vals[i] == 0.0:
+            roots.append(float(xs[i]))
+        else:
+            roots.append(_rootfind.bisect(cleared, float(xs[i]), float(xs[i + 1]),
+                                          fa=float(vals[i]), fb=float(vals[i + 1])))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return roots
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    magnitude=st.floats(1.0, 6.0),
+    attractive=st.booleans(),
+    theta=st.floats(0.3, np.pi - 0.3),
+    n=st.integers(1, 5),
+)
+def test_cleared_roots_match_the_complex_per_parity_oracle(magnitude, attractive, theta, n):
+    alpha = -magnitude if attractive else magnitude
+    gap = next(g for g in gaps.gap_intervals(alpha, n) if g.n == n)
+    axes = [(np.linspace(gap.k_lo + 1e-12, gap.k_hi - 1e-12, 2001), 1)]
+    upper = gaps.kappa_cutoff(alpha) + 1.0 if attractive else 4.0
+    axes.append((np.linspace(1e-6, upper, 4001), 1j))
+    for xs, unit in axes:
+        found = verify._cleared_roots(xs, alpha, theta, unit)
+        assert set(found) == {"+", "-"}
+        for parity in ("+", "-"):
+            reference = _per_parity_reference(xs, alpha, theta, parity, unit)
+            assert list(map(repr, found[parity])) == list(map(repr, reference))
 
 
 def test_criterion_06_branch_exponent():

@@ -26,6 +26,7 @@ from ringchain import (
     recover_double_angle,
     singular_angles,
     solve_gap,
+    solve_gap_near_edge,
     solve_negative,
     trace_eigenvalue_curve,
 )
@@ -475,3 +476,17 @@ def test_deeper_threshold_edge_next_to_the_borderline_matches_high_precision():
     alpha = ZERO_ENERGY_ALPHA_MIN - 1e-6
     x_m1 = _negative_edges(alpha)[1]
     assert relative_error(x_m1, mp_negative_edge(alpha, -1, x_m1)) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason="solve_gap discards roots within EDGE_WINDOW = 1e-9 of the band edge")
+def test_small_angle_keeps_the_eigenvalues_next_to_the_band_edge():
+    # At alpha = 3 and theta = 0.01 these four states lie 6e-11 to 5e-10
+    # below their non-integer band edge; the one-sided edge solver finds
+    # each of them.
+    alpha, theta = 3.0, 0.01
+    gaps = {g.n: g for g in gap_intervals(alpha, 3)}
+    found = {(r.gap_index, r.parity): r.k for r in gap_eigenvalues(alpha, theta, 3, "both")}
+    for n, parity in ((0, "+"), (1, "-"), (2, "+"), (3, "-")):
+        edge_root = solve_gap_near_edge(alpha, theta, gaps[n], parity)
+        assert (n, parity) in found
+        assert abs(found[(n, parity)] - edge_root) <= 1e-12

@@ -8,7 +8,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ringchain import (
     ContourZeroError,
@@ -76,6 +76,65 @@ def test_residual_grid_matches_scalar():
     for z, v in zip(zs, grid):
         assert cmath.isclose(v, resonance_residual(complex(z), -3.0, 1.1, "-"),
                              rel_tol=1e-12, abs_tol=1e-12)
+
+
+ALPHA = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
+PARITY = st.sampled_from(["+", "-"])
+KAPPA = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+
+
+@given(xs=st.lists(K_RE, min_size=1, max_size=40), alpha=ALPHA, theta=THETA, parity=PARITY)
+def test_residual_grid_on_real_momenta_is_the_real_part_of_the_complex_call(
+    xs, alpha, theta, parity
+):
+    xs = np.array(xs)
+    real = resonance_residual_grid(xs, alpha, theta, parity)
+    assert real.dtype == float
+    complex_ = resonance_residual_grid(xs.astype(complex), alpha, theta, parity)
+    assert np.array_equal(real, complex_.real)
+
+
+@given(x=K_RE, kappa=KAPPA, alpha=ALPHA, theta=THETA, parity=PARITY)
+def test_scalar_axis_forms_are_the_real_parts_of_the_complex_residual(
+    x, kappa, alpha, theta, parity
+):
+    s = 1.0 if parity == "+" else -1.0
+    for z, unit in ((x, 1), (kappa, 1j)):
+        got = resonance._cleared(*resonance._axis_terms(z, theta, unit, math), alpha, s)
+        assert got == resonance_residual(unit * z, alpha, theta, parity).real
+
+
+def _term_size(a, b, q, alpha):
+    # Magnitude of the cleared residual's terms: its rounding scale.
+    return abs(alpha) * (1.0 + abs(a * b)) * (abs(a) + abs(b)) + 2.0 * abs(q) * (
+        1.0 + 2.0 * abs(a * b) + a * a
+    )
+
+
+@settings(max_examples=60)
+@given(kappas=st.lists(KAPPA, min_size=1, max_size=40), alpha=ALPHA, theta=THETA,
+       parity=PARITY)
+def test_imaginary_axis_grid_matches_complex_and_high_precision(kappas, alpha, theta, parity):
+    s = 1.0 if parity == "+" else -1.0
+    kappas = np.array(kappas)
+    terms = resonance._axis_terms(kappas, theta, 1j, np)
+    got = resonance._cleared(*terms, alpha, s)
+    complex_ = resonance_residual_grid(1j * kappas, alpha, theta, parity).real
+    size = _term_size(*terms, alpha)
+    # np.cosh and the complex cos differ by an ulp in A and B; propagated
+    # through F that reached 8 ulp of the term size in 2.6M samples.
+    assert np.all(np.abs(got - complex_) <= 16.0 * np.spacing(size))
+    with mpmath.workdps(50):
+        for kappa, value, scale in zip(kappas.tolist(), got.tolist(), size.tolist()):
+            k, a, th = mpmath.mpf(kappa), mpmath.mpf(alpha), mpmath.mpf(theta)
+            big_a = mpmath.cosh(k * th)
+            big_b = mpmath.cosh(mpmath.pi * k)
+            q = -k * mpmath.sinh(mpmath.pi * k)
+            exact = a * (1 + s * big_a * big_b) * (s * big_a + big_b) - 2 * q * (
+                1 + 2 * s * big_a * big_b + big_a ** 2
+            )
+            # The floor covers terms that underflow double precision.
+            assert abs(value - exact) <= 1e-13 * scale + np.finfo(float).tiny
 
 
 def test_exact_derivative_matches_finite_difference():
