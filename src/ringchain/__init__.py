@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .bands import (
     Band,
-    BandSpectrum,
     compute_bands,
     in_spectrum,
     lowest_band_threshold,
@@ -34,10 +33,7 @@ from .dispersion import (
     gap_function_negative_curvature,
 )
 from .gaps import (
-    EigenvalueRecord,
     GapInterval,
-    SpectralCurve,
-    double_eigenvalue_residual,
     double_points_in_gap,
     gap_eigenvalues,
     gap_eigenvalues_grid,
@@ -53,9 +49,7 @@ from .gaps import (
     trace_eigenvalue_curve,
 )
 from .resonance import (
-    BranchFit,
     ContourZeroError,
-    ResonanceCurve,
     SingularPoint,
     connecting_hyperbola_angle,
     continue_curve,
@@ -67,22 +61,18 @@ from .resonance import (
     real_branch_offset,
     refine_resonance,
     resonance_residual,
-    resonance_residual_dk,
     resonance_residual_grid,
     seed_from_singular_point,
     trace_complex_branch,
 )
 from .transfer import (
-    CoefficientPair,
-    TransferEigen,
-    TransferMatrix,
     boundary_vector_even,
     coefficient_sequence,
     measured_decay_rate,
     transfer_eigen,
     transfer_matrix,
 )
-from .verify import CriterionResult, run_all, run_criterion, summarize
+from .verify import run_all, run_criterion, summarize
 
 __version__ = "0.1.0"
 
@@ -104,14 +94,11 @@ __all__ = [
     "gap_function_negative_curvature",
     # bands
     "Band",
-    "BandSpectrum",
     "compute_bands",
     "in_spectrum",
     "lowest_band_threshold",
     # gaps
     "GapInterval",
-    "EigenvalueRecord",
-    "SpectralCurve",
     "gap_intervals",
     "singular_angles",
     "is_singular_angle",
@@ -120,16 +107,12 @@ __all__ = [
     "solve_negative",
     "kappa_cutoff",
     "odd_zero_crossing_angle",
-    "double_eigenvalue_residual",
     "double_points_in_gap",
     "recover_double_angle",
     "gap_eigenvalues",
     "gap_eigenvalues_grid",
     "trace_eigenvalue_curve",
     # transfer
-    "TransferMatrix",
-    "TransferEigen",
-    "CoefficientPair",
     "transfer_matrix",
     "transfer_eigen",
     "boundary_vector_even",
@@ -138,10 +121,7 @@ __all__ = [
     # resonance
     "ContourZeroError",
     "SingularPoint",
-    "ResonanceCurve",
-    "BranchFit",
     "resonance_residual",
-    "resonance_residual_dk",
     "resonance_residual_grid",
     "enumerate_singular_points",
     "seed_from_singular_point",
@@ -155,7 +135,6 @@ __all__ = [
     "count_zeros_box",
     "connecting_hyperbola_angle",
     # verify
-    "CriterionResult",
     "run_criterion",
     "run_all",
     "summarize",

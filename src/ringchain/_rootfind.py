@@ -8,8 +8,9 @@ numpy to floating-point exhaustion (``bisect_batch``, which returns a
 degenerate bracket's exact zero as it stands; ``_first_roots`` keeps the
 first bracket of each row).  The scalar ``bisect`` has the same rules and
 gives the same roots; it serves only as an independent reference.  A
-damped complex Newton iteration with an exact derivative, run to
-exhaustion, serves the resonance residual.  The solvers in the public
+damped complex Newton iteration, run to exhaustion, serves the resonance
+residual; its callable returns the value and the exact derivative
+together, so each point costs one call.  The solvers in the public
 modules own all model knowledge; this module only sees callables.
 """
 from __future__ import annotations
@@ -188,52 +189,54 @@ def _first_roots(lo, hi, kernel, *params, points: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """Outcome of a complex Newton run."""
+    """Outcome of a complex Newton run; ``values`` is ``fn`` at ``root``."""
 
     root: complex
     residual: float
     iterations: int
     converged: bool
+    values: tuple
 
 
 def newton_complex(
-    fn: Callable[[complex], complex],
+    fn: Callable[..., tuple],
     z0: complex,
-    dfn: Callable[[complex], complex],
-    *,
+    *args,
     max_iter: int = 40,
 ) -> NewtonResult:
     """Damped Newton iteration in the complex plane, run to exhaustion.
 
-    While ``|F| >= NEWTON_RESIDUAL_TOL`` a step that fails to reduce
-    ``|F|`` is halved, at most 8 times.  The iteration stops once the
-    Newton step is within ``NEWTON_ULP_STEPS`` ulp of ``|z|``, or once
-    ``|F| < NEWTON_RESIDUAL_TOL`` and the step stops shrinking, i.e. only
-    rounding is left; either way with ``converged`` set when ``|F|`` is
-    below the tolerance.  A run that hits ``max_iter`` or a vanishing
-    derivative has not converged.
+    ``fn(z, *args)`` returns ``(F, F', ...)`` at ``z``: the value, the
+    exact derivative and anything else the caller wants at the root, so
+    one call per point serves both.  While ``|F| >= NEWTON_RESIDUAL_TOL``
+    a step that fails to reduce ``|F|`` is halved, at most 8 times.  The
+    iteration stops once the Newton step is within ``NEWTON_ULP_STEPS``
+    ulp of ``|z|``, or once ``|F| < NEWTON_RESIDUAL_TOL`` and the step
+    stops shrinking, i.e. only rounding is left; either way with
+    ``converged`` set when ``|F|`` is below the tolerance.  A run that
+    hits ``max_iter`` or a vanishing derivative has not converged.
     """
     z = complex(z0)
-    fz = fn(z)
+    vals = fn(z, *args)
     last = math.inf
     for it in range(max_iter):
-        dz = dfn(z)
+        fz, dz = vals[0], vals[1]
         if dz == 0 or not cmath.isfinite(dz):
-            return NewtonResult(z, abs(fz), it, False)
+            return NewtonResult(z, abs(fz), it, False, vals)
         step = fz / dz
         small = abs(fz) < NEWTON_RESIDUAL_TOL
         size = abs(step)
         at_ulp = size <= NEWTON_ULP_STEPS * sys.float_info.epsilon * abs(z)
         if at_ulp or (small and size >= last):
-            return NewtonResult(z, abs(fz), it, small)
+            return NewtonResult(z, abs(fz), it, small, vals)
         last = size
         z_new = z - step
-        fz_new = fn(z_new)
+        vals = fn(z_new, *args)
         halvings = 0
-        while not small and abs(fz_new) > abs(fz) and halvings < 8:
+        while not small and abs(vals[0]) > abs(fz) and halvings < 8:
             step *= 0.5
             z_new = z - step
-            fz_new = fn(z_new)
+            vals = fn(z_new, *args)
             halvings += 1
-        z, fz = z_new, fz_new
-    return NewtonResult(z, abs(fz), max_iter, False)
+        z = z_new
+    return NewtonResult(z, abs(vals[0]), max_iter, False, vals)

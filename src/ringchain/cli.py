@@ -173,6 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _theta_range(args: argparse.Namespace) -> tuple[float, float, int]:
+    """The checked ``--theta-start/stop/count`` range of a sweep."""
+    start, stop, count = args.theta_start, args.theta_stop, args.theta_count
+    if count < 2:
+        raise ValueError("--theta-count must be at least 2")
+    if not 0.0 <= start < stop <= math.pi:
+        raise ValueError("the range must satisfy 0 <= start < stop <= pi")
+    return start, stop, count
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cmd = args.command
     if cmd == "verify":
@@ -234,12 +244,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         else:
             if None in (args.theta_start, args.theta_stop, args.theta_count):
                 raise ValueError("a range needs --theta-start, --theta-stop and --theta-count")
-            start, stop, count = args.theta_start, args.theta_stop, args.theta_count
-            if count < 2:
-                raise ValueError("--theta-count must be at least 2")
-            if not 0.0 <= start < stop <= math.pi:
-                raise ValueError("the range must satisfy 0 <= start < stop <= pi")
-            theta_range = (start, stop, count)
+            theta_range = _theta_range(args)
         return RunConfig(
             command=cmd,
             alpha=args.alpha,
@@ -254,17 +259,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         )
 
     # resonances
-    start, stop, count = args.theta_start, args.theta_stop, args.theta_count
-    if count < 2:
-        raise ValueError("--theta-count must be at least 2")
-    if not 0.0 <= start < stop <= math.pi:
-        raise ValueError("the range must satisfy 0 <= start < stop <= pi")
+    theta_range = _theta_range(args)
     if args.nmax < 1:
         raise ValueError("--nmax must be at least 1")
     return RunConfig(
         command=cmd,
         alpha=args.alpha,
-        theta_range=(start, stop, count),
+        theta_range=theta_range,
         n_max=args.nmax,
         parity=args.parity,
         branch=args.branch,

@@ -41,7 +41,6 @@ __all__ = [
     "BranchFit",
     "resonance_residual",
     "resonance_residual_grid",
-    "resonance_residual_dk",
     "enumerate_singular_points",
     "seed_from_singular_point",
     "refine_resonance",
@@ -93,40 +92,34 @@ def resonance_residual(
     )
 
 
-def _residual_partials(
-    k: complex, alpha: float, theta: float, parity: str
-) -> tuple[complex, complex]:
-    """Partial derivatives ``(F_k, F_theta)`` of the cleared residual.
+def _residual_terms(
+    k: complex, alpha: float, theta: float, s: float
+) -> tuple[complex, complex, complex]:
+    """``(F, F_k, F_theta)`` of the cleared residual at complex ``k``.
 
-    ``F`` depends on ``theta`` only through ``A = cos(k theta)``; with
-    ``F_A`` its derivative in ``A`` and ``F_k|A`` the one in ``k`` at fixed
-    ``A``, ``F_k = F_k|A - theta sin(k theta) F_A`` and
-    ``F_theta = -k sin(k theta) F_A``.
+    ``s`` is the parity sign.  ``F`` depends on ``theta`` only through
+    ``A = cos(k theta)``; with ``F_A`` its derivative in ``A`` and ``F_k|A``
+    the one in ``k`` at fixed ``A``, ``F_k = F_k|A - theta sin(k theta) F_A``
+    and ``F_theta = -k sin(k theta) F_A``.
     """
-    s = _parity_sign(parity)
-    kc = complex(k)
-    a = cmath.cos(kc * theta)
-    b = cmath.cos(math.pi * kc)
-    sp = cmath.sin(math.pi * kc)
+    kt, pk = k * theta, math.pi * k
+    a, sin_kt = cmath.cos(kt), cmath.sin(kt)
+    b, sp = cmath.cos(pk), cmath.sin(pk)
     db = -math.pi * sp
-    p = 1.0 + s * a * b
-    r = s * a + b
+    sa = s * a
+    p = 1.0 + sa * b
+    r = sa + b
     t = 1.0 + 2.0 * s * a * b + a * a
-    f_a = alpha * s * (b * r + p) - 4.0 * kc * sp * (s * b + a)
+    f_a = alpha * s * (b * r + p) - 4.0 * k * sp * (s * b + a)
     f_k_at_a = (
-        alpha * db * (s * a * r + p)
+        alpha * db * (sa * r + p)
         - 2.0 * sp * t
-        - 2.0 * kc * (math.pi * b * t + 2.0 * s * a * sp * db)
+        - 2.0 * k * (math.pi * b * t + 2.0 * s * a * sp * db)
     )
-    sin_kt = cmath.sin(kc * theta)
-    return f_k_at_a - theta * sin_kt * f_a, -kc * sin_kt * f_a
-
-
-def resonance_residual_dk(
-    k: complex, alpha: float, theta: float, parity: str
-) -> complex:
-    """Exact ``k``-derivative of ``resonance_residual``."""
-    return _residual_partials(k, alpha, theta, parity)[0]
+    # resonance_residual's operation order: through ``_cleared`` the
+    # imaginary part of F can differ in subnormal bits.
+    f = alpha * p * r - 2.0 * k * sp * t
+    return f, f_k_at_a - theta * sin_kt * f_a, -k * sin_kt * f_a
 
 
 @dataclass(frozen=True)
@@ -212,15 +205,14 @@ def refine_resonance(
     *,
     max_iter: int = 30,
 ) -> NewtonResult:
-    """Newton-polish a resonance-residual zero from a guess, to exhaustion."""
+    """Newton-polish a resonance-residual zero from a guess, to exhaustion.
 
-    def residual(k: complex) -> complex:
-        return resonance_residual(k, alpha, theta, parity)
-
-    def derivative(k: complex) -> complex:
-        return resonance_residual_dk(k, alpha, theta, parity)
-
-    return newton_complex(residual, k_guess, derivative, max_iter=max_iter)
+    The result's ``values`` are ``(F, F_k, F_theta)`` at the root.
+    """
+    return newton_complex(
+        _residual_terms, k_guess, alpha, theta, _parity_sign(parity),
+        max_iter=max_iter,
+    )
 
 
 @dataclass(frozen=True)
@@ -253,7 +245,9 @@ def continue_curve(
     """Continue a residual zero across a monotone grid of bend angles.
 
     Tangent predictor ``dk/dtheta = -F_theta/F_k`` plus Newton corrector,
-    sub-stepping between grid nodes.  The step is ``STEP_FRACTION`` of the
+    sub-stepping between grid nodes.  The tangent takes the partials that
+    the last polish evaluated at its root (``NewtonResult.values``), so it
+    costs no kernel call of its own.  The step is ``STEP_FRACTION`` of the
     angle over which the tangent would carry ``k`` onto the nearest
     integer, ``|k - round(Re k)| / |dk/dtheta|``, capped by ``MAX_STEP``:
     by the Puiseux law this is a fixed share of the distance to the
@@ -275,6 +269,7 @@ def continue_curve(
         raise ValueError("k_start does not converge onto a residual zero")
     samples: list[tuple[float, complex]] = [(thetas[0], start.root)]
     cur = (thetas[0], start.root)
+    _, f_k, f_theta = start.values
     termination = "completed"
 
     def snap_target(k: complex, t: float) -> tuple[float, float] | None:
@@ -290,7 +285,6 @@ def continue_curve(
     for t_target in thetas[1:]:
         while not done and cur[0] != t_target:
             dist = abs(cur[1] - round(cur[1].real))
-            f_k, f_theta = _residual_partials(cur[1], alpha, cur[0], parity)
             slope = -f_theta / f_k
             step = MAX_STEP
             if STEP_FRACTION * dist < MAX_STEP * abs(slope):
@@ -310,6 +304,7 @@ def continue_curve(
                         f"step underflow at theta={cur[0]:.8g} (branch {branch})"
                     )
             cur = (t_new, res.root)
+            _, f_k, f_theta = res.values
             hit = snap_target(cur[1], cur[0])
             if hit is not None:
                 samples.append((hit[0], complex(hit[1])))

@@ -204,6 +204,25 @@ def test_usage_errors_exit_two():
         assert proc.returncode == 2, case
 
 
+@pytest.mark.parametrize("command", ["eigenvalues", "resonances"])
+@pytest.mark.parametrize(
+    "start, stop, count, message",
+    [
+        ("0.5", "2.0", "1", "--theta-count must be at least 2"),
+        ("2.0", "2.0", "5", "the range must satisfy 0 <= start < stop <= pi"),
+        ("2.0", "1.0", "5", "the range must satisfy 0 <= start < stop <= pi"),
+        ("0.0", "3.5", "5", "the range must satisfy 0 <= start < stop <= pi"),
+    ],
+)
+def test_bad_theta_range_exits_two(command, start, stop, count, message, capsys):
+    code = main([
+        command, "--alpha", "3", "--theta-start", start, "--theta-stop", stop,
+        "--theta-count", count,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_help_exits_zero():
     proc = run_cli("--help")
     assert proc.returncode == 0

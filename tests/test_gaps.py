@@ -16,7 +16,6 @@ from ringchain import (
     gap_function_negative,
     gap_function_negative_curvature,
     gap_intervals,
-    double_eigenvalue_residual,
     double_points_in_gap,
     gap_eigenvalues_grid,
     is_singular_angle,
@@ -35,6 +34,7 @@ from ringchain.gaps import (
     _gaps_at,
     _negative_edges,
     _odd_residual_scaled,
+    double_eigenvalue_residual,
     solve_gap_batch,
     solve_negative_batch,
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -24,7 +25,6 @@ from ringchain import (
     real_branch_offset,
     refine_resonance,
     resonance_residual,
-    resonance_residual_dk,
     resonance_residual_grid,
     seed_from_singular_point,
     singular_angles,
@@ -137,18 +137,68 @@ def test_imaginary_axis_grid_matches_complex_and_high_precision(kappas, alpha, t
             assert abs(value - exact) <= 1e-13 * scale + np.finfo(float).tiny
 
 
+def _parent_residual(k, alpha, theta, s):
+    # The separate scalar residual the fused kernel replaced, operation for
+    # operation.
+    a = cmath.cos(k * theta)
+    b = cmath.cos(math.pi * k)
+    sp = cmath.sin(math.pi * k)
+    return alpha * (1.0 + s * a * b) * (s * a + b) - 2.0 * k * sp * (
+        1.0 + 2.0 * s * a * b + a * a
+    )
+
+
+def _parent_partials(k, alpha, theta, s):
+    # The separate scalar partials ``(F_k, F_theta)`` the fused kernel
+    # replaced, operation for operation.
+    a = cmath.cos(k * theta)
+    b = cmath.cos(math.pi * k)
+    sp = cmath.sin(math.pi * k)
+    db = -math.pi * sp
+    p = 1.0 + s * a * b
+    r = s * a + b
+    t = 1.0 + 2.0 * s * a * b + a * a
+    f_a = alpha * s * (b * r + p) - 4.0 * k * sp * (s * b + a)
+    f_k_at_a = (
+        alpha * db * (s * a * r + p)
+        - 2.0 * sp * t
+        - 2.0 * k * (math.pi * b * t + 2.0 * s * a * sp * db)
+    )
+    sin_kt = cmath.sin(k * theta)
+    return f_k_at_a - theta * sin_kt * f_a, -k * sin_kt * f_a
+
+
+def _bits(z):
+    return struct.pack("<2d", z.real, z.imag)
+
+
+@settings(max_examples=400)
+@given(
+    re=st.floats(min_value=0.0, max_value=12.0, exclude_min=True),
+    im=st.floats(min_value=-1.0, max_value=1.0),
+    theta=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True),
+    size=st.floats(min_value=0.1, max_value=20.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    s=st.sampled_from([1.0, -1.0]),
+)
+def test_fused_terms_equal_the_separate_kernels_bit_for_bit(re, im, theta, size, sign, s):
+    k, alpha = complex(re, im), sign * size
+    got = resonance._residual_terms(k, alpha, theta, s)
+    want = (_parent_residual(k, alpha, theta, s), *_parent_partials(k, alpha, theta, s))
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
 def test_exact_derivative_matches_finite_difference():
     k = 1.7 - 0.2j
     h = 1e-6
-    for parity in ("+", "-"):
-        exact = resonance_residual_dk(k, 3.0, 1.2, parity)
+    for parity, s in (("+", 1.0), ("-", -1.0)):
+        f, f_k, f_theta = resonance._residual_terms(k, 3.0, 1.2, s)
+        assert f == resonance_residual(k, 3.0, 1.2, parity)
         fd = (
             resonance_residual(k + h, 3.0, 1.2, parity)
             - resonance_residual(k - h, 3.0, 1.2, parity)
         ) / (2.0 * h)
-        assert abs(exact - fd) < 1e-7
-        f_k, f_theta = resonance._residual_partials(k, 3.0, 1.2, parity)
-        assert f_k == exact
+        assert abs(f_k - fd) < 1e-7
         fd_theta = (
             resonance_residual(k, 3.0, 1.2 + h, parity)
             - resonance_residual(k, 3.0, 1.2 - h, parity)
@@ -276,22 +326,30 @@ def test_samples_match_high_precision_roots(alpha, sp):
 
 def test_resonance_trace_work_count(monkeypatch, tmp_path):
     # The tangent steps approach each flat-band point in a logarithmic
-    # number of steps; a fixed step cap near the integers took 93,468.
-    calls = 0
-    refine = resonance.refine_resonance
+    # number of steps; a fixed step cap near the integers took 93,468
+    # polishes.  One fused kernel call per Newton point, with the tangent
+    # read from the last polish, replaced 159,136 separate residual and
+    # partials calls.
+    calls = {}
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return refine(*args, **kwargs)
+    def counted(name):
+        fn = getattr(resonance, name)
 
-    monkeypatch.setattr(resonance, "refine_resonance", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(resonance, name, wrapper)
+
+    for name in ("refine_resonance", "_residual_terms", "resonance_residual"):
+        counted(name)
     out = tmp_path / "res.json"
     assert main(["resonances", "--alpha", "3", "--nmax", "8", "--format", "json",
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     curves = payload["curves"]
-    assert calls <= 20_000
+    assert calls["refine_resonance"] <= 17_288
+    assert calls["_residual_terms"] + calls["resonance_residual"] <= 80_000
     assert len(curves) == 72
     assert sum(len(c["samples"]) for c in curves) == 9128
     assert sum(c["termination"] == "singular-point" for c in curves) == 42
