@@ -13,11 +13,15 @@ a scalar bisection of it, on the real axis and on the imaginary axis.  On
 both axes every term of that residual is real, so the oracle evaluates it
 in real arithmetic (``cos``/``sin`` and ``cosh``/``sinh``) without
 changing a root, and it runs none of the batched code it checks.
+
+Every criterion is a pure function with its own RNG seed, so ``run_all``
+may run them in forked worker processes without changing a result.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -580,8 +584,44 @@ def run_criterion(label: str) -> CriterionResult:
     raise ValueError(f"unknown criterion label {label!r}")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_label(label: str) -> CriterionResult:
+    # The worker's task: only a label goes out and only the result comes
+    # back.  ``run_criterion`` is looked up at call time, so a wrapper
+    # patched over it (as the benchmark's tracer does) runs in the worker
+    # without having to be pickled.
+    return run_criterion(label)
+
+
+def _exit_with_parent() -> None:
+    # Worker initializer: a worker whose parent is killed would wait for
+    # its next task for ever, so a thread ends it once the parent is gone.
+    import threading
+    from multiprocessing import connection, parent_process
+
+    sentinel = parent_process().sentinel
+
+    def watch():
+        connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_all(labels=None) -> list[CriterionResult]:
-    """Run the requested criteria (default: all) in declaration order."""
+    """Run the requested criteria (default: all), results in declaration order.
+
+    Two or more criteria on two or more usable CPUs run in forked worker
+    processes, one per CPU and at most one per criterion; otherwise, or
+    where the platform cannot fork, they run in this process.  The
+    results are the same either way.
+    """
     wanted = list(labels) if labels is not None else list(CRITERION_LABELS)
     selected = [
         lab
@@ -590,7 +630,21 @@ def run_all(labels=None) -> list[CriterionResult]:
     ]
     if not selected:
         raise ValueError(f"no criteria match {wanted!r}")
-    return [run_criterion(lab) for lab in selected]
+    workers = min(len(selected), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return [run_criterion(lab) for lab in selected]
+    # Imported here: ``import ringchain.cli`` would otherwise pay for them
+    # on every command.  Fork, not spawn: a spawned worker would import
+    # numpy and the package again, and the pool forks all its workers
+    # before it starts its own thread.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=fork, initializer=_exit_with_parent
+    ) as pool:
+        return list(pool.map(_run_label, selected))
 
 
 def summarize(results: list[CriterionResult]) -> str:

@@ -7,6 +7,14 @@ Every criterion contributes one pass/fail line to the terminal summary.
 """
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,3 +204,85 @@ def test_criterion_12_left_half_plane_exclusion():
 
 def test_expected_failure_set_is_exactly_the_known_three():
     assert EXPECTED_FAILURES == {"6-coefficient", "7", "12"}
+
+
+def _without_runtime(result) -> dict:
+    fields = dataclasses.asdict(result)
+    del fields["runtime_seconds"]
+    return fields
+
+
+@pytest.mark.skipif(
+    verify._usable_cpus() < 2, reason="one usable CPU runs the criteria in-process"
+)
+def test_worker_processes_give_the_in_process_results():
+    labels = ["1", "2", "9", "12"]
+    pooled = verify.run_all(labels)
+    assert multiprocessing.active_children() == []
+    serial = [run_criterion(label) for label in labels]
+    assert [_without_runtime(r) for r in pooled] == [
+        _without_runtime(r) for r in serial
+    ]
+
+
+def test_run_all_runs_a_patched_run_criterion(monkeypatch):
+    # The benchmark's tracer patches ``run_criterion`` with a local
+    # wrapper, which cannot be pickled; the workers must look it up
+    # rather than be sent it.
+    def marked(label):
+        return verify.CriterionResult(
+            label, "marked", True, False, 0.0, detail=str(os.getpid())
+        )
+
+    monkeypatch.setattr(verify, "run_criterion", marked)
+    results = verify.run_all(["1", "2", "9"])
+    assert [(r.label, r.description) for r in results] == [
+        ("1", "marked"), ("2", "marked"), ("9", "marked"),
+    ]
+    if verify._usable_cpus() >= 2:
+        assert str(os.getpid()) not in {r.detail for r in results}
+    assert multiprocessing.active_children() == []
+
+
+# Prints each worker's pid, then keeps the worker busy.
+_SLOW_WORKERS = """
+import os, time
+from ringchain import verify
+
+def slow(label):
+    print(os.getpid(), flush=True)
+    time.sleep(60)
+
+verify.run_criterion = slow
+verify.run_all(["1", "2"])
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    verify._usable_cpus() < 2 or not os.path.isdir("/proc"),
+    reason="needs worker processes and /proc",
+)
+def test_workers_exit_when_their_parent_is_killed():
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_WORKERS], stdout=subprocess.PIPE, text=True
+    )
+    pids = [int(proc.stdout.readline()) for _ in range(2)]
+    proc.kill()
+    proc.wait()
+    proc.stdout.close()
+    try:
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)

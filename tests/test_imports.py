@@ -1,8 +1,10 @@
-"""Every module-level import in the package is used or re-exported, and
-the scalar ``bisect`` stays verify's own."""
+"""Every module-level import in the package is used or re-exported, the
+scalar ``bisect`` stays verify's own, and the CLI's import stays light."""
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,16 @@ def test_only_verify_imports_the_scalar_bisect():
         and any(a.name == "bisect" for a in node.names)
     }
     assert importers == {"verify"}
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # ``verify`` imports its worker pool when it runs, so that every
+    # command's start-up does not pay for it.
+    code = (
+        "import sys, ringchain.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
