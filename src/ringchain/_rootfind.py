@@ -38,6 +38,8 @@ __all__ = [
 SCAN_BLOCK = 8
 # A Newton root must bring |F| below this.
 NEWTON_RESIDUAL_TOL = 1e-12
+# Newton iterations before a run counts as not converged.
+NEWTON_MAX_ITER = 30
 # Newton stops once its step is within this many ulp of |z|.
 NEWTON_ULP_STEPS = 4
 
@@ -202,7 +204,6 @@ def newton_complex(
     fn: Callable[..., tuple],
     z0: complex,
     *args,
-    max_iter: int = 40,
 ) -> NewtonResult:
     """Damped Newton iteration in the complex plane, run to exhaustion.
 
@@ -214,12 +215,12 @@ def newton_complex(
     ulp of ``|z|``, or once ``|F| < NEWTON_RESIDUAL_TOL`` and the step
     stops shrinking, i.e. only rounding is left; either way with
     ``converged`` set when ``|F|`` is below the tolerance.  A run that
-    hits ``max_iter`` or a vanishing derivative has not converged.
+    hits ``NEWTON_MAX_ITER`` or a vanishing derivative has not converged.
     """
     z = complex(z0)
     vals = fn(z, *args)
     last = math.inf
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         fz, dz = vals[0], vals[1]
         if dz == 0 or not cmath.isfinite(dz):
             return NewtonResult(z, abs(fz), it, False, vals)
@@ -239,4 +240,4 @@ def newton_complex(
             vals = fn(z_new, *args)
             halvings += 1
         z = z_new
-    return NewtonResult(z, abs(vals[0]), max_iter, False, vals)
+    return NewtonResult(z, abs(vals[0]), NEWTON_MAX_ITER, False, vals)

@@ -399,8 +399,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
                     curves.append(curve)
     for note in partial:
         print(f"warning: curve abandoned {note}", file=sys.stderr)
-    residuals = [c.residuals() for c in curves]
-    worst = max((r for rs in residuals for r in rs), default=0.0)
+    worst = max((r for c in curves for r in c.residuals), default=0.0)
     if worst > cfg.tol_residual:
         raise ContinuationError(f"resonance residual {worst:.3g} above --tol-residual")
     if cfg.output_format == "json":
@@ -427,8 +426,8 @@ def cmd_resonances(cfg: RunConfig) -> int:
         _emit(cfg, _json_text(payload))
         return EXIT_OK
     rows = []
-    for c, rs in zip(curves, residuals):
-        for (t, k), res in zip(c.samples, rs):
+    for c in curves:
+        for (t, k), res in zip(c.samples, c.residuals):
             rows.append(
                 (
                     _fmt(t),

@@ -4,26 +4,28 @@ Bending one ring by ``theta`` keeps the essential spectrum but inserts at
 most one eigenvalue per spectral gap and parity sector.  Positive-energy
 eigenvalues solve ``±cos(k*theta) = gap_function(k)`` on a gap interval
 (``+`` even sector, ``-`` odd sector); negative-energy ones solve the
-hyperbolic analogue.  One engine solves a whole grid of bend angles at a
-fixed coupling: work that depends only on the coupling (gap intervals,
-threshold edges, the cutoff, the gap function on each scan grid) is done
-once; the residual is sampled as (angles x points) blocks of at most
-``_rootfind.SCAN_BLOCK`` angles; every bracket of every (angle, gap,
-parity) slot is bisected together to full precision
-(``_rootfind.bisect_batch``); then each slot is filtered on its own — an
-eigenvalue sitting on a band edge (within ``EDGE_WINDOW``) is reported as
-absent, since the candidate eigenfunction stops being square-summable
-there.  The one-angle solvers are the one-angle case of the same engine;
-``solve_gap_batch`` and ``solve_negative_batch`` run it over one-angle
-queries at many couplings, each query scanned on its own grid.  The gap
-edges, the threshold edges, the cutoff and the double points are found
-on the same scan-bracket-bisect path of ``_rootfind``, for many couplings
-at once, and every residual is built from the numpy kernels of
-``dispersion``.
+hyperbolic analogue.  Every query, whatever its shape, becomes slots
+``(alpha, gap index, parity, angles)`` for one dispatcher,
+``_sector_roots``, the only place that decides which solver serves a
+sector: the even negative eigenvalue of an attractive coupling (gap 0),
+the odd eigenvalue of gap 1 below the borderline coupling, solved in the
+signed variable through zero energy, or a positive-energy root on the gap
+interval.  It returns the signed root ``s`` (``energy = sign(s)*s**2``)
+at every angle of every slot, and the public solvers only read it.  Each
+solver runs once over all of its slots: work that depends only on the
+coupling (gap intervals, threshold edges, the cutoff, the gap function on
+each scan grid) is done once; the residual is sampled as (angles x
+points) blocks of at most ``_rootfind.SCAN_BLOCK`` angles; every bracket
+is bisected together to full precision (``_rootfind.bisect_batch``);
+then each slot is filtered on its own — an eigenvalue sitting on a band
+edge (within ``EDGE_WINDOW``) is reported as absent, since the candidate
+eigenfunction stops being square-summable there.  The gap edges, the
+threshold edges, the cutoff and the double points are found on the same
+scan-bracket-bisect path of ``_rootfind``, for many couplings at once,
+and every residual is built from the numpy kernels of ``dispersion``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,9 +71,6 @@ __all__ = [
 
 # Points per dense residual scan of one gap.
 GAP_SCAN_POINTS = 1024
-# One-angle queries solved together by ``solve_gap_batch``: enough to spread
-# the cost of the bisection loop, few enough to bound the arrays they hold.
-QUERY_BLOCK = 256
 # Roots are not sought closer than this to an integer wavenumber, where the
 # flat band lives and the gap function degenerates.
 INTEGER_EXCLUSION = 1e-6
@@ -284,18 +283,22 @@ def _scan_domain(gap: GapInterval) -> tuple[float, float] | None:
     return lo, hi
 
 
-def _gap_roots(slots) -> list[np.ndarray]:
+def _gap_roots(slots) -> np.ndarray:
     """Positive-energy roots of every slot ``(alpha, gap, parity, thetas)``.
 
-    Gives one wavenumber per angle of each slot, NaN where the slot has no
-    eigenvalue there (see ``solve_gap``).  The gap function is sampled
-    once for each run of slots with the same coupling and gap; all
-    brackets of all slots are bisected together on one kernel with a
-    per-bracket coupling and parity sign.
+    Gives one wavenumber per angle, the angles of all slots in turn, NaN
+    where the slot has no eigenvalue there (see ``solve_gap``).  The gap
+    function is sampled once for each run of slots with the same coupling
+    and gap; all brackets of all slots are bisected together on one
+    kernel with a per-bracket coupling and parity sign.
     """
-    out = [np.full(len(thetas), np.nan) for *_, thetas in slots]
+    sizes = [len(thetas) for *_, thetas in slots]
+    first = np.cumsum([0] + sizes)  # the row of each slot's first angle
+    out = np.full(first[-1], np.nan)
     sampled = None
-    found = []
+    # Every bracket's row, in plain lists: a one-angle slot has one or two
+    # brackets, too few to pay for arrays of their own.
+    row, lo, hi = [], [], []
     for slot, (alpha, gap, parity, thetas) in enumerate(slots):
         sgn = _parity_sign(parity)
         live = np.flatnonzero(~is_singular_angle(thetas, gap.n, parity))
@@ -308,71 +311,33 @@ def _gap_roots(slots) -> list[np.ndarray]:
             g_k = _gap_function(ks, alpha)
         for start in range(0, live.size, SCAN_BLOCK):  # on the one grid ks
             at = live[start:start + SCAN_BLOCK]
-            rows, lo, hi = bracket_rows(ks, sgn * np.cos(ks * thetas[at, None]) - g_k)
-            n = rows.size
-            found.append((np.full(n, slot), at[rows], lo, hi, thetas[at][rows],
-                          np.full(n, sgn), np.full(n, alpha)))
-    if not found:
+            rows, a, b = bracket_rows(ks, sgn * np.cos(ks * thetas[at, None]) - g_k)
+            row += (first[slot] + at[rows]).tolist()
+            lo += a.tolist()
+            hi += b.tolist()
+    if not row:
         return out
-    slot, angle, lo, hi, th, sgn, al = (np.concatenate(col) for col in zip(*found))
+    owner = np.repeat(np.arange(len(slots)), sizes)[row]  # the slot of every bracket
+    th = np.concatenate([thetas for *_, thetas in slots])[row]
+    al = np.array([alpha for alpha, *_ in slots])[owner]
+    sgn = np.array([_parity_sign(parity) for _, _, parity, _ in slots])[owner]
     roots = bisect_batch(lambda k: _gap_residual(k, al, th, sgn), lo, hi)
-    # Per slot and angle: drop near-duplicates of the last kept root, then
-    # roots on the band edge; more than one survivor means the scan is
-    # inconsistent.
+    # Per row: drop near-duplicates of the last kept root, then roots on
+    # the band edge; more than one survivor means the scan is inconsistent.
     kept: dict[tuple[int, int], list] = {}
-    for key, r in zip(zip(slot.tolist(), angle.tolist()), roots):
+    for key, r in zip(zip(owner.tolist(), row), roots):
         rs = kept.setdefault(key, [])
         if not rs or r - rs[-1] > 1e-9:
             rs.append(r)
-    for (s, i), rs in kept.items():
-        gap = slots[s][1]
+    for (slot, i), rs in kept.items():
+        gap = slots[slot][1]
         rs = [r for r in rs if abs(r - gap.band_edge) > EDGE_WINDOW]
         if len(rs) > 1:
             raise RuntimeError(
                 f"multiple gap roots {rs} in gap {gap.n}: scan inconsistency"
             )
         if rs:
-            out[s][i] = rs[0]
-    return out
-
-
-def _found(x: np.float64) -> np.float64 | None:
-    return None if np.isnan(x) else x
-
-
-def solve_gap(
-    alpha: float,
-    theta: float,
-    gap: GapInterval,
-    parity: str,
-) -> float | None:
-    """Positive-energy eigenvalue wavenumber in one gap and parity sector.
-
-    Returns ``None`` when the sector has no eigenvalue there: at a
-    singular angle, or when the root has collapsed onto the non-integer
-    band edge (within ``EDGE_WINDOW``), or when the residual simply does
-    not change sign.  At most one root can exist; finding more than one
-    surviving candidate raises ``RuntimeError``.
-    """
-    return solve_gap_batch([(alpha, theta, gap, parity)])[0]
-
-
-def solve_gap_batch(queries) -> list[float | None]:
-    """``solve_gap`` for every ``(alpha, theta, gap, parity)`` query.
-
-    The queries (any iterable) are solved together, ``QUERY_BLOCK`` at a
-    time.
-    """
-    out: list[float | None] = []
-    queries = iter(queries)
-    while block := list(itertools.islice(queries, QUERY_BLOCK)):
-        slots = []
-        for alpha, theta, gap, parity in block:
-            thetas = _angles([theta])
-            if alpha == 0.0:
-                raise ValueError("the uncoupled chain has no gap eigenvalues")
-            slots.append((alpha, gap, parity, thetas))
-        out += [_found(roots[0]) for roots in _gap_roots(slots)]
+            out[i] = rs[0]
     return out
 
 
@@ -500,52 +465,131 @@ def _negative_even_roots(alpha, theta, x1, cutoff) -> np.ndarray:
     )
 
 
+def _signed_odd_roots(alpha, theta, x_m1) -> np.ndarray:
+    """Signed root ``s`` of the odd condition in the gap touching zero, on every row.
+
+    For couplings below the borderline the odd eigenvalue of the first
+    gap moves continuously from negative to positive energy as the bend
+    angle grows; this solver works in the signed variable
+    (``energy = sign(s)*s**2``) with the zero-crossing removed by scaling,
+    so the crossing itself is no obstacle.  ``x_m1`` are the deeper
+    threshold edges of ``_negative_edges``; the arguments broadcast to one
+    value per row.  NaN where there is no root.
+    """
+    return _first_roots(
+        -(x_m1 - 1e-11),
+        1.0 - INTEGER_EXCLUSION,
+        _odd_residual_scaled,
+        alpha,
+        theta,
+        gap_function_negative_curvature(alpha),
+        points=GAP_SCAN_POINTS,
+    )
+
+
+def _sector_roots(slots, positive: bool = True) -> list[np.ndarray]:
+    """Signed root ``s`` of every slot ``(alpha, n, parity, thetas, gap)``.
+
+    The one place that decides which solver serves which (coupling, gap,
+    parity) sector; every solver runs once, over all of its slots:
+
+    - gap 0 of an attractive coupling holds the even negative eigenvalue
+      and no odd one;
+    - the odd eigenvalue of gap 1 below the borderline coupling is solved
+      in the signed variable (``_signed_odd_roots``);
+    - every other sector holds a positive-energy root on the gap interval
+      ``gap`` (``_gap_roots``); a slot may leave ``gap`` as ``None`` to
+      have it computed here.  With ``positive`` false these sectors are
+      left NaN, for a caller that reads negative energies only.
+
+    Gives one ``s`` per angle of each slot (``energy = sign(s)*s**2``),
+    NaN where the sector has no eigenvalue there.  The threshold edges
+    and the cutoff are computed once per distinct attractive coupling.
+    """
+    sector = []
+    for alpha, n, parity, _, _ in slots:
+        if alpha == 0.0:
+            raise ValueError("the uncoupled chain has no gap eigenvalues")
+        if alpha < 0.0 and n == 0:
+            sector.append("even" if parity == "+" else None)
+        elif alpha < ZERO_ENERGY_ALPHA_MIN and n == 1 and parity == "-":
+            sector.append("odd")
+        else:
+            sector.append("gap" if positive else None)
+    # One row per angle of every slot.
+    sizes = [len(thetas) for _, _, _, thetas, _ in slots]
+    row_sector = np.repeat(np.array(sector, dtype=object), sizes)
+    al = np.repeat([slot[0] for slot in slots], sizes)
+    th = np.concatenate([thetas for _, _, _, thetas, _ in slots] or [[]])
+    out = np.full(al.size, np.nan)
+    even, odd = row_sector == "even", row_sector == "odd"
+    if even.any() or odd.any():
+        # Not np.unique: on floats it imports numpy.ma (about 1 MB and 12 ms).
+        couplings = np.array(sorted(set(al[even | odd].tolist())))
+        x1, x_m1 = _negative_edges(couplings)
+        cutoff = kappa_cutoff(couplings)
+        c = np.searchsorted(couplings, al)
+        out[even] = -_negative_even_roots(al[even], th[even], x1[c[even]], cutoff[c[even]])
+        out[odd] = _signed_odd_roots(al[odd], th[odd], x_m1[c[odd]])
+    gap_slots = [slot for slot, kind in zip(slots, sector) if kind == "gap"]
+    missing = [slot for slot in gap_slots if slot[4] is None]
+    computed = iter(_gaps_at([slot[0] for slot in missing], [slot[1] for slot in missing]))
+    out[row_sector == "gap"] = _gap_roots([
+        (alpha, next(computed) if gap is None else gap, parity, thetas)
+        for alpha, _, parity, thetas, gap in gap_slots
+    ])
+    ends = np.cumsum(sizes).tolist()
+    return [out[end - size:end] for size, end in zip(sizes, ends)]
+
+
+def solve_gap(
+    alpha: float,
+    theta: float,
+    gap: GapInterval,
+    parity: str,
+) -> float | None:
+    """Positive-energy eigenvalue wavenumber in one gap and parity sector.
+
+    Reads the signed root of ``_sector_roots`` where it is positive.
+    Returns ``None`` when the sector has no eigenvalue of positive energy
+    there: at a singular angle, or when the root has collapsed onto the
+    non-integer band edge (within ``EDGE_WINDOW``), or when the residual
+    simply does not change sign.  At most one root can exist; finding
+    more than one surviving candidate raises ``RuntimeError``.
+    """
+    return solve_gap_batch([(alpha, theta, gap, parity)])[0]
+
+
+def solve_gap_batch(queries) -> list[float | None]:
+    """``solve_gap`` for every ``(alpha, theta, gap, parity)`` query, solved together."""
+    slots = [
+        (alpha, gap.n, parity, _angles([theta]), gap)
+        for alpha, theta, gap, parity in queries
+    ]
+    return [s[0] if s[0] > 0.0 else None for s in _sector_roots(slots)]
+
+
 def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
     """Decay parameter ``kappa`` of a negative-energy eigenvalue.
 
-    Even sector: exists for every attractive coupling and every bend
-    angle, strictly between the spectral threshold and the cutoff of
-    ``kappa_cutoff``.  Odd sector: exists only below the borderline
-    coupling and only for bend angles under ``odd_zero_crossing_angle``.
-    Returns ``None`` when there is nothing to find.
+    Reads the signed root of ``_sector_roots`` where it is negative: the
+    even sector is gap 0, the odd sector gap 1.  Even sector: exists for
+    every attractive coupling and every bend angle, strictly between the
+    spectral threshold and the cutoff of ``kappa_cutoff``.  Odd sector:
+    exists only below the borderline coupling and only for bend angles
+    under ``odd_zero_crossing_angle``.  Returns ``None`` when there is
+    nothing to find.
     """
     return solve_negative_batch([(alpha, theta, parity)])[0]
 
 
 def solve_negative_batch(queries) -> list[float | None]:
-    """``solve_negative`` for every ``(alpha, theta, parity)`` query.
-
-    The queries (any iterable) are solved together: the threshold edges
-    and the cutoff are computed once per distinct coupling,
-    each query's residual is sampled on its own grid, and the brackets of
-    all queries of one parity are bisected together.
-    """
-    rows = []
-    for alpha, theta, parity in queries:
-        _angles([theta])
-        rows.append((alpha, theta, 0.0 if alpha >= 0.0 else _parity_sign(parity)))
-    alpha, theta, sgn = np.array(rows, dtype=float).reshape(-1, 3).T
-    x1, x_m1, cutoff = np.full((3, len(rows)), np.nan)
-    live = sgn != 0.0
-    couplings, inverse = np.unique(alpha[live], return_inverse=True)
-    x1[live], x_m1[live] = (edge[inverse] for edge in _negative_edges(couplings))
-    cutoff[live] = kappa_cutoff(couplings)[inverse]
-    roots = np.full(len(rows), np.nan)
-    even = sgn > 0.0
-    roots[even] = _negative_even_roots(alpha[even], theta[even], x1[even], cutoff[even])
-    # The odd eigenvalue exists only below the borderline coupling.
-    odd = (sgn < 0.0) & ~np.isnan(x_m1)
-    kappa = _first_roots(
-        1e-9,
-        x_m1[odd] - 1e-11,
-        lambda kp, al, th, c: _odd_residual_scaled(-kp, al, th, c),
-        alpha[odd],
-        theta[odd],
-        gap_function_negative_curvature(alpha[odd]),
-        points=GAP_SCAN_POINTS,
-    )
-    roots[odd] = np.where(kappa > EDGE_WINDOW, kappa, np.nan)
-    return [_found(r) for r in roots]
+    """``solve_negative`` for every ``(alpha, theta, parity)`` query, solved together."""
+    slots = [
+        (alpha, 0 if parity == "+" else 1, parity, _angles([theta]), None)
+        for alpha, theta, parity in queries
+    ]
+    return [-s[0] if s[0] < 0.0 else None for s in _sector_roots(slots, positive=False)]
 
 
 def double_eigenvalue_residual(k, alpha: float):
@@ -616,42 +660,27 @@ def gap_eigenvalues_grid(
     """``gap_eigenvalues`` at every angle of ``thetas``, solved together.
 
     Returns one sorted record list per angle, in the order of ``thetas``.
-    The gap intervals, the threshold edges, the cutoff and the gap
-    function on each scan grid are computed once for the whole grid, and
-    the residuals of all records in one array call per energy sign.
+    Every sector of the grid is one slot of ``_sector_roots``, so the gap
+    intervals, the threshold edges, the cutoff and the gap function on
+    each scan grid are computed once for the whole grid; the residuals of
+    all records take one array call per energy sign.
     """
-    if alpha == 0.0:
-        raise ValueError("the uncoupled chain has no gap eigenvalues")
     thetas = _angles(thetas)
-    absent = np.full(len(thetas), np.nan)
-    want_plus = parity in ("both", "+")
-    want_minus = parity in ("both", "-")
-    parities = [p for p, want in (("+", want_plus), ("-", want_minus)) if want]
-    # Below the borderline the odd eigenvalue of the first gap passes
-    # through zero energy; it is solved in the signed variable.
-    deep_odd = want_minus and alpha < ZERO_ENERGY_ALPHA_MIN
+    parities = [p for p in "+-" if parity in ("both", p)]
     gaps = gap_intervals(alpha, n_max)
-    slots = [
-        (alpha, gap, p, thetas)
-        for gap in gaps
-        for p in parities
-        if not (deep_odd and gap.n == 1 and p == "-")
-    ]
-    roots = dict(zip(((g.n, p) for _, g, p, _ in slots), _gap_roots(slots)))
-    kap_even = kap_odd = absent
-    if alpha < 0.0 and (want_plus or deep_odd):
-        x1, x_m1 = _negative_edges(alpha)
-        if want_plus:
-            kap_even = _negative_even_roots(alpha, thetas, x1, kappa_cutoff(alpha))
-        if deep_odd:
-            s = _signed_odd_roots(alpha, thetas, x_m1)
-            roots[1, "-"] = np.where(s > 0.0, s, np.nan)
-            kap_odd = np.where(s < 0.0, -s, np.nan)
+    slots = [(alpha, gap.n, p, thetas, gap) for gap in gaps for p in parities]
+    if alpha < 0.0 and "+" in parities:
+        slots.append((alpha, 0, "+", thetas, None))
+    roots = dict(zip(((n, p) for _, n, p, _, _ in slots), _sector_roots(slots)))
+    absent = np.full(len(thetas), np.nan)
     # Both parities of every gap, an absent root as NaN: (gap, parity, angle).
-    ks = np.array([[roots.get((g.n, p), absent) for p in "+-"] for g in gaps])
+    signed = np.array([[roots.get((g.n, p), absent) for p in "+-"] for g in gaps])
+    ks = np.where(signed > 0.0, signed, np.nan)
+    # The negative energies: the even one of gap 0 and the odd one of gap 1.
+    signed = np.array([roots.get((0, "+"), absent), roots.get((1, "-"), absent)])
+    kaps = np.where(signed < 0.0, -signed, np.nan)
     sgn = np.array([[1.0], [-1.0]])
     res = np.abs(_gap_residual(ks, alpha, thetas, sgn))
-    kaps = np.array([kap_even, kap_odd])
     kap_res = np.abs(_negative_residual(kaps, alpha, thetas, sgn))
     out: list[list[EigenvalueRecord]] = []
     for i, theta in enumerate(thetas.tolist()):
@@ -680,27 +709,6 @@ def gap_eigenvalues(
     return gap_eigenvalues_grid(alpha, [theta], n_max, parity)[0]
 
 
-def _signed_odd_roots(alpha: float, thetas: np.ndarray, x_m1: float) -> np.ndarray:
-    """Signed roots ``s`` of the odd condition in the gap touching zero.
-
-    For couplings below the borderline the odd eigenvalue of the first
-    gap moves continuously from negative to positive energy as the bend
-    angle grows; this solver works in the signed variable
-    (``energy = sign(s)*s**2``) with the zero-crossing removed by scaling,
-    so the crossing itself is no obstacle.  ``x_m1`` is the deeper
-    threshold edge of ``_negative_edges``.  NaN where there is no root.
-    """
-    return _first_roots(
-        -(x_m1 - 1e-11),
-        1.0 - INTEGER_EXCLUSION,
-        _odd_residual_scaled,
-        alpha,
-        thetas,
-        gap_function_negative_curvature(alpha),
-        points=GAP_SCAN_POINTS,
-    )
-
-
 def trace_eigenvalue_curve(
     alpha: float,
     parity: str,
@@ -711,29 +719,19 @@ def trace_eigenvalue_curve(
 ) -> SpectralCurve:
     """Sample one gap/parity eigenvalue curve over a grid of bend angles.
 
-    Negative-energy samples carry ``s = -kappa``.  The odd-sector curve of
-    the gap touching zero (attractive coupling below the borderline) is
-    traced in the signed variable straight through the zero crossing.
+    The samples are the signed roots of ``_sector_roots``, so they equal
+    what ``gap_eigenvalues_grid`` reports: negative-energy samples carry
+    ``s = -kappa``, and the odd-sector curve of the gap touching zero
+    (attractive coupling below the borderline) runs straight through the
+    zero crossing.
     Consecutive energies are checked against a local secant prediction; a
     jump beyond ``jump_factor`` times the predicted increment raises
     ``ContinuationError``.
     """
     grid = list(thetas)
-    th = _angles(grid)
-    if gap_index == 0 and alpha < 0.0:
-        s = np.full(len(th), np.nan)
-        if parity == "+":
-            s = -_negative_even_roots(
-                alpha, th, _negative_edges(alpha)[0], kappa_cutoff(alpha)
-            )
-    elif parity == "-" and gap_index == 1 and alpha < ZERO_ENERGY_ALPHA_MIN:
-        s = _signed_odd_roots(alpha, th, _negative_edges(alpha)[1])
-    else:
-        gaps = gap_intervals(alpha, max(gap_index, 1)) if alpha != 0.0 else []
-        gap = next((g for g in gaps if g.n == gap_index), None)
-        if gap is None:
-            raise ValueError(f"gap {gap_index} not available")
-        s = _gap_roots([(alpha, gap, parity, th)])[0]
+    if gap_index < 0:
+        raise ValueError(f"gap {gap_index} not available")
+    (s,) = _sector_roots([(alpha, gap_index, parity, _angles(grid), None)])
     samples = [(theta, r) for theta, r in zip(grid, s) if not np.isnan(r)]
     # Secant continuity audit on the energies.
     for i in range(2, len(samples)):

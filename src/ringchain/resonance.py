@@ -82,14 +82,7 @@ def resonance_residual(
     matching parity sector; zeros with negative imaginary part are the
     resonance poles.
     """
-    s = _parity_sign(parity)
-    kc = complex(k)
-    a = cmath.cos(kc * theta)
-    b = cmath.cos(math.pi * kc)
-    sp = cmath.sin(math.pi * kc)
-    return alpha * (1.0 + s * a * b) * (s * a + b) - 2.0 * kc * sp * (
-        1.0 + 2.0 * s * a * b + a * a
-    )
+    return _residual_terms(complex(k), alpha, theta, _parity_sign(parity))[0]
 
 
 def _residual_terms(
@@ -116,8 +109,8 @@ def _residual_terms(
         - 2.0 * sp * t
         - 2.0 * k * (math.pi * b * t + 2.0 * s * a * sp * db)
     )
-    # resonance_residual's operation order: through ``_cleared`` the
-    # imaginary part of F can differ in subnormal bits.
+    # F in the operation order of the module docstring's formula: through
+    # ``_cleared`` its imaginary part can differ in subnormal bits.
     f = alpha * p * r - 2.0 * k * sp * t
     return f, f_k_at_a - theta * sin_kt * f_a, -k * sin_kt * f_a
 
@@ -202,35 +195,28 @@ def refine_resonance(
     theta: float,
     parity: str,
     k_guess: complex,
-    *,
-    max_iter: int = 30,
 ) -> NewtonResult:
     """Newton-polish a resonance-residual zero from a guess, to exhaustion.
 
     The result's ``values`` are ``(F, F_k, F_theta)`` at the root.
     """
-    return newton_complex(
-        _residual_terms, k_guess, alpha, theta, _parity_sign(parity),
-        max_iter=max_iter,
-    )
+    return newton_complex(_residual_terms, k_guess, alpha, theta, _parity_sign(parity))
 
 
 @dataclass(frozen=True)
 class ResonanceCurve:
-    """One traced branch: samples ``(theta, k)`` plus how tracing ended."""
+    """One traced branch: samples ``(theta, k)`` plus how tracing ended.
+
+    ``residuals`` holds ``|F|`` at every sample, as its polish left it.
+    """
 
     alpha: float
     parity: str
     branch: str
     samples: tuple[tuple[float, complex], ...]
+    residuals: tuple[float, ...]
     termination: str
     seed: SingularPoint | None = None
-
-    def residuals(self) -> list[float]:
-        return [
-            abs(resonance_residual(k, self.alpha, t, self.parity))
-            for t, k in self.samples
-        ]
 
 
 def continue_curve(
@@ -255,9 +241,10 @@ def continue_curve(
     shrinking steps.  A corrector that fails, or that moves ``k`` by more
     than ``PLAUSIBLE_MOVE`` of that integer distance (a jump to another
     branch), halves the step.  Every sample is polished to exhaustion, so
-    the samples do not depend on the steps taken.  Landing within
-    ``SNAP_DISTANCE`` of an integer while a matching singular angle is
-    nearby snaps the endpoint onto the exact singular point and stops.
+    the samples do not depend on the steps taken, and each sample keeps
+    the ``|F|`` of its polish.  Landing within ``SNAP_DISTANCE`` of an
+    integer while a matching singular angle is nearby snaps the endpoint
+    onto the exact singular point, evaluated there, and stops.
     A step below ``MIN_STEP`` raises ``ContinuationError``.
     """
     thetas = [float(t) for t in theta_grid]
@@ -268,8 +255,8 @@ def continue_curve(
     if not start.converged:
         raise ValueError("k_start does not converge onto a residual zero")
     samples: list[tuple[float, complex]] = [(thetas[0], start.root)]
-    cur = (thetas[0], start.root)
-    _, f_k, f_theta = start.values
+    residuals = [start.residual]
+    cur, polish = (thetas[0], start.root), start
     termination = "completed"
 
     def snap_target(k: complex, t: float) -> tuple[float, float] | None:
@@ -285,6 +272,7 @@ def continue_curve(
     for t_target in thetas[1:]:
         while not done and cur[0] != t_target:
             dist = abs(cur[1] - round(cur[1].real))
+            _, f_k, f_theta = polish.values
             slope = -f_theta / f_k
             step = MAX_STEP
             if STEP_FRACTION * dist < MAX_STEP * abs(slope):
@@ -303,18 +291,19 @@ def continue_curve(
                     raise ContinuationError(
                         f"step underflow at theta={cur[0]:.8g} (branch {branch})"
                     )
-            cur = (t_new, res.root)
-            _, f_k, f_theta = res.values
+            cur, polish = (t_new, res.root), res
             hit = snap_target(cur[1], cur[0])
             if hit is not None:
                 samples.append((hit[0], complex(hit[1])))
+                residuals.append(abs(resonance_residual(hit[1], alpha, hit[0], parity)))
                 termination = "singular-point"
                 done = True
         if done:
             break
         samples.append(cur)
+        residuals.append(polish.residual)
     return ResonanceCurve(
-        alpha, parity, branch, tuple(samples), termination, seed
+        alpha, parity, branch, tuple(samples), tuple(residuals), termination, seed
     )
 
 

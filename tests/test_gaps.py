@@ -323,6 +323,33 @@ def test_traced_curves_equal_the_one_angle_solvers():
     assert list(curve.samples) == [(t, -solve_negative(alpha, t, "+")) for t in thetas]
 
 
+@pytest.mark.parametrize("alpha", [-2.6, -3.1, -4.0])
+def test_every_reader_of_the_deep_odd_sector_equals_the_grid(alpha):
+    # Below the borderline gap 1's odd eigenvalue crosses zero energy; the
+    # one-angle solvers and the traced curve must report the roots the
+    # grid writes, bit for bit, on both sides of the crossing.
+    thetas = [(i + 0.5) * math.pi / 64 for i in range(64)]
+    (gap1,) = gap_intervals(alpha, 1)
+    odd = [
+        next(r for r in records if r.gap_index == 1 and r.parity == "-")
+        for records in gap_eigenvalues_grid(alpha, thetas, 1, "-")
+    ]
+    assert {r.energy > 0.0 for r in odd} == {True, False}
+
+    def reprs(values):
+        return [None if v is None else repr(float(v)) for v in values]
+
+    assert reprs(solve_gap(alpha, t, gap1, "-") for t in thetas) == reprs(
+        r.k if r.energy > 0.0 else None for r in odd
+    )
+    assert reprs(solve_negative(alpha, t, "-") for t in thetas) == reprs(
+        r.k if r.energy < 0.0 else None for r in odd
+    )
+    curve = trace_eigenvalue_curve(alpha, "-", 1, thetas)
+    assert curve.thetas() == thetas
+    assert reprs(s for _, s in curve.samples) == reprs(math.copysign(r.k, r.energy) for r in odd)
+
+
 def test_double_eigenvalue_residual_on_an_array_keeps_the_scalar_rule():
     # Just above 0.5 and 1.5 the tangent is below -1e15, at 1.5 above 1e15.
     ks = np.array([1.2, 1.2756700453097611, 0.5000000000000001, 1.5, 1.5000000000000002, 2.9])

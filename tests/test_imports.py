@@ -1,5 +1,6 @@
 """Every module-level import in the package is used or re-exported, the
-scalar ``bisect`` stays verify's own, and the CLI's import stays light."""
+scalar ``bisect`` stays verify's own, one dispatcher routes every gap
+eigenvalue, and the CLI's import stays light."""
 from __future__ import annotations
 
 import ast
@@ -58,6 +59,22 @@ def test_only_verify_imports_the_scalar_bisect():
         and any(a.name == "bisect" for a in node.names)
     }
     assert importers == {"verify"}
+
+
+def test_only_the_sector_dispatcher_calls_the_sector_solvers():
+    # ``gaps._sector_roots`` alone decides which solver serves which
+    # (coupling, gap, parity) sector, so every query gets the same root.
+    solvers = {"_gap_roots", "_negative_even_roots", "_signed_odd_roots"}
+    callers = {
+        (path.stem, func.name, getattr(node.func, "id", getattr(node.func, "attr", None)))
+        for path in PACKAGE.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in solvers
+    }
+    assert callers == {("gaps", "_sector_roots", name) for name in solvers}
 
 
 def test_cli_import_leaves_out_the_process_pool():

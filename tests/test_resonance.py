@@ -248,7 +248,7 @@ def test_refined_pole_fixture():
     t_last, k_last = curve.samples[-1]
     assert t_last == pytest.approx(sp.theta0 + 0.3)
     assert abs(k_last - (1.9429488995655997 - 0.06055168603539124j)) < 1e-9
-    assert max(curve.residuals()) < 1e-9
+    assert max(curve.residuals) < 1e-9
 
 
 def test_continuation_snaps_onto_singular_point():
