@@ -2,7 +2,8 @@
 
 Everything here is deliberately simple.  There is one scan-bracket-bisect
 path: rows of a sampled function, each on its own grid, are scanned in
-blocks (``_row_brackets``), the sign-change rule finds every row's
+blocks of at most ``SCAN_SAMPLES`` samples, as many rows as fit
+(``_row_brackets``), the sign-change rule finds every row's
 brackets (``bracket_rows``), and all brackets are bisected together in
 numpy to floating-point exhaustion (``bisect_batch``, which returns a
 degenerate bracket's exact zero as it stands; ``_first_roots`` keeps the
@@ -31,11 +32,12 @@ __all__ = [
     "NewtonResult",
 ]
 
-# Rows (angles, queries or scan cells) sampled together in one scan; bounds
-# the memory of the (rows x points) sample blocks.  At 8 rows of 1,024
-# points each block array takes 64 KB; 16-row blocks raised the peak RSS of
-# ``verify`` and of an attractive sweep by about 0.9 MB.
-SCAN_BLOCK = 8
+# Samples per scan block: a block holds as many rows (angles, queries or
+# scan cells) as fit, at least one, so short rows fill it too.  Bounds the
+# memory of the (rows x points) sample blocks: each block array takes 64 KB,
+# 8 rows of 1,024 points; 16 such rows raised the peak RSS of ``verify``
+# and of an attractive sweep by about 0.9 MB.
+SCAN_SAMPLES = 8 * 1024
 # A Newton root must bring |F| below this.
 NEWTON_RESIDUAL_TOL = 1e-12
 # Newton iterations before a run counts as not converged.
@@ -159,16 +161,27 @@ def _row_brackets(lo, hi, kernel, *params, points: int):
 
     Row ``i`` samples ``kernel`` with the ``i``-th value of every parameter
     on ``points`` points spanning ``[lo[i], hi[i]]`` (``np.linspace``), in
-    blocks of at most ``SCAN_BLOCK`` rows; a row without ``lo < hi`` has no
-    bracket.  The arguments broadcast to one value per row.  Returns
-    ``(row, lo, hi)`` arrays ordered by row and ascending within a row.
+    blocks of ``SCAN_SAMPLES // points`` rows (at least one), in row order;
+    a row without ``lo < hi`` has no bracket.  A block whose rows all span
+    one interval samples them on one read-only grid, built once for
+    consecutive such blocks.  The arguments broadcast to one value per
+    row.  Returns ``(row, lo, hi)`` arrays ordered by row and ascending
+    within a row.
     """
     lo, hi, *params = np.broadcast_arrays(lo, hi, *params)
     live = np.flatnonzero(lo < hi)
+    block = max(1, SCAN_SAMPLES // points)
     parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
-    for start in range(0, live.size, SCAN_BLOCK):
-        rows = live[start:start + SCAN_BLOCK]
-        xs = np.linspace(lo[rows], hi[rows], points, axis=-1)
+    span, grid = None, None  # the last interval a whole block shared, and its grid
+    for start in range(0, live.size, block):
+        rows = live[start:start + block]
+        x0, x1 = lo[rows], hi[rows]
+        if (x0 == x0[0]).all() and (x1 == x1[0]).all():
+            if span != (x0[0], x1[0]):
+                span, grid = (x0[0], x1[0]), np.linspace(x0[0], x1[0], points)
+            xs = np.broadcast_to(grid, (rows.size, points))
+        else:
+            xs = np.linspace(x0, x1, points, axis=-1)
         found, a, b = bracket_rows(xs, kernel(xs, *(p[rows, None] for p in params)))
         parts.append((rows[found], a, b))
     return tuple(np.concatenate(col) for col in zip(*parts))

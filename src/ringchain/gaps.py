@@ -14,9 +14,10 @@ interval.  It returns the signed root ``s`` (``energy = sign(s)*s**2``)
 at every angle of every slot, and the public solvers only read it.  Each
 solver runs once over all of its slots: work that depends only on the
 coupling (gap intervals, threshold edges, the cutoff, the gap function on
-each scan grid) is done once; the residual is sampled as (angles x
-points) blocks of at most ``_rootfind.SCAN_BLOCK`` angles; every bracket
-is bisected together to full precision (``_rootfind.bisect_batch``);
+each scan grid) is done once; every angle of every slot is one row on
+its own scan grid, and the rows of all slots are sampled together in
+blocks of at most ``_rootfind.SCAN_SAMPLES`` samples; every bracket is
+bisected together to full precision (``_rootfind.bisect_batch``);
 then each slot is filtered on its own — an eigenvalue sitting on a band
 edge (within ``EDGE_WINDOW``) is reported as absent, since the candidate
 eigenfunction stops being square-summable there.  The gap edges, the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rootfind import SCAN_BLOCK, _first_roots, _row_brackets, bisect_batch, bracket_rows
+from ._rootfind import _first_roots, _row_brackets, bisect_batch
 from .bands import BAND_SCAN_PER_UNIT, _edge_roots, _negative_sweep_limit
 from .dispersion import (
     ZERO_ENERGY_ALPHA_MIN,
@@ -287,54 +288,61 @@ def _gap_roots(slots) -> np.ndarray:
     """Positive-energy roots of every slot ``(alpha, gap, parity, thetas)``.
 
     Gives one wavenumber per angle, the angles of all slots in turn, NaN
-    where the slot has no eigenvalue there (see ``solve_gap``).  The gap
-    function is sampled once for each run of slots with the same coupling
-    and gap; all brackets of all slots are bisected together on one
-    kernel with a per-bracket coupling and parity sign.
+    where the slot has no eigenvalue there (see ``solve_gap``).  Every
+    angle is one row on the scan grid of its slot's gap, and the rows of
+    all slots are scanned together in full blocks (``_row_brackets``).
+    The gap function is sampled once for each run of slots with the same
+    coupling and gap; all brackets of all slots are bisected together on
+    one kernel with a per-bracket coupling and parity sign.
     """
     sizes = [len(thetas) for *_, thetas in slots]
-    first = np.cumsum([0] + sizes)  # the row of each slot's first angle
-    out = np.full(first[-1], np.nan)
-    sampled = None
-    # Every bracket's row, in plain lists: a one-angle slot has one or two
-    # brackets, too few to pay for arrays of their own.
-    row, lo, hi = [], [], []
-    for slot, (alpha, gap, parity, thetas) in enumerate(slots):
-        sgn = _parity_sign(parity)
-        live = np.flatnonzero(~is_singular_angle(thetas, gap.n, parity))
-        dom = _scan_domain(gap)
-        if dom is None:
-            continue
-        if sampled != (alpha, gap):  # the parities of a gap come in turn
-            sampled = alpha, gap
-            ks = np.linspace(dom[0], dom[1], GAP_SCAN_POINTS)
-            g_k = _gap_function(ks, alpha)
-        for start in range(0, live.size, SCAN_BLOCK):  # on the one grid ks
-            at = live[start:start + SCAN_BLOCK]
-            rows, a, b = bracket_rows(ks, sgn * np.cos(ks * thetas[at, None]) - g_k)
-            row += (first[slot] + at[rows]).tolist()
-            lo += a.tolist()
-            hi += b.tolist()
-    if not row:
-        return out
-    owner = np.repeat(np.arange(len(slots)), sizes)[row]  # the slot of every bracket
-    th = np.concatenate([thetas for *_, thetas in slots])[row]
-    al = np.array([alpha for alpha, *_ in slots])[owner]
-    sgn = np.array([_parity_sign(parity) for _, _, parity, _ in slots])[owner]
-    roots = bisect_batch(lambda k: _gap_residual(k, al, th, sgn), lo, hi)
+    # A run is a stretch of slots with one coupling and gap (the parities
+    # of a gap come in turn); one row per angle, each on its run's grid.
+    heads = [i == 0 or slots[i - 1][:2] != slot[:2] for i, slot in enumerate(slots)]
+    runs = [slot for slot, head in zip(slots, heads) if head]
+    run_alpha = np.array([alpha for alpha, *_ in runs])
+    doms = np.array([_scan_domain(gap) or (math.nan, math.nan) for _, gap, *_ in runs])
+    run = np.repeat(np.cumsum(heads, dtype=int) - 1, sizes)
+    n = np.repeat([gap.n for _, gap, *_ in slots], sizes)
+    sgn = np.repeat([_parity_sign(p) for *_, p, _ in slots], sizes)
+    th = np.concatenate([thetas for *_, thetas in slots] or [[]])
+    lo, hi = doms.reshape(-1, 2)[run].T
+    for gn, p in {(gap.n, p) for _, gap, p, _ in slots}:  # no row at a singular angle
+        sel = (n == gn) & (sgn == _parity_sign(p))
+        lo[sel] = np.where(is_singular_angle(th[sel], gn, p), math.nan, lo[sel])
+    sampled = {}  # run -> the gap function on its grid, for the runs of one block
+
+    def residual(ks, run, theta, sgn):
+        # Blocks come in row order, so a run that goes on into the next
+        # block is kept for it.  Each run is sampled on its own grid: a
+        # whole block at once would hold the kernel's temporaries block-sized.
+        ids = run[:, 0].tolist()
+        for i, r in enumerate(ids):
+            if r not in sampled:
+                sampled[r] = _gap_function(ks[i], run_alpha[r])
+        g = sampled[ids[0]] if ids[0] == ids[-1] else np.array([sampled[r] for r in ids])
+        last = sampled[ids[-1]]
+        sampled.clear()
+        sampled[ids[-1]] = last
+        return sgn * np.cos(ks * theta) - g
+
+    row, a, b = _row_brackets(lo, hi, residual, run, th, sgn, points=GAP_SCAN_POINTS)
+    al, th_b, sgn_b = run_alpha[run[row]], th[row], sgn[row]
+    roots = bisect_batch(lambda k: _gap_residual(k, al, th_b, sgn_b), a, b)
     # Per row: drop near-duplicates of the last kept root, then roots on
     # the band edge; more than one survivor means the scan is inconsistent.
-    kept: dict[tuple[int, int], list] = {}
-    for key, r in zip(zip(owner.tolist(), row), roots):
-        rs = kept.setdefault(key, [])
+    kept: dict[int, list] = {}
+    for i, r in zip(row.tolist(), roots.tolist()):
+        rs = kept.setdefault(i, [])
         if not rs or r - rs[-1] > 1e-9:
             rs.append(r)
-    for (slot, i), rs in kept.items():
-        gap = slots[slot][1]
-        rs = [r for r in rs if abs(r - gap.band_edge) > EDGE_WINDOW]
+    edge = np.repeat([gap.band_edge for _, gap, *_ in slots], sizes)
+    out = np.full(th.size, np.nan)
+    for i, rs in kept.items():
+        rs = [r for r in rs if abs(r - edge[i]) > EDGE_WINDOW]
         if len(rs) > 1:
             raise RuntimeError(
-                f"multiple gap roots {rs} in gap {gap.n}: scan inconsistency"
+                f"multiple gap roots {rs} in gap {n[i]}: scan inconsistency"
             )
         if rs:
             out[i] = rs[0]
@@ -487,7 +495,7 @@ def _signed_odd_roots(alpha, theta, x_m1) -> np.ndarray:
     )
 
 
-def _sector_roots(slots, positive: bool = True) -> list[np.ndarray]:
+def _sector_roots(slots, positive=None) -> list[np.ndarray]:
     """Signed root ``s`` of every slot ``(alpha, n, parity, thetas, gap)``.
 
     The one place that decides which solver serves which (coupling, gap,
@@ -499,15 +507,16 @@ def _sector_roots(slots, positive: bool = True) -> list[np.ndarray]:
       in the signed variable (``_signed_odd_roots``);
     - every other sector holds a positive-energy root on the gap interval
       ``gap`` (``_gap_roots``); a slot may leave ``gap`` as ``None`` to
-      have it computed here.  With ``positive`` false these sectors are
-      left NaN, for a caller that reads negative energies only.
+      have it computed here.  ``positive``, when given, holds one flag
+      per slot; a slot whose flag is false leaves this sector NaN, for a
+      query that reads negative energies only.
 
     Gives one ``s`` per angle of each slot (``energy = sign(s)*s**2``),
     NaN where the sector has no eigenvalue there.  The threshold edges
     and the cutoff are computed once per distinct attractive coupling.
     """
     sector = []
-    for alpha, n, parity, _, _ in slots:
+    for i, (alpha, n, parity, _, _) in enumerate(slots):
         if alpha == 0.0:
             raise ValueError("the uncoupled chain has no gap eigenvalues")
         if alpha < 0.0 and n == 0:
@@ -515,7 +524,7 @@ def _sector_roots(slots, positive: bool = True) -> list[np.ndarray]:
         elif alpha < ZERO_ENERGY_ALPHA_MIN and n == 1 and parity == "-":
             sector.append("odd")
         else:
-            sector.append("gap" if positive else None)
+            sector.append("gap" if positive is None or positive[i] else None)
     # One row per angle of every slot.
     sizes = [len(thetas) for _, _, _, thetas, _ in slots]
     row_sector = np.repeat(np.array(sector, dtype=object), sizes)
@@ -562,11 +571,7 @@ def solve_gap(
 
 def solve_gap_batch(queries) -> list[float | None]:
     """``solve_gap`` for every ``(alpha, theta, gap, parity)`` query, solved together."""
-    slots = [
-        (alpha, gap.n, parity, _angles([theta]), gap)
-        for alpha, theta, gap, parity in queries
-    ]
-    return [s[0] if s[0] > 0.0 else None for s in _sector_roots(slots)]
+    return _solve_queries(queries, ())[0]
 
 
 def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
@@ -585,11 +590,43 @@ def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
 
 def solve_negative_batch(queries) -> list[float | None]:
     """``solve_negative`` for every ``(alpha, theta, parity)`` query, solved together."""
-    slots = [
-        (alpha, 0 if parity == "+" else 1, parity, _angles([theta]), None)
-        for alpha, theta, parity in queries
+    return _solve_queries((), queries)[1]
+
+
+def _solve_queries(gap_queries, negative_queries):
+    """``solve_gap_batch`` and ``solve_negative_batch`` together, in one ``_sector_roots`` call.
+
+    Every query becomes a one-angle slot.  A negative query names its
+    sector by parity alone (gap 0 even, gap 1 odd) and reads any slot of
+    that sector at its coupling and angle, so a gap query there answers
+    it too; a slot that only negative queries read leaves its
+    positive-energy sector unsolved.  Returns both answer lists.
+    """
+    gap_queries, negative_queries = list(gap_queries), list(negative_queries)
+    th = _angles([q[1] for q in gap_queries] + [q[1] for q in negative_queries])
+    angles = th.tolist()
+    slots, positive, index = [], [], {}
+
+    def slot(i, alpha, n, parity, gap):
+        # A negative query (no gap) reads any slot of its sector, a gap
+        # query only one solved on its own gap.
+        key = (alpha, n, parity, angles[i])
+        j = index.setdefault(key, len(slots))
+        if j == len(slots) or gap is not None and slots[j][4] != gap:
+            j = len(slots)
+            slots.append((alpha, n, parity, [angles[i]], gap))
+            positive.append(gap is not None)
+        return j
+
+    slot_of = [slot(i, a, g.n, p, g) for i, (a, _, g, p) in enumerate(gap_queries)]
+    slot_of += [
+        slot(i, a, 0 if p == "+" else 1, p, None)
+        for i, (a, _, p) in enumerate(negative_queries, len(gap_queries))
     ]
-    return [-s[0] if s[0] < 0.0 else None for s in _sector_roots(slots, positive=False)]
+    index.clear()  # its keys would stay alive through the solve's peak memory
+    s = np.concatenate(_sector_roots(slots, positive) or [[]])[slot_of]
+    k, kappa = np.split(s, [len(gap_queries)])
+    return [x if x > 0.0 else None for x in k], [-x if x < 0.0 else None for x in kappa]
 
 
 def double_eigenvalue_residual(k, alpha: float):

@@ -37,6 +37,7 @@ from .dispersion import (
 )
 from .gaps import (
     _gaps_at,
+    _solve_queries,
     double_points_in_gap,
     gap_eigenvalues_grid,
     gap_intervals,
@@ -45,7 +46,6 @@ from .gaps import (
     recover_double_angle,
     singular_angles,
     solve_gap,
-    solve_gap_batch,
     solve_negative_batch,
     trace_eigenvalue_curve,
 )
@@ -256,12 +256,10 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
     trials = len(draws)
     alphas, ns, thetas = zip(*draws)
     draws = list(zip(alphas, thetas, _gaps_at(alphas, ns)))
-    k_gaps = iter(
-        solve_gap_batch((a, t, g, p) for a, t, g in draws for p in ("+", "-"))
-    )
-    kappa_refs = iter(
-        solve_negative_batch((a, t, p) for a, t, _ in draws if a < 0.0 for p in ("+", "-"))
-    )
+    k_gaps, kappa_refs = map(iter, _solve_queries(
+        [(a, t, g, p) for a, t, g in draws for p in ("+", "-")],
+        [(a, t, p) for a, t, _ in draws if a < 0.0 for p in ("+", "-")],
+    ))
     cutoffs = iter(kappa_cutoff([a for a, _, _ in draws if a < 0.0]))
     mismatches = 0
     worst = 0.0
@@ -481,9 +479,8 @@ def _criterion_transfer_invariants() -> tuple[bool, dict, str]:
         except DegenerateError:
             degenerate += 1
             continue
-        g = complex(discriminant(k, alpha))
         for lam in (eig.expanding, eig.contracting):
-            max_char = max(max_char, abs(lam * lam - 2.0 * g * lam + 1.0))
+            max_char = max(max_char, abs(lam * lam - 2.0 * eig.halftrace * lam + 1.0))
     pool: list[tuple[float, object]] = []
     for alpha in (3.0, -3.0):
         for records in gap_eigenvalues_grid(alpha, (0.6, 1.3, 2.0, 2.7), 5, "+"):

@@ -75,6 +75,30 @@ def test_criterion_05_spectral_form_equivalence():
     run_and_record("5")
 
 
+def test_criterion_05_work_count(monkeypatch):
+    # Criterion 5's 2,000 one-angle slots are scanned as stacked rows in
+    # full blocks, and its gap and negative queries share one dispatch.
+    # Slot by slot it made 2,611 scans and found the threshold edges of
+    # its attractive couplings twice.
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(_rootfind, "bracket_rows")
+    counted(gaps, "_negative_edges")
+    passed, _, detail = verify._criterion_form_equivalence()
+    assert passed, detail
+    assert calls["bracket_rows"] <= 500
+    assert calls["_negative_edges"] == 1
+
+
 def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):
     # Criterion 5 checks the batched solvers against verify's own scan and
     # scalar bisection of the cleared residual; the oracle must still work
@@ -95,8 +119,9 @@ def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):
         (gaps, "bisect_batch"),
         (gaps, "solve_negative_batch"),
         (gaps, "solve_gap_batch"),
+        (gaps, "_solve_queries"),
         (verify, "solve_negative_batch"),
-        (verify, "solve_gap_batch"),
+        (verify, "_solve_queries"),
         (resonance, "resonance_residual"),
         (resonance, "resonance_residual_grid"),
     ):

@@ -34,6 +34,7 @@ from ringchain.gaps import (
     _gaps_at,
     _negative_edges,
     _odd_residual_scaled,
+    _solve_queries,
     double_eigenvalue_residual,
     solve_gap_batch,
     solve_negative_batch,
@@ -311,6 +312,53 @@ def test_gap_solves_batched_across_couplings_equal_one_by_one():
     batched = solve_gap_batch(queries)
     assert batched == [solve_gap(*q) for q in queries]
     assert any(k is None for k in batched) and any(k is not None for k in batched)
+
+
+def _grid_root(alpha, theta, n, parity, negative):
+    """The grid's root of one sector at one angle, or None."""
+    for r in gap_eigenvalues(alpha, theta, 5):
+        if (r.gap_index, r.parity, r.energy < 0.0) == (n, parity, negative):
+            return r.k
+    return None
+
+
+@pytest.mark.parametrize("count", [1, 8, 9, 17])
+def test_mixed_queries_equal_one_by_one_and_the_grid(count):
+    # The rows of all slots are scanned together, 8 rows of 1,024 points to
+    # a block, and the gap function is sampled once per run of one
+    # coupling and gap.  Runs of three slots put block boundaries inside
+    # a run; pi/2 and 2*pi/3 are singular for gaps 2 and 3 (even), and a
+    # gap query and a negative query share gap 1's odd slot below the
+    # borderline coupling.
+    couplings = (3.0, 1.7, -3.1, -2.6, 2.2, -4.0)
+    thetas = (0.7, math.pi / 2.0, 2.0 * math.pi / 3.0, 1.9, 0.35)
+    gap_queries = []
+    for i in range(count):
+        alpha = couplings[i // 3 % len(couplings)]
+        gap = gap_intervals(alpha, 3)[-1 - i // 3 % 3]
+        gap_queries.append((alpha, thetas[i % len(thetas)], gap, "+-"[i % 2]))
+    negative_queries = [
+        (alpha, theta, parity)
+        for alpha, theta, _, parity in gap_queries + [(-3.1, 0.4, None, "-")]
+    ]
+    got = _solve_queries(gap_queries, negative_queries)
+    want = (
+        [solve_gap(*q) for q in gap_queries],
+        [solve_negative(*q) for q in negative_queries],
+    )
+
+    def reprs(values):
+        return [None if v is None else repr(float(v)) for v in values]
+
+    assert [reprs(part) for part in got] == [reprs(part) for part in want]
+    assert reprs(solve_gap_batch(gap_queries)) == reprs(want[0])
+    assert reprs(solve_negative_batch(negative_queries)) == reprs(want[1])
+    assert reprs(want[0]) == reprs(
+        _grid_root(a, t, g.n, p, False) for a, t, g, p in gap_queries
+    )
+    assert reprs(want[1]) == reprs(
+        _grid_root(a, t, 0 if p == "+" else 1, p, True) for a, t, p in negative_queries
+    )
 
 
 def test_traced_curves_equal_the_one_angle_solvers():

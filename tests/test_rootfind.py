@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringchain._rootfind import (
+    SCAN_SAMPLES,
     _first_roots,
     _row_brackets,
     bisect,
@@ -219,6 +220,31 @@ def test_row_engine_matches_the_per_site_loop(zeros, n, rows):
         first = _first_roots([shift], [10.0 + shift], fn, [shift], points=n)[0]
         assert first == roots[0] if roots else math.isnan(first)
     assert list(zip(row.tolist(), got.tolist())) == want
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-grids", "one-grid"])
+@pytest.mark.parametrize("points", [2, 128, 512, 1024])
+def test_row_brackets_in_full_blocks_equal_row_by_row(points, shared):
+    # A block holds SCAN_SAMPLES samples: 4,096 rows of 2 points, 64 of
+    # 128, 16 of 512, 8 of 1,024.  Enough rows for a block boundary in
+    # each case, some dead (no lo < hi), per-row frequencies, and rows on
+    # their own intervals or all on one.
+    count = SCAN_SAMPLES // points + 5
+    freq = 1.0 + 0.37 * np.arange(count)
+    lo = np.where(np.arange(count) % 7 == 3, 2.5, 0.1)
+    hi = 2.0 + (0.0 if shared else 0.01) * np.arange(count)
+
+    def kernel(x, f):
+        return np.sin(f * x)
+
+    got = _row_brackets(lo, hi, kernel, freq, points=points)
+    want = [[], [], []]
+    for i in range(count):
+        row, a, b = _row_brackets(lo[i:i + 1], hi[i:i + 1], kernel, freq[i:i + 1], points=points)
+        for col, part in zip(want, (row + i, a, b)):
+            col += part.tolist()
+    assert [col.tolist() for col in got] == want
+    assert max(want[0]) >= SCAN_SAMPLES // points  # a bracket past the first block
 
 
 @settings(max_examples=200, deadline=None)
