@@ -162,26 +162,17 @@ def _row_brackets(lo, hi, kernel, *params, points: int):
     Row ``i`` samples ``kernel`` with the ``i``-th value of every parameter
     on ``points`` points spanning ``[lo[i], hi[i]]`` (``np.linspace``), in
     blocks of ``SCAN_SAMPLES // points`` rows (at least one), in row order;
-    a row without ``lo < hi`` has no bracket.  A block whose rows all span
-    one interval samples them on one read-only grid, built once for
-    consecutive such blocks.  The arguments broadcast to one value per
-    row.  Returns ``(row, lo, hi)`` arrays ordered by row and ascending
-    within a row.
+    a row without ``lo < hi`` has no bracket.  The arguments broadcast to
+    one value per row.  Returns ``(row, lo, hi)`` arrays ordered by row
+    and ascending within a row.
     """
     lo, hi, *params = np.broadcast_arrays(lo, hi, *params)
     live = np.flatnonzero(lo < hi)
     block = max(1, SCAN_SAMPLES // points)
     parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
-    span, grid = None, None  # the last interval a whole block shared, and its grid
     for start in range(0, live.size, block):
         rows = live[start:start + block]
-        x0, x1 = lo[rows], hi[rows]
-        if (x0 == x0[0]).all() and (x1 == x1[0]).all():
-            if span != (x0[0], x1[0]):
-                span, grid = (x0[0], x1[0]), np.linspace(x0[0], x1[0], points)
-            xs = np.broadcast_to(grid, (rows.size, points))
-        else:
-            xs = np.linspace(x0, x1, points, axis=-1)
+        xs = np.linspace(lo[rows], hi[rows], points, axis=-1)
         found, a, b = bracket_rows(xs, kernel(xs, *(p[rows, None] for p in params)))
         parts.append((rows[found], a, b))
     return tuple(np.concatenate(col) for col in zip(*parts))

@@ -64,15 +64,13 @@ class TransferEigen:
 
     ``expanding`` has the larger modulus; the two eigenvalues multiply to
     one, so inside a gap ``|contracting| < 1`` and the contracting
-    direction spans the decaying solutions.  ``halftrace`` is the
-    half-trace they solve ``lam**2 - 2*halftrace*lam + 1 = 0`` with.
+    direction spans the decaying solutions.
     """
 
     expanding: complex
     contracting: complex
     v_expanding: tuple[complex, complex]
     v_contracting: tuple[complex, complex]
-    halftrace: complex
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def transfer_eigen(k: complex, alpha: float) -> TransferEigen:
         n = math.hypot(abs(v[0]), abs(v[1]))
         return (v[0] / n, v[1] / n)
 
-    return TransferEigen(lam1, lam2, eigvec(lam1), eigvec(lam2), d)
+    return TransferEigen(lam1, lam2, eigvec(lam1), eigvec(lam2))
 
 
 def boundary_vector_even(

@@ -479,8 +479,9 @@ def _criterion_transfer_invariants() -> tuple[bool, dict, str]:
         except DegenerateError:
             degenerate += 1
             continue
+        g = complex(discriminant(k, alpha))
         for lam in (eig.expanding, eig.contracting):
-            max_char = max(max_char, abs(lam * lam - 2.0 * eig.halftrace * lam + 1.0))
+            max_char = max(max_char, abs(lam * lam - 2.0 * g * lam + 1.0))
     pool: list[tuple[float, object]] = []
     for alpha in (3.0, -3.0):
         for records in gap_eigenvalues_grid(alpha, (0.6, 1.3, 2.0, 2.7), 5, "+"):

@@ -222,7 +222,7 @@ def test_row_engine_matches_the_per_site_loop(zeros, n, rows):
     assert list(zip(row.tolist(), got.tolist())) == want
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["own-grids", "one-grid"])
+@pytest.mark.parametrize("shared", [False, True], ids=["own-intervals", "one-interval"])
 @pytest.mark.parametrize("points", [2, 128, 512, 1024])
 def test_row_brackets_in_full_blocks_equal_row_by_row(points, shared):
     # A block holds SCAN_SAMPLES samples: 4,096 rows of 2 points, 64 of
