@@ -146,13 +146,16 @@ def bracket_rows(
     if ys.shape[1] == 0:
         return np.empty(0, dtype=int), np.empty(0), np.empty(0)
     good = np.isfinite(ys)
-    y0, y1 = ys[:, :-1], ys[:, 1:]
-    hit = np.zeros(ys.shape, dtype=bool)
-    hit[:, :-1] = good[:, :-1] & good[:, 1:] & ((y0 == 0.0) | ((y0 > 0.0) != (y1 > 0.0)))
-    hit[:, -1] = good[:, -1] & (ys[:, -1] == 0.0)
-    rows, cols = np.nonzero(hit)
+    zero = ys == 0.0
+    pos = ys > 0.0
+    hit = zero & good
+    hit[:, :-1] |= pos[:, :-1] != pos[:, 1:]
+    hit[:, :-1] &= good[:, :-1] & good[:, 1:]
+    # One flat scan of the hits: np.nonzero on a 2-D mask costs several
+    # times more.
+    rows, cols = np.divmod(np.flatnonzero(hit), ys.shape[1])
     lo = xs[rows, cols]
-    hi = np.where(ys[rows, cols] == 0.0, lo, xs[rows, np.minimum(cols + 1, ys.shape[1] - 1)])
+    hi = np.where(zero[rows, cols], lo, xs[rows, np.minimum(cols + 1, ys.shape[1] - 1)])
     return rows, lo, hi
 
 
@@ -170,9 +173,16 @@ def _row_brackets(lo, hi, kernel, *params, points: int):
     live = np.flatnonzero(lo < hi)
     block = max(1, SCAN_SAMPLES // points)
     parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
+    steps = np.arange(float(points))
     for start in range(0, live.size, block):
         rows = live[start:start + block]
-        xs = np.linspace(lo[rows], hi[rows], points, axis=-1)
+        # np.linspace(lo[rows], hi[rows], points, axis=-1) in its own
+        # arithmetic (i * step + lo, the last point hi), without the call's
+        # overhead, which cost as much as building the grid.
+        xs = np.multiply.outer((hi[rows] - lo[rows]) / max(points - 1, 1), steps)
+        xs += lo[rows, None]
+        if points > 1:
+            xs[:, -1] = hi[rows]
         found, a, b = bracket_rows(xs, kernel(xs, *(p[rows, None] for p in params)))
         parts.append((rows[found], a, b))
     return tuple(np.concatenate(col) for col in zip(*parts))

@@ -247,6 +247,21 @@ def test_row_brackets_in_full_blocks_equal_row_by_row(points, shared):
     assert max(want[0]) >= SCAN_SAMPLES // points  # a bracket past the first block
 
 
+@pytest.mark.parametrize("points", [1, 2, 3, 128, 1024])
+def test_row_grids_are_linspace_bit_for_bit(points):
+    rng = np.random.default_rng(points)
+    lo = rng.uniform(-50.0, 50.0, 20) * 10.0 ** rng.integers(-8, 3, 20)
+    hi = lo + rng.uniform(1e-9, 30.0, 20)
+    sampled = []
+
+    def kernel(x):
+        sampled.append(x.copy())
+        return np.ones_like(x)
+
+    _row_brackets(lo, hi, kernel, points=points)
+    assert np.concatenate(sampled).tobytes() == np.linspace(lo, hi, points, axis=-1).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(SAMPLES, min_size=1, max_size=5),
