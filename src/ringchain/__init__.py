@@ -11,6 +11,15 @@ laws tying the two together at the band edges.
 """
 from __future__ import annotations
 
+import os
+
+# The engine runs in one thread, and its only BLAS calls are two polyfits
+# on a few dozen points, so OpenBLAS's worker pool never helps it; an idle
+# worker still spins on a core.  OpenBLAS reads the variable once, when
+# numpy loads it, so this must come before the first numpy import; a value
+# the caller has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bands import (
     Band,
     compute_bands,

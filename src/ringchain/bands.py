@@ -123,8 +123,13 @@ def in_spectrum(energy: float, alpha: float) -> bool:
 def _halftrace_signed(s, alpha):
     """Half-trace as a function of the signed sweep variable; ``alpha`` broadcasts with ``s``."""
     s, alpha = np.broadcast_arrays(np.asarray(s, dtype=float), alpha)
-    out = np.empty(s.shape)
     pos = s >= 0.0
+    # A block of one sign (the usual case) goes to its kernel as it stands.
+    if pos.all():
+        return discriminant(s, alpha)
+    if not pos.any():
+        return discriminant_negative(-s, alpha)
+    out = np.empty(s.shape)
     out[pos] = discriminant(s[pos], alpha[pos])
     out[~pos] = discriminant_negative(-s[~pos], alpha[~pos])
     return out[()]

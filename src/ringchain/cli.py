@@ -307,7 +307,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _eigenvalue_rows(cfg: RunConfig, theta: float, records) -> list[tuple[str, ...]]:
+def _eigenvalue_rows(cfg: RunConfig, theta: float, records, singular) -> list[tuple[str, ...]]:
     if any(r.residual > cfg.tol_residual for r in records):
         worst = max(r.residual for r in records)
         raise ContinuationError(
@@ -331,24 +331,30 @@ def _eigenvalue_rows(cfg: RunConfig, theta: float, records) -> list[tuple[str, .
                 _fmt(r.residual),
             )
         )
-    # Mark eigenvalues suppressed by an exactly singular angle; gaps
-    # 1..n_max hold an integer for either sign of alpha.
-    parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
+    # Mark eigenvalues suppressed by an exactly singular angle: ``singular``
+    # holds the (gap, parity) pairs for which ``theta`` is one.
     seen = {(row[5], row[4]) for row in rows}
-    for n in range(1, cfg.n_max + 1):
-        for p in parities:
-            if is_singular_angle(theta, n, p) and (str(n), p) not in seen:
-                rows.append((_fmt(theta), "", "", "", p, str(n), "real", "", ""))
+    for n, p in singular:
+        if (str(n), p) not in seen:
+            rows.append((_fmt(theta), "", "", "", p, str(n), "real", "", ""))
     return rows
 
 
 def cmd_eigenvalues(cfg: RunConfig) -> int:
     thetas = [cfg.theta] if cfg.theta is not None else _theta_grid(cfg)
     per_angle = gap_eigenvalues_grid(cfg.alpha, thetas, cfg.n_max, cfg.parity)
+    # Gaps 1..n_max hold an integer for either sign of alpha; each one's
+    # singular angles are checked once over the whole grid.
+    parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
+    singular = [[] for _ in thetas]
+    for n in range(1, cfg.n_max + 1):
+        for p in parities:
+            for i in is_singular_angle(thetas, n, p).nonzero()[0]:
+                singular[i].append((n, p))
     rows = [
         row
-        for theta, records in zip(thetas, per_angle)
-        for row in _eigenvalue_rows(cfg, theta, records)
+        for theta, records, marks in zip(thetas, per_angle, singular)
+        for row in _eigenvalue_rows(cfg, theta, records, marks)
     ]
     if cfg.output_format == "json":
         payload = {

@@ -100,6 +100,23 @@ def test_eigenvalues_singular_angle_marks_empty_row():
     assert empties[0][5] == "3"
 
 
+def test_eigenvalues_range_marks_singular_angles():
+    # Both nodes, pi/4 and 3pi/4, are singular angles of gap 4's even
+    # eigenvalue; each angle's marker row follows its eigenvalue rows.
+    proc = run_cli(
+        "eigenvalues", "--alpha", "3", "--theta-start", "0",
+        "--theta-stop", "3.141592653589793", "--theta-count", "2", "--nmax", "4",
+    )
+    assert proc.returncode == 0
+    _, rows = parse_csv(proc.stdout)
+    thetas = ["0.78539816339744828", "2.3561944901923448"]
+    assert [r[0] for r in rows] == [thetas[0]] * 9 + [thetas[1]] * 8
+    marker = ["", "", "", "+", "4", "real", "", ""]
+    empties = [i for i, r in enumerate(rows) if r[1] == ""]
+    assert empties == [8, 16]
+    assert [rows[i][1:] for i in empties] == [marker, marker]
+
+
 def test_eigenvalues_double_angle_reports_multiplicity_two():
     proc = run_cli(
         "eigenvalues", "--alpha", "3",

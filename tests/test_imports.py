@@ -1,14 +1,17 @@
 """Every module-level import in the package is used or re-exported, the
 scalar ``bisect`` stays verify's own, one dispatcher routes every gap
-eigenvalue, and the CLI's import stays light."""
+eigenvalue, and the CLI's import stays light and single-threaded."""
 from __future__ import annotations
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ringchain.verify import _usable_cpus
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringchain"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -88,3 +91,43 @@ def test_cli_import_leaves_out_the_process_pool():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _fresh_cli_import(**given: str) -> tuple[int, str]:
+    """OS threads and ``OPENBLAS_NUM_THREADS`` of a child after ``import ringchain.cli``.
+
+    This process imported ``ringchain`` already, so the child starts from
+    an environment without the thread variables, plus ``given``.
+    """
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env.update(given)
+    code = (
+        "import os, ringchain.cli; print(len(os.listdir('/proc/self/task')), "
+        "os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    count, value = proc.stdout.split()
+    return int(count), value
+
+
+needs_thread_count = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or _usable_cpus() < 2,
+    reason="needs /proc/self/task and at least 2 usable CPUs",
+)
+
+
+@needs_thread_count
+def test_cli_import_runs_one_thread():
+    # numpy's OpenBLAS starts a worker per usable CPU when it loads unless
+    # ``OPENBLAS_NUM_THREADS`` says otherwise; the package sets it to 1.
+    assert _fresh_cli_import() == (1, "1")
+
+
+@needs_thread_count
+def test_cli_import_keeps_the_callers_blas_threads():
+    assert _fresh_cli_import(OPENBLAS_NUM_THREADS="2")[1] == "2"
