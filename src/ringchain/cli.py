@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bands import compute_bands
 from .dispersion import ContinuationError
 from .gaps import gap_eigenvalues_grid, is_singular_angle
-from .resonance import enumerate_singular_points, trace_complex_branch
+from .resonance import enumerate_singular_points, on_branch, trace_complex_branch
 from .verify import CRITERION_LABELS, run_all, summarize
 
 __all__ = ["main", "build_parser", "RunConfig"]
@@ -370,42 +370,36 @@ def cmd_eigenvalues(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _trace_one(cfg: RunConfig, sp, branch: str):
+def _trace_one(cfg: RunConfig, sp):
     start, stop, count = cfg.theta_range
     delta0 = 1e-2
     if sp.theta0 + delta0 >= stop:
         return None
-    return trace_complex_branch(
-        cfg.alpha,
-        sp,
-        branch,
-        delta0=delta0,
-        theta_stop=stop,
-        n_nodes=count,
-    )
+    return trace_complex_branch(cfg.alpha, sp, delta0=delta0, theta_stop=stop, n_nodes=count)
 
 
 def cmd_resonances(cfg: RunConfig) -> int:
     parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
     branches = ("lower", "upper") if cfg.branch == "both" else (cfg.branch,)
     start, stop, _ = cfg.theta_range
+    # (branch, lower trace): an upper row is its lower twin moved by on_branch.
     curves = []
     partial = []
     for p in parities:
         for sp in enumerate_singular_points(cfg.n_max, p):
             if not start <= sp.theta0 < stop:
                 continue
-            for br in branches:
-                try:
-                    curve = _trace_one(cfg, sp, br)
-                except (ContinuationError, ValueError) as exc:
-                    partial.append(f"({sp.n},{sp.ell},{sp.parity},{br}): {exc}")
-                    continue
-                if curve is not None:
-                    curves.append(curve)
+            try:
+                curve = _trace_one(cfg, sp)
+            except (ContinuationError, ValueError) as exc:
+                partial += [f"({sp.n},{sp.ell},{sp.parity},{br}): {exc} (branch {br})"
+                            for br in branches]
+                continue
+            if curve is not None:
+                curves += [(br, curve) for br in branches]
     for note in partial:
         print(f"warning: curve abandoned {note}", file=sys.stderr)
-    worst = max((r for c in curves for r in c.residuals), default=0.0)
+    worst = max((r for _, c in curves for r in c.residuals), default=0.0)
     if worst > cfg.tol_residual:
         raise ContinuationError(f"resonance residual {worst:.3g} above --tol-residual")
     if cfg.output_format == "json":
@@ -414,7 +408,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
             "curves": [
                 {
                     "parity": c.parity,
-                    "branch": c.branch,
+                    "branch": br,
                     "seed": {
                         "n": c.seed.n,
                         "ell": c.seed.ell,
@@ -422,31 +416,21 @@ def cmd_resonances(cfg: RunConfig) -> int:
                     },
                     "termination": c.termination,
                     "samples": [
-                        [t, k.real, k.imag] for t, k in c.samples
+                        [t, k.real, on_branch(k, br).imag] for t, k in c.samples
                     ],
                 }
-                for c in curves
+                for br, c in curves
             ],
             "abandoned": partial,
         }
         _emit(cfg, _json_text(payload))
         return EXIT_OK
-    rows = []
-    for c in curves:
-        for (t, k), res in zip(c.samples, c.residuals):
-            rows.append(
-                (
-                    _fmt(t),
-                    _fmt(k.real),
-                    _fmt(k.imag),
-                    "",
-                    c.parity,
-                    str(c.seed.n),
-                    c.branch,
-                    "",
-                    _fmt(res),
-                )
-            )
+    rows = (
+        (_fmt(t), _fmt(k.real), _fmt(on_branch(k, br).imag), "",
+         c.parity, str(c.seed.n), br, "", _fmt(res))
+        for br, c in curves
+        for (t, k), res in zip(c.samples, c.residuals)
+    )
     _emit(cfg, _csv_text(CURVE_COLUMNS, rows))
     return EXIT_OK
 

@@ -32,7 +32,6 @@ import operator
 import numpy as np
 
 __all__ = [
-    "INTEGER_WINDOW",
     "SMALL_ARG",
     "ZERO_ENERGY_ALPHA_MIN",
     "DomainError",

@@ -45,10 +45,7 @@ from .dispersion import (
 )
 
 __all__ = [
-    "GAP_SCAN_POINTS",
-    "INTEGER_EXCLUSION",
     "EDGE_WINDOW",
-    "SINGULAR_ANGLE_TOL",
     "GapInterval",
     "EigenvalueRecord",
     "SpectralCurve",

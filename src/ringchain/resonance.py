@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "resonance_residual_grid",
     "enumerate_singular_points",
     "seed_from_singular_point",
+    "on_branch",
     "refine_resonance",
     "continue_curve",
     "trace_complex_branch",
@@ -109,8 +110,7 @@ def _residual_terms(
         - 2.0 * sp * t
         - 2.0 * k * (math.pi * b * t + 2.0 * s * a * sp * db)
     )
-    # F in the operation order of the module docstring's formula: through
-    # ``_cleared`` its imaginary part can differ in subnormal bits.
+    # F is ``_cleared(a, b, 2.0 * k * sp, alpha, s)``, written out on p, r, t.
     f = alpha * p * r - 2.0 * k * sp * t
     return f, f_k_at_a - theta * sin_kt * f_a, -k * sin_kt * f_a
 
@@ -166,9 +166,10 @@ def seed_from_singular_point(
     Implements ``k = n + eps`` with ``eps = cbrt(alpha/8) * (n/pi) *
     |delta|**(4/3)`` on the real branch and the same magnitude rotated by
     ``exp(±2 pi i / 3)`` on the complex pair; ``branch`` picks ``'real'``,
-    ``'upper'`` (positive imaginary part) or ``'lower'`` (negative, the
-    resonance side).  ``delta = 0`` is rejected; ``|delta| <= 0.1`` keeps
-    the expansion inside its trust region.
+    ``'lower'`` (negative imaginary part, the resonance side) or
+    ``'upper'``, the exact conjugate of the lower seed.  ``delta = 0`` is
+    rejected; ``|delta| <= 0.1`` keeps the expansion inside its trust
+    region.
     """
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
@@ -183,11 +184,17 @@ def seed_from_singular_point(
         return complex(sp.k0 + eps_real)
     if branch not in ("upper", "lower"):
         raise ValueError("branch must be 'real', 'upper' or 'lower'")
+    # The lower seed is eps rotated into the lower half-plane.
     rot = cmath.exp(2j * math.pi / 3.0)
-    cand = eps_real * rot
-    if (cand.imag > 0.0) != (branch == "upper"):
-        cand = eps_real / rot
-    return sp.k0 + cand
+    return on_branch(sp.k0 + (eps_real / rot if eps_real > 0.0 else eps_real * rot), branch)
+
+
+def on_branch(k: complex, branch: str) -> complex:
+    """A lower-branch value ``k`` as it stands on ``branch``: ``F(conj k) =
+    conj F(k)`` for real ``alpha`` and ``theta``, so the upper branch is the
+    exact mirror of the lower, with the same ``|F|``.  A real ``k`` (a
+    snapped endpoint) keeps its ``+0.0`` imaginary part."""
+    return k.conjugate() if branch == "upper" and k.imag else k
 
 
 def refine_resonance(
@@ -245,7 +252,8 @@ def continue_curve(
     the ``|F|`` of its polish.  Landing within ``SNAP_DISTANCE`` of an
     integer while a matching singular angle is nearby snaps the endpoint
     onto the exact singular point, evaluated there, and stops.
-    A step below ``MIN_STEP`` raises ``ContinuationError``.
+    A step below ``MIN_STEP`` raises ``ContinuationError``.  ``branch``
+    only labels the curve: the branch followed is the one of ``k_start``.
     """
     thetas = [float(t) for t in theta_grid]
     if len(thetas) < 2:
@@ -288,9 +296,7 @@ def continue_curve(
                     break
                 step *= 0.5
                 if abs(step) < MIN_STEP:
-                    raise ContinuationError(
-                        f"step underflow at theta={cur[0]:.8g} (branch {branch})"
-                    )
+                    raise ContinuationError(f"step underflow at theta={cur[0]:.8g}")
             cur, polish = (t_new, res.root), res
             hit = snap_target(cur[1], cur[0])
             if hit is not None:
@@ -319,15 +325,20 @@ def trace_complex_branch(
     """Trace one complex branch away from a singular point.
 
     Seeds the Puiseux law at ``theta0 + delta0``, polishes it, then
-    continues toward ``theta_stop`` (default: just short of ``pi``).
+    continues toward ``theta_stop`` (default: just short of ``pi``).  The
+    ``'upper'`` branch is the lower trace moved by ``on_branch``, which is
+    what tracing it from its conjugate seed gives, bit for bit.
     """
     stop = theta_stop if theta_stop is not None else math.pi - 1e-2
     t0 = sp.theta0 + delta0
     if not 0.0 < t0 < math.pi:
         raise ValueError("seed angle outside (0, pi)")
-    k_seed = seed_from_singular_point(sp, alpha, delta0, branch)
+    k_seed = seed_from_singular_point(sp, alpha, delta0, "lower" if branch == "upper" else branch)
     grid = np.linspace(t0, stop, n_nodes)
-    return continue_curve(alpha, sp.parity, grid, k_seed, branch=branch, seed=sp)
+    curve = continue_curve(alpha, sp.parity, grid, k_seed, branch=branch, seed=sp)
+    if branch != "upper":
+        return curve
+    return replace(curve, samples=tuple((t, on_branch(k, branch)) for t, k in curve.samples))
 
 
 def real_branch_offset(alpha: float, gap: GapInterval, thetas, parity: str):
@@ -445,24 +456,26 @@ def fit_gentle_coefficient(alpha: float, gap: GapInterval) -> float:
 
 def _cleared(a, b, q, alpha: float, s: float):
     """The cleared residual from ``A = cos(k theta)``, ``B = cos(pi k)`` and
-    ``Q = k sin(pi k)``, with ``s`` the parity sign; works on any operands."""
-    return alpha * (1.0 + s * a * b) * (s * a + b) - 2.0 * q * (
-        1.0 + 2.0 * s * a * b + a * a
-    )
+    ``Q = 2k sin(pi k)``, with ``s`` the parity sign; works on any operands.
+
+    ``Q`` is ``(2k) sin(pi k)``, in ``_residual_terms``' order: doubling
+    ``k sin(pi k)`` instead loses a bit where that product is subnormal.
+    """
+    return alpha * (1.0 + s * a * b) * (s * a + b) - q * (1.0 + 2.0 * s * a * b + a * a)
 
 
 def _axis_terms(x, theta: float, unit: complex, xp):
     """``(A, B, Q)`` of ``_cleared`` at ``k = unit*x`` in real arithmetic.
 
-    ``unit`` is 1 (``k = x``: ``cos``, ``cos``, ``x sin``) or ``1j``
-    (``k = i x``: ``cosh``, ``cosh``, ``-x sinh``); ``xp`` is ``np`` for an
+    ``unit`` is 1 (``k = x``: ``cos``, ``cos``, ``2x sin``) or ``1j``
+    (``k = i x``: ``cosh``, ``cosh``, ``-2x sinh``); ``xp`` is ``np`` for an
     array or ``math`` for a float.  On both axes the complex terms are
     real, and these are their real parts: bit for bit, except that
     ``np.cosh``/``np.sinh`` can differ from ``cmath`` in the last ulp.
     """
     if unit == 1:
-        return xp.cos(x * theta), xp.cos(math.pi * x), x * xp.sin(math.pi * x)
-    return xp.cosh(x * theta), xp.cosh(math.pi * x), -x * xp.sinh(math.pi * x)
+        return xp.cos(x * theta), xp.cos(math.pi * x), 2.0 * x * xp.sin(math.pi * x)
+    return xp.cosh(x * theta), xp.cosh(math.pi * x), -2.0 * x * xp.sinh(math.pi * x)
 
 
 def resonance_residual_grid(
@@ -470,7 +483,7 @@ def resonance_residual_grid(
 ) -> np.ndarray:
     """Vectorised ``resonance_residual`` over an array of momenta, real or complex."""
     return _cleared(
-        np.cos(zs * theta), np.cos(np.pi * zs), zs * np.sin(np.pi * zs),
+        np.cos(zs * theta), np.cos(np.pi * zs), 2.0 * zs * np.sin(np.pi * zs),
         alpha, _parity_sign(parity),
     )
 

@@ -203,7 +203,7 @@ def _cleared_roots(
 
     ``unit`` is 1 for the real axis and ``1j`` for the imaginary axis.  On
     both the residual's terms ``cos(k theta)``, ``cos(pi k)`` and
-    ``k sin(pi k)`` are real (``cosh``, ``cosh`` and ``-x sinh`` on the
+    ``2k sin(pi k)`` are real (``cosh``, ``cosh`` and ``-2x sinh`` on the
     imaginary one), so it is evaluated in real arithmetic: the samples are
     computed once for both parities, and the scalar form bisected between
     them equals the complex evaluation's real part bit for bit.  Scan

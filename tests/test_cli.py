@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from ringchain import cli
 from ringchain.cli import CURVE_COLUMNS, main
 from ringchain.dispersion import ContinuationError
 
@@ -175,6 +176,35 @@ def test_resonances_json_bundles():
     assert curve["seed"]["n"] == 1
     assert curve["termination"] in {"completed", "singular-point"}
     assert all(len(s) == 3 for s in curve["samples"])
+
+
+def test_abandoned_seed_warns_once_per_requested_branch(monkeypatch, capsys):
+    # One trace serves both branches of a seed, so a failed trace must
+    # still warn for, and drop the rows of, each branch by its own name.
+    real = cli.trace_complex_branch
+
+    def fail_at_2_1(alpha, sp, *args, **kwargs):
+        if (sp.n, sp.ell, sp.parity) == (2, 1, "+"):
+            raise ContinuationError("step underflow at theta=1.6")
+        return real(alpha, sp, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "trace_complex_branch", fail_at_2_1)
+    argv = ["resonances", "--alpha", "3", "--nmax", "2", "--theta-count", "30"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: curve abandoned (2,1,+,{br}): step underflow at theta=1.6 (branch {br})"
+        for br in ("lower", "upper")
+    ]
+    _, rows = parse_csv(captured.out)
+    written = {(r[4], r[5], r[6]) for r in rows}
+    assert written == {(p, n, br) for p, n in (("+", "1"), ("-", "2")) for br in ("lower", "upper")}
+    assert main([*argv, "--branch", "upper", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["abandoned"] == [
+        "(2,1,+,upper): step underflow at theta=1.6 (branch upper)"
+    ]
+    assert captured.err.count("warning: curve abandoned") == 1
 
 
 def test_verify_subset_passes():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import csv
 import json
 import math
 import struct
@@ -9,7 +10,7 @@ import struct
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringchain import (
     ContourZeroError,
@@ -95,6 +96,7 @@ def test_residual_grid_on_real_momenta_is_the_real_part_of_the_complex_call(
 
 
 @given(x=K_RE, kappa=KAPPA, alpha=ALPHA, theta=THETA, parity=PARITY)
+@example(x=0.0, kappa=9.057784844983981e-158, alpha=0.0, theta=1.0, parity="+")  # subnormal Q
 def test_scalar_axis_forms_are_the_real_parts_of_the_complex_residual(
     x, kappa, alpha, theta, parity
 ):
@@ -106,7 +108,7 @@ def test_scalar_axis_forms_are_the_real_parts_of_the_complex_residual(
 
 def _term_size(a, b, q, alpha):
     # Magnitude of the cleared residual's terms: its rounding scale.
-    return abs(alpha) * (1.0 + abs(a * b)) * (abs(a) + abs(b)) + 2.0 * abs(q) * (
+    return abs(alpha) * (1.0 + abs(a * b)) * (abs(a) + abs(b)) + abs(q) * (
         1.0 + 2.0 * abs(a * b) + a * a
     )
 
@@ -224,12 +226,27 @@ def test_singular_point_validation():
         SingularPoint(2, 5, "+")  # angle would leave [0, pi)
 
 
-def test_seed_branches_are_conjugate():
-    sp = SingularPoint(2, 1, "+")
-    lo = seed_from_singular_point(sp, 3.0, 0.05, "lower")
-    up = seed_from_singular_point(sp, 3.0, 0.05, "upper")
+SINGULAR_POINTS = [sp for p in "+-" for sp in enumerate_singular_points(8, p)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(min_value=0.5, max_value=6.0) | st.floats(min_value=-6.0, max_value=-0.5),
+    delta=st.floats(min_value=1e-4, max_value=0.1) | st.floats(min_value=-0.1, max_value=-1e-4),
+    sp=st.sampled_from(SINGULAR_POINTS),
+)
+@example(alpha=3.1, delta=0.01, sp=SingularPoint(1, 1, "+"))
+def test_seed_branches_are_conjugate(alpha, delta, sp):
+    # The upper seed is the lower one conjugated, bit for bit, so the two
+    # branches traced from them mirror each other exactly.
+    lo = seed_from_singular_point(sp, alpha, delta, "lower")
+    up = seed_from_singular_point(sp, alpha, delta, "upper")
     assert lo.imag < 0.0 < up.imag
-    assert lo == up.conjugate()
+    assert (up.real, up.imag) == (lo.real, -lo.imag)
+
+
+def test_seed_rejects_deltas_outside_the_expansion():
+    sp = SingularPoint(2, 1, "+")
     with pytest.raises(ValueError):
         seed_from_singular_point(sp, 3.0, 0.3, "lower")  # outside expansion range
     with pytest.raises(ValueError):
@@ -274,12 +291,10 @@ def test_full_branch_trace_and_conjugacy():
     sp = SingularPoint(2, 1, "+")
     lower = trace_complex_branch(3.0, sp, "lower")
     upper = trace_complex_branch(3.0, sp, "upper")
-    assert lower.termination == "completed"
-    assert len(lower.samples) == len(upper.samples)
+    assert lower.termination == upper.termination == "completed"
+    assert upper.branch == "upper" and upper.residuals == lower.residuals
     # Poles come in conjugate pairs: the two branches mirror each other.
-    for (t_l, k_l), (t_u, k_u) in zip(lower.samples, upper.samples):
-        assert t_l == pytest.approx(t_u)
-        assert abs(k_l - k_u.conjugate()) < 1e-9
+    assert upper.samples == tuple((t, k.conjugate()) for t, k in lower.samples)
     # The lower branch stays in the lower half plane with positive Re k.
     assert all(k.imag <= 0.0 and k.real > 0.0 for _, k in lower.samples)
 
@@ -329,7 +344,8 @@ def test_resonance_trace_work_count(monkeypatch, tmp_path):
     # number of steps; a fixed step cap near the integers took 93,468
     # polishes.  One fused kernel call per Newton point, with the tangent
     # read from the last polish, replaced 159,136 separate residual and
-    # partials calls.
+    # partials calls.  Only the lower branches are traced; the upper ones
+    # are their mirror images, which halved 17,288 polishes.
     calls = {}
 
     def counted(name):
@@ -348,12 +364,56 @@ def test_resonance_trace_work_count(monkeypatch, tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     curves = payload["curves"]
-    assert calls["refine_resonance"] <= 17_288
-    assert calls["_residual_terms"] + calls["resonance_residual"] <= 80_000
+    assert calls["refine_resonance"] <= 8_644
+    assert calls["_residual_terms"] <= 33_220
+    assert calls["resonance_residual"] <= 21
     assert len(curves) == 72
     assert sum(len(c["samples"]) for c in curves) == 9128
     assert sum(c["termination"] == "singular-point" for c in curves) == 42
     assert payload["abandoned"] == []
+
+
+def _written(argv, tmp_path, fmt):
+    out = tmp_path / f"res.{fmt}"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "json":
+        return json.loads(out.read_text())["curves"]
+    with open(out, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("alpha", [3.1, 3.4, -3.1, 0.53])
+def test_upper_rows_equal_an_independent_upper_trace(alpha, tmp_path):
+    # The CLI traces the lower branches only.  Every upper branch it writes
+    # must equal, bit for bit, the branch continued from the upper seed.
+    argv = ["resonances", "--alpha", repr(alpha), "--nmax", "8"]
+    curves, rows = _written(argv, tmp_path, "json"), _written(argv, tmp_path, "csv")
+    assert "-0" not in {r["k_im"] for r in rows}
+    assert sum(c["branch"] == "upper" for c in curves) == len(curves) // 2
+    pos = 0
+    for c in curves:
+        block, pos = rows[pos:pos + len(c["samples"])], pos + len(c["samples"])
+        assert {r["branch"] for r in block} == {c["branch"]}
+        if c["branch"] == "lower":
+            continue
+        sp = SingularPoint(c["seed"]["n"], c["seed"]["ell"], c["parity"])
+        grid = np.linspace(sp.theta0 + 1e-2, math.pi - 1e-2, 200)
+        k_seed = seed_from_singular_point(sp, alpha, 1e-2, "upper")
+        ref = continue_curve(alpha, sp.parity, grid, k_seed, branch="upper", seed=sp)
+        expected = [(t, k.real, k.imag) for t, k in ref.samples]
+        assert c["termination"] == ref.termination
+        assert [tuple(s) for s in c["samples"]] == expected
+        assert [(float(r["theta"]), float(r["k_re"]), float(r["k_im"])) for r in block] == expected
+        assert [float(r["residual_abs"]) for r in block] == list(ref.residuals)
+    assert pos == len(rows)
+
+
+def test_upper_branch_alone_equals_the_upper_rows_of_both(tmp_path):
+    argv = ["resonances", "--alpha", "3.1", "--nmax", "4"]
+    both = _written(argv, tmp_path, "csv")
+    upper = _written([*argv, "--branch", "upper"], tmp_path, "csv")
+    assert upper == [r for r in both if r["branch"] == "upper"]
+    assert len(upper) == len(both) // 2
 
 
 def test_real_branch_offsets_open_upward_for_repulsive_coupling():
