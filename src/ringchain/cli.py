@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .bands import compute_bands
 from .dispersion import ContinuationError
@@ -25,7 +24,7 @@ from .gaps import gap_eigenvalues_grid, is_singular_angle
 from .resonance import enumerate_singular_points, on_branch, trace_complex_branch
 from .verify import CRITERION_LABELS, run_all, summarize
 
-__all__ = ["main", "build_parser", "RunConfig"]
+__all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -48,24 +47,6 @@ BAND_COLUMNS = ("band_index", "e_lo", "e_hi", "k_lo", "k_hi", "closed_lo", "clos
 
 # The floor of --tol-residual: requests below double precision are rejected.
 MIN_TOLERANCE = 1e-14
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    alpha: float = 0.0
-    theta: float | None = None
-    theta_range: tuple[float, float, int] | None = None
-    e_max: float = 30.0
-    n_max: int = 5
-    parity: str = "both"
-    branch: str = "both"
-    output_format: str = "csv"
-    output_path: str | None = None
-    tol_residual: float = 1e-9
-    criteria: tuple[str, ...] | None = None
 
 
 def _fmt(x: float) -> str:
@@ -98,11 +79,11 @@ def _jsonable(value):
     return float(value)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path is None:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
         return
-    with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -173,123 +154,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _theta_range(args: argparse.Namespace) -> tuple[float, float, int]:
-    """The checked ``--theta-start/stop/count`` range of a sweep."""
-    start, stop, count = args.theta_start, args.theta_stop, args.theta_count
-    if count < 2:
+def _check_theta_range(args: argparse.Namespace) -> None:
+    """Check the ``--theta-start/stop/count`` range of a sweep."""
+    if args.theta_count < 2:
         raise ValueError("--theta-count must be at least 2")
-    if not 0.0 <= start < stop <= math.pi:
+    if not 0.0 <= args.theta_start < args.theta_stop <= math.pi:
         raise ValueError("the range must satisfy 0 <= start < stop <= pi")
-    return start, stop, count
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cmd = args.command
-    if cmd == "verify":
-        criteria: tuple[str, ...] | None = None
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject bad arguments with a usage message; resolve the derived ones in place.
+
+    ``eigenvalues`` gets its default ``--nmax`` from ``--emax`` and ``verify``
+    its ``--criteria`` as a tuple of labels.  The comparisons are written so
+    that NaN fails them.
+    """
+    if args.command == "verify":
         if args.criteria is not None:
             tokens = tuple(t.strip() for t in args.criteria.split(",") if t.strip())
-            known = set(CRITERION_LABELS) | {
-                lab.split("-")[0] for lab in CRITERION_LABELS
-            }
+            known = set(CRITERION_LABELS) | {lab.split("-")[0] for lab in CRITERION_LABELS}
             bad = [t for t in tokens if t not in known]
             if bad:
                 raise ValueError(f"unknown criteria: {', '.join(bad)}")
             if not tokens:
                 raise ValueError("empty criteria selection")
-            criteria = tokens
-        return RunConfig(
-            command=cmd,
-            output_format=args.format,
-            output_path=args.out,
-            criteria=criteria,
-        )
+            args.criteria = tokens
+        return
 
-    tol_residual = args.tol_residual
-    if tol_residual < MIN_TOLERANCE:
+    if not args.tol_residual >= MIN_TOLERANCE:
         raise ValueError(f"--tol-residual must be >= {MIN_TOLERANCE}")
     e_max = getattr(args, "emax", 30.0)
-    if e_max <= 1.0:
+    if not e_max > 1.0:
         raise ValueError("--emax must exceed 1")
+    if math.isinf(e_max):
+        raise ValueError("--emax must be finite")
     _thread_count()
-
-    if cmd == "bands":
-        return RunConfig(
-            command=cmd,
-            alpha=args.alpha,
-            e_max=e_max,
-            output_format=args.format,
-            output_path=args.out,
-            tol_residual=tol_residual,
-        )
+    if not math.isfinite(args.alpha):
+        raise ValueError("--alpha must be finite")
+    if args.command == "bands":
+        return
 
     if args.alpha == 0.0:
         raise ValueError("the uncoupled chain has no gaps: --alpha must be nonzero")
 
-    if cmd == "eigenvalues":
-        n_max = args.nmax if args.nmax is not None else max(1, int(math.floor(math.sqrt(e_max))))
-        if n_max < 1:
+    if args.command == "eigenvalues":
+        if args.nmax is None:
+            args.nmax = max(1, int(math.floor(math.sqrt(e_max))))
+        if args.nmax < 1:
             raise ValueError("--nmax must be at least 1")
-        have_range = any(
-            v is not None for v in (args.theta_start, args.theta_stop, args.theta_count)
-        )
-        if (args.theta is None) == (not have_range):
+        theta_range = (args.theta_start, args.theta_stop, args.theta_count)
+        if (args.theta is None) == all(v is None for v in theta_range):
             raise ValueError("give either --theta or a full --theta-start/stop/count range")
-        theta = None
-        theta_range = None
         if args.theta is not None:
-            theta = args.theta
-            if not 0.0 < theta < math.pi:
+            if not 0.0 < args.theta < math.pi:
                 raise ValueError("--theta must lie strictly between 0 and pi")
+        elif None in theta_range:
+            raise ValueError("a range needs --theta-start, --theta-stop and --theta-count")
         else:
-            if None in (args.theta_start, args.theta_stop, args.theta_count):
-                raise ValueError("a range needs --theta-start, --theta-stop and --theta-count")
-            theta_range = _theta_range(args)
-        return RunConfig(
-            command=cmd,
-            alpha=args.alpha,
-            theta=theta,
-            theta_range=theta_range,
-            e_max=e_max,
-            n_max=n_max,
-            parity=args.parity,
-            output_format=args.format,
-            output_path=args.out,
-            tol_residual=tol_residual,
-        )
+            _check_theta_range(args)
+        return
 
     # resonances
-    theta_range = _theta_range(args)
+    _check_theta_range(args)
     if args.nmax < 1:
         raise ValueError("--nmax must be at least 1")
-    return RunConfig(
-        command=cmd,
-        alpha=args.alpha,
-        theta_range=theta_range,
-        n_max=args.nmax,
-        parity=args.parity,
-        branch=args.branch,
-        output_format=args.format,
-        output_path=args.out,
-        tol_residual=tol_residual,
-    )
 
 
-def _theta_grid(cfg: RunConfig) -> list[float]:
+def _theta_grid(args: argparse.Namespace) -> list[float]:
     """Half-step-offset grid: nodes never land on range endpoints.
 
     The offset keeps bulk runs away from the singular bend angles (which
     are rational multiples of pi, like typical range endpoints).
     """
-    start, stop, count = cfg.theta_range
+    start, stop, count = args.theta_start, args.theta_stop, args.theta_count
     step = (stop - start) / count
     return [start + (i + 0.5) * step for i in range(count)]
 
 
-def cmd_bands(cfg: RunConfig) -> int:
-    spectrum = compute_bands(cfg.alpha, cfg.e_max)
-    if cfg.output_format == "json":
-        _emit(cfg, _json_text(spectrum.as_dict()))
+def cmd_bands(args: argparse.Namespace) -> int:
+    spectrum = compute_bands(args.alpha, args.emax)
+    if args.format == "json":
+        _emit(args, _json_text(spectrum.as_dict()))
         return EXIT_OK
     rows = [
         (
@@ -303,12 +248,12 @@ def cmd_bands(cfg: RunConfig) -> int:
         )
         for i, b in enumerate(spectrum.bands)
     ]
-    _emit(cfg, _csv_text(BAND_COLUMNS, rows))
+    _emit(args, _csv_text(BAND_COLUMNS, rows))
     return EXIT_OK
 
 
-def _eigenvalue_rows(cfg: RunConfig, theta: float, records, singular) -> list[tuple[str, ...]]:
-    if any(r.residual > cfg.tol_residual for r in records):
+def _eigenvalue_rows(args: argparse.Namespace, theta: float, records, singular) -> list[tuple]:
+    if any(r.residual > args.tol_residual for r in records):
         worst = max(r.residual for r in records)
         raise ContinuationError(
             f"eigenvalue residual {worst:.3g} above --tol-residual at theta={theta:.6g}"
@@ -340,57 +285,57 @@ def _eigenvalue_rows(cfg: RunConfig, theta: float, records, singular) -> list[tu
     return rows
 
 
-def cmd_eigenvalues(cfg: RunConfig) -> int:
-    thetas = [cfg.theta] if cfg.theta is not None else _theta_grid(cfg)
-    per_angle = gap_eigenvalues_grid(cfg.alpha, thetas, cfg.n_max, cfg.parity)
+def cmd_eigenvalues(args: argparse.Namespace) -> int:
+    thetas = [args.theta] if args.theta is not None else _theta_grid(args)
+    per_angle = gap_eigenvalues_grid(args.alpha, thetas, args.nmax, args.parity)
     # Gaps 1..n_max hold an integer for either sign of alpha; each one's
     # singular angles are checked once over the whole grid.
-    parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
+    parities = ("+", "-") if args.parity == "both" else (args.parity,)
     singular = [[] for _ in thetas]
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, args.nmax + 1):
         for p in parities:
             for i in is_singular_angle(thetas, n, p).nonzero()[0]:
                 singular[i].append((n, p))
     rows = [
         row
         for theta, records, marks in zip(thetas, per_angle, singular)
-        for row in _eigenvalue_rows(cfg, theta, records, marks)
+        for row in _eigenvalue_rows(args, theta, records, marks)
     ]
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
-            "alpha": cfg.alpha,
-            "n_max": cfg.n_max,
-            "parity": cfg.parity,
+            "alpha": args.alpha,
+            "n_max": args.nmax,
+            "parity": args.parity,
             "columns": list(CURVE_COLUMNS),
             "rows": [[cell if cell != "" else None for cell in row] for row in rows],
         }
-        _emit(cfg, _json_text(payload))
+        _emit(args, _json_text(payload))
     else:
-        _emit(cfg, _csv_text(CURVE_COLUMNS, rows))
+        _emit(args, _csv_text(CURVE_COLUMNS, rows))
     return EXIT_OK
 
 
-def _trace_one(cfg: RunConfig, sp):
-    start, stop, count = cfg.theta_range
+def _trace_one(args: argparse.Namespace, sp):
     delta0 = 1e-2
-    if sp.theta0 + delta0 >= stop:
+    if sp.theta0 + delta0 >= args.theta_stop:
         return None
-    return trace_complex_branch(cfg.alpha, sp, delta0=delta0, theta_stop=stop, n_nodes=count)
+    return trace_complex_branch(
+        args.alpha, sp, delta0=delta0, theta_stop=args.theta_stop, n_nodes=args.theta_count
+    )
 
 
-def cmd_resonances(cfg: RunConfig) -> int:
-    parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
-    branches = ("lower", "upper") if cfg.branch == "both" else (cfg.branch,)
-    start, stop, _ = cfg.theta_range
+def cmd_resonances(args: argparse.Namespace) -> int:
+    parities = ("+", "-") if args.parity == "both" else (args.parity,)
+    branches = ("lower", "upper") if args.branch == "both" else (args.branch,)
     # (branch, lower trace): an upper row is its lower twin moved by on_branch.
     curves = []
     partial = []
     for p in parities:
-        for sp in enumerate_singular_points(cfg.n_max, p):
-            if not start <= sp.theta0 < stop:
+        for sp in enumerate_singular_points(args.nmax, p):
+            if not args.theta_start <= sp.theta0 < args.theta_stop:
                 continue
             try:
-                curve = _trace_one(cfg, sp)
+                curve = _trace_one(args, sp)
             except (ContinuationError, ValueError) as exc:
                 partial += [f"({sp.n},{sp.ell},{sp.parity},{br}): {exc} (branch {br})"
                             for br in branches]
@@ -400,11 +345,11 @@ def cmd_resonances(cfg: RunConfig) -> int:
     for note in partial:
         print(f"warning: curve abandoned {note}", file=sys.stderr)
     worst = max((r for _, c in curves for r in c.residuals), default=0.0)
-    if worst > cfg.tol_residual:
+    if worst > args.tol_residual:
         raise ContinuationError(f"resonance residual {worst:.3g} above --tol-residual")
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
-            "alpha": cfg.alpha,
+            "alpha": args.alpha,
             "curves": [
                 {
                     "parity": c.parity,
@@ -423,7 +368,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
             ],
             "abandoned": partial,
         }
-        _emit(cfg, _json_text(payload))
+        _emit(args, _json_text(payload))
         return EXIT_OK
     rows = (
         (_fmt(t), _fmt(k.real), _fmt(on_branch(k, br).imag), "",
@@ -431,14 +376,14 @@ def cmd_resonances(cfg: RunConfig) -> int:
         for br, c in curves
         for (t, k), res in zip(c.samples, c.residuals)
     )
-    _emit(cfg, _csv_text(CURVE_COLUMNS, rows))
+    _emit(args, _csv_text(CURVE_COLUMNS, rows))
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_all(cfg.criteria)
-    if cfg.output_format == "text":
-        _emit(cfg, summarize(results) + "\n")
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = run_all(args.criteria)
+    if args.format == "text":
+        _emit(args, summarize(results) + "\n")
     else:
         payload = {
             "criteria": [
@@ -455,7 +400,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             ],
             "overall_pass": all(r.passed for r in results),
         }
-        _emit(cfg, _json_text(payload))
+        _emit(args, _json_text(payload))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL
 
 
@@ -475,12 +420,12 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return EXIT_OK if code == 0 else EXIT_USAGE
     try:
-        cfg = _config_from_args(args)
+        _check_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (RuntimeError, ArithmeticError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from ringchain import (
     ZERO_ENERGY_ALPHA_MIN,
@@ -110,3 +111,18 @@ def test_emax_truncates_band_list_not_edges():
     spectrum = compute_bands(3.0, 30.0)
     assert spectrum.bands[-1].e_hi == 36.0
     assert spectrum.bands[-1].e_lo < 30.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="compute_bands derives its per-cell scan points from the sweep width, "
+    "so the edge brackets, and an edge's last bits, move with e_max",
+)
+def test_band_edges_do_not_depend_on_emax():
+    # Band 2 of alpha = -3.5 ends at 7.883027317942549 (k 2.8076729364266324)
+    # with e_max = 30 but at 7.8830273179425463 (k 2.807672936426632) with
+    # e_max = 40 or 50.
+    ref = compute_bands(-3.5, 30.0).bands[2]
+    for e_max in (40.0, 50.0):
+        band = compute_bands(-3.5, e_max).bands[2]
+        assert (band.e_hi, band.k_hi) == (ref.e_hi, ref.k_hi)

@@ -251,6 +251,85 @@ def test_usage_errors_exit_two():
         assert proc.returncode == 2, case
 
 
+THETA_RANGE = ["--theta-start", "0.5", "--theta-stop", "2", "--theta-count", "3"]
+
+
+# One case for each branch of the argument check, with its exact message.
+@pytest.mark.parametrize(
+    "threads, argv, message",
+    [
+        (None, ["verify", "--criteria", "99,1x,3"], "unknown criteria: 99, 1x"),
+        (None, ["verify", "--criteria", ","], "empty criteria selection"),
+        (None, ["bands", "--alpha", "3", "--tol-residual", "1e-20"],
+         "--tol-residual must be >= 1e-14"),
+        (None, ["bands", "--alpha", "3", "--emax", "1"], "--emax must exceed 1"),
+        ("0", ["bands", "--alpha", "3"], "CHAIN_SPECTRUM_THREADS must be positive"),
+        ("soon", ["bands", "--alpha", "3"],
+         "CHAIN_SPECTRUM_THREADS must be an integer: 'soon'"),
+        (None, ["eigenvalues", "--alpha", "0", "--theta", "1"],
+         "the uncoupled chain has no gaps: --alpha must be nonzero"),
+        (None, ["resonances", "--alpha", "0"],
+         "the uncoupled chain has no gaps: --alpha must be nonzero"),
+        (None, ["eigenvalues", "--alpha", "3", "--theta", "1", "--nmax", "0"],
+         "--nmax must be at least 1"),
+        (None, ["resonances", "--alpha", "3", "--nmax", "0"], "--nmax must be at least 1"),
+        (None, ["eigenvalues", "--alpha", "3"],
+         "give either --theta or a full --theta-start/stop/count range"),
+        (None, ["eigenvalues", "--alpha", "3", "--theta", "1", *THETA_RANGE],
+         "give either --theta or a full --theta-start/stop/count range"),
+        (None, ["eigenvalues", "--alpha", "3", *THETA_RANGE[:4]],
+         "a range needs --theta-start, --theta-stop and --theta-count"),
+        (None, ["eigenvalues", "--alpha", "3", "--theta", "3.5"],
+         "--theta must lie strictly between 0 and pi"),
+    ],
+)
+def test_usage_error_messages(threads, argv, message, monkeypatch, capsys):
+    if threads is not None:
+        monkeypatch.setenv("CHAIN_SPECTRUM_THREADS", threads)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+SWEEP_2_5 = [
+    "eigenvalues", "--alpha", "2.5", "--theta-start", "0",
+    "--theta-stop", "3.141592653589793", "--theta-count", "128", "--nmax", "5",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # NaN compares false both ways, so a `tol < floor` check let it
+        # through and then no residual was ever above it.
+        ([*SWEEP_2_5, "--tol-residual", "nan"], "--tol-residual must be >= 1e-14"),
+        (["resonances", "--alpha", "3", "--nmax", "3", "--tol-residual", "nan"],
+         "--tol-residual must be >= 1e-14"),
+        (["bands", "--alpha", "3", "--tol-residual", "nan"], "--tol-residual must be >= 1e-14"),
+        (["bands", "--alpha", "nan"], "--alpha must be finite"),
+        (["bands", "--alpha", "inf"], "--alpha must be finite"),
+        (["eigenvalues", "--alpha", "nan", "--theta", "1"], "--alpha must be finite"),
+        (["eigenvalues", "--alpha=-inf", "--theta", "1"], "--alpha must be finite"),
+        (["resonances", "--alpha", "nan", "--nmax", "2"], "--alpha must be finite"),
+        (["resonances", "--alpha", "inf", "--nmax", "2"], "--alpha must be finite"),
+        (["bands", "--alpha", "3", "--emax", "nan"], "--emax must exceed 1"),
+        (["bands", "--alpha", "3", "--emax", "inf"], "--emax must be finite"),
+        (["eigenvalues", "--alpha", "3", "--theta", "1", "--emax", "nan"],
+         "--emax must exceed 1"),
+        (["eigenvalues", "--alpha", "3", "--theta", "1", "--emax", "inf"],
+         "--emax must be finite"),
+    ],
+)
+def test_non_finite_values_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_infinite_residual_tolerance_turns_the_gate_off(capsys):
+    # The sweep that the default tolerance stops with exit 3 runs through.
+    assert main([*SWEEP_2_5, "--tol-residual", "inf"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["eigenvalues", "resonances"])
 @pytest.mark.parametrize(
     "start, stop, count, message",
