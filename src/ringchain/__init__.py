@@ -22,7 +22,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bands import (
     Band,
+    GapInterval,
     compute_bands,
+    gap_intervals,
     in_spectrum,
     lowest_band_threshold,
 )
@@ -42,11 +44,9 @@ from .dispersion import (
     gap_function_negative_curvature,
 )
 from .gaps import (
-    GapInterval,
     double_points_in_gap,
     gap_eigenvalues,
     gap_eigenvalues_grid,
-    gap_intervals,
     is_singular_angle,
     kappa_cutoff,
     odd_zero_crossing_angle,

@@ -20,10 +20,12 @@ blocks of at most ``_rootfind.SCAN_SAMPLES`` samples; every bracket is
 bisected together to full precision (``_rootfind.bisect_batch``);
 then each slot is filtered on its own — an eigenvalue sitting on a band
 edge (within ``EDGE_WINDOW``) is reported as absent, since the candidate
-eigenfunction stops being square-summable there.  The gap edges, the
-threshold edges, the cutoff and the double points are found on the same
-scan-bracket-bisect path of ``_rootfind``, for many couplings at once,
-and every residual is built from the numpy kernels of ``dispersion``.
+eigenfunction stops being square-summable there.  The gap intervals and
+the threshold edges are the straight chain's and come from ``bands``,
+which finds every edge that ``compute_bands`` reports; the cutoff and the
+double points are found on the same scan-bracket-bisect path of
+``_rootfind``, for many couplings at once, and every residual is built
+from the numpy kernels of ``dispersion``.
 """
 from __future__ import annotations
 
@@ -33,23 +35,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import _first_roots, _row_brackets, bisect_batch
-from .bands import BAND_SCAN_PER_UNIT, _edge_roots, _negative_sweep_limit
+from .bands import GapInterval, _gaps_at, _negative_edges, gap_intervals
 from .dispersion import (
     ZERO_ENERGY_ALPHA_MIN,
     ContinuationError,
     _gap_function,
     _gap_function_negative,
-    discriminant,
     gap_function,
     gap_function_negative_curvature,
 )
 
 __all__ = [
     "EDGE_WINDOW",
-    "GapInterval",
     "EigenvalueRecord",
     "SpectralCurve",
-    "gap_intervals",
     "singular_angles",
     "is_singular_angle",
     "solve_gap",
@@ -78,39 +77,6 @@ EDGE_WINDOW = 1e-9
 # Bend angles within this distance of a singular angle are treated as
 # singular (no eigenvalue in that gap/parity).
 SINGULAR_ANGLE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GapInterval:
-    """Closed spectral gap ``[k_lo, k_hi]`` of the straight chain, in k.
-
-    ``n`` is the integer contained in the closure (``n = 0`` labels the
-    gap below the first band of a repulsive coupling, whose interior
-    carries no integer).  ``sign_halftrace`` records the sign of the
-    half-trace on the interior, which fixes the decaying Floquet branch.
-    """
-
-    n: int
-    k_lo: float
-    k_hi: float
-    sign_halftrace: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or not self.k_lo < self.k_hi:
-            raise ValueError("malformed gap interval")
-
-    @property
-    def integer_edge(self) -> float | None:
-        if self.n >= 1 and (self.k_lo == self.n or self.k_hi == self.n):
-            return float(self.n)
-        return None
-
-    @property
-    def band_edge(self) -> float:
-        """The non-integer endpoint (a genuine |half-trace| = 1 edge)."""
-        if self.n >= 1 and self.k_hi == self.n:
-            return self.k_lo
-        return self.k_hi
 
 
 @dataclass(frozen=True)
@@ -157,61 +123,6 @@ class SpectralCurve:
 
     def energies(self) -> list[float]:
         return [math.copysign(s * s, s) for _, s in self.samples]
-
-
-def gap_intervals(alpha: float, n_max: int) -> list[GapInterval]:
-    """The spectral gaps ``I_0 .. I_n_max`` of the straight chain, in k.
-
-    For a repulsive coupling the gaps sit on ``[n, k*]`` above each
-    integer (with the extra gap ``I_0 = [0, k*]`` below the first band);
-    for an attractive one they sit on ``[k*, n]`` below each integer, and
-    once the coupling is at or below ``ZERO_ENERGY_ALPHA_MIN`` the first
-    gap fills all of ``[0, 1]``.  ``alpha = 0`` has no gaps and is
-    rejected.
-    """
-    if alpha == 0.0:
-        raise ValueError("the uncoupled chain has no spectral gaps")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    ns = range(0 if alpha > 0.0 else 1, n_max + 1)
-    return _gaps_at([alpha] * len(ns), ns)
-
-
-def _gaps_at(alphas, ns) -> list[GapInterval]:
-    """Gap ``ns[i]`` of the straight chain at coupling ``alphas[i]``, for every ``i``.
-
-    The non-integer edge of gap ``n`` is the root of ``discriminant = +1``
-    (``n`` even) or ``-1`` (``n`` odd) in the unit cell ``[n, n+1]`` of a
-    repulsive coupling or ``[n-1, n]`` of an attractive one.  The cell
-    ``[0, 1]`` is bisected whole, every other cell in the first bracket of
-    a 512-point scan; all edges are bisected together.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    ns = np.asarray(ns, dtype=int)
-    cells = np.where(alphas > 0.0, ns, ns - 1)
-    targets = np.where(ns % 2 == 0, 1.0, -1.0)
-    edges = np.empty(len(ns))
-    for whole, points in ((True, 2), (False, 512)):
-        sel = (cells == 0) == whole
-        edges[sel] = _first_roots(
-            cells[sel] + 1e-9,
-            (cells[sel] + 1.0) - 1e-9,
-            lambda k, al, target: discriminant(k, al) - target,
-            alphas[sel],
-            targets[sel],
-            points=points,
-        )
-    out: list[GapInterval] = []
-    for alpha, n, cell, target, edge in zip(
-        alphas.tolist(), ns.tolist(), cells.tolist(), targets.tolist(), edges.tolist()
-    ):
-        if alpha < 0.0 and cell == 0 and not edge > 1e-9:
-            edge = 0.0  # the half-trace starts at or below -1: the gap reaches k = 0
-        if math.isnan(edge):
-            raise RuntimeError(f"no gap edge located in ({cell}, {cell + 1})")
-        lo, hi = (float(n), edge) if alpha > 0.0 else (edge, float(n))
-        out.append(GapInterval(n, lo, hi, int(target)))
-    return out
 
 
 def singular_angles(n: int, parity: str) -> tuple[float, ...]:
@@ -365,24 +276,6 @@ def solve_gap_near_edge(alpha: float, thetas, gap: GapInterval, parity: str):
         lo, hi = edge + 1e-13, edge + reach
     roots = _first_roots(lo, hi, lambda k, t: _gap_residual(k, alpha, t, sgn), th, points=2)
     return roots.reshape(np.shape(thetas))[()]
-
-
-def _negative_edges(alpha):
-    """Threshold-band edges on the decay axis: ``(x1, x_minus1)``.
-
-    ``x1`` is the largest root of ``|discriminant_negative| = 1`` (the
-    bottom of the spectrum sits at ``-x1**2``); ``x_minus1`` is the root
-    of ``discriminant_negative = -1`` which exists only below the
-    borderline coupling ``ZERO_ENERGY_ALPHA_MIN`` (NaN above it).  Takes a
-    number or an array of couplings, all scanned and bisected together.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    roots = _edge_roots(alpha, _negative_sweep_limit(alpha), -1e-9, BAND_SCAN_PER_UNIT)
-    if not all(roots):
-        raise RuntimeError("no negative-branch edges found")
-    x1 = np.array([-r[0] for r in roots]).reshape(alpha.shape)
-    x_m1 = np.array([-r[-1] if len(r) >= 2 else math.nan for r in roots]).reshape(alpha.shape)
-    return x1[()], x_m1[()]
 
 
 def kappa_cutoff(alpha):

@@ -25,14 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._rootfind import NewtonResult, _first_roots, newton_complex
+from .bands import GapInterval, gap_intervals
 from .dispersion import ContinuationError, InsufficientDataError
-from .gaps import (
-    GapInterval,
-    _parity_sign,
-    gap_intervals,
-    singular_angles,
-    solve_gap_near_edge,
-)
+from .gaps import _parity_sign, singular_angles, solve_gap_near_edge
 
 __all__ = [
     "ContourZeroError",
@@ -163,9 +158,9 @@ def seed_from_singular_point(
 ) -> complex:
     """Leading-order branch position at bend angle ``theta0 + delta``.
 
-    Implements ``k = n + eps`` with ``eps = cbrt(alpha/8) * (n/pi) *
-    |delta|**(4/3)`` on the real branch and the same magnitude rotated by
-    ``exp(±2 pi i / 3)`` on the complex pair; ``branch`` picks ``'real'``,
+    Implements ``k = n + eps`` with ``eps`` the real-branch offset
+    ``cbrt(alpha/8) * (n/pi) * |delta|**(4/3)`` rotated by
+    ``exp(±2 pi i / 3)`` onto the complex pair; ``branch`` picks
     ``'lower'`` (negative imaginary part, the resonance side) or
     ``'upper'``, the exact conjugate of the lower seed.  ``delta = 0`` is
     rejected; ``|delta| <= 0.1`` keeps the expansion inside its trust
@@ -180,10 +175,8 @@ def seed_from_singular_point(
         * (sp.k0 / math.pi)
         * abs(delta) ** (4.0 / 3.0)
     )
-    if branch == "real":
-        return complex(sp.k0 + eps_real)
     if branch not in ("upper", "lower"):
-        raise ValueError("branch must be 'real', 'upper' or 'lower'")
+        raise ValueError("branch must be 'upper' or 'lower'")
     # The lower seed is eps rotated into the lower half-plane.
     rot = cmath.exp(2j * math.pi / 3.0)
     return on_branch(sp.k0 + (eps_real / rot if eps_real > 0.0 else eps_real * rot), branch)
@@ -379,20 +372,18 @@ class BranchFit:
 def fit_branch_exponent(
     alpha: float,
     sp: SingularPoint,
-    branch: str = "real",
     *,
     delta_lo: float = 1e-3,
     delta_hi: float = 1e-2,
     samples_per_side: int = 13,
     two_sided: bool | None = None,
 ) -> BranchFit:
-    """Fit ``|k - n| = C |theta - theta0|**p`` near a singular point.
+    """Fit ``|k - n| = C |theta - theta0|**p`` on the real branch near a singular point.
 
-    Real branches measure the gap root; complex branches Newton-refine the
-    seeded pole.  When the singular angle is interior the fit pools both
-    sides of it, which cancels the odd-order corrections of the branch
-    expansion.  Fewer than 8 usable samples raise
-    ``InsufficientDataError``.
+    ``k - n`` is the gap root's offset from ``real_branch_offset``.  When
+    the singular angle is interior the fit pools both sides of it, which
+    cancels the odd-order corrections of the branch expansion.  Fewer than
+    8 usable samples raise ``InsufficientDataError``.
     """
     if two_sided is None:
         two_sided = sp.theta0 > 0.0
@@ -401,16 +392,8 @@ def fit_branch_exponent(
     thetas = sp.theta0 + signed
     inside = (0.0 < thetas) & (thetas < math.pi)
     signed, thetas = signed[inside], thetas[inside]
-    if branch == "real":
-        gap = next(g for g in gap_intervals(alpha, sp.n) if g.n == sp.n)
-        eps = np.abs(real_branch_offset(alpha, gap, thetas, sp.parity))
-    else:
-        eps = np.full(len(thetas), np.nan)
-        for i, (d, theta) in enumerate(zip(signed, thetas)):
-            k_seed = seed_from_singular_point(sp, alpha, d, branch)
-            res = refine_resonance(alpha, theta, sp.parity, k_seed)
-            if res.converged:
-                eps[i] = abs(res.root - sp.k0)
+    gap = next(g for g in gap_intervals(alpha, sp.n) if g.n == sp.n)
+    eps = np.abs(real_branch_offset(alpha, gap, thetas, sp.parity))
     use = eps > 0.0
     log_d = [math.log(abs(d)) for d in signed[use].tolist()]
     log_e = [math.log(e) for e in eps[use].tolist()]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rootfind import bisect
-from .bands import compute_bands, in_spectrum, lowest_band_threshold
+from .bands import _gaps_at, compute_bands, gap_intervals, in_spectrum, lowest_band_threshold
 from .dispersion import (
     ZERO_ENERGY_ALPHA_MIN,
     DegenerateError,
@@ -36,11 +36,9 @@ from .dispersion import (
     discriminant_negative,
 )
 from .gaps import (
-    _gaps_at,
     _solve_queries,
     double_points_in_gap,
     gap_eigenvalues_grid,
-    gap_intervals,
     kappa_cutoff,
     odd_zero_crossing_angle,
     recover_double_angle,
@@ -305,7 +303,7 @@ _BRANCH_POINTS = (
 
 
 def _branch_fits(alpha: float = 3.0):
-    return [(sp, fit_branch_exponent(alpha, sp, "real")) for sp in _BRANCH_POINTS]
+    return [(sp, fit_branch_exponent(alpha, sp)) for sp in _BRANCH_POINTS]
 
 
 def _criterion_branch_exponent() -> tuple[bool, dict, str]:

@@ -11,9 +11,11 @@ from ringchain import (
     compute_bands,
     discriminant,
     discriminant_negative,
+    gap_intervals,
     in_spectrum,
     lowest_band_threshold,
 )
+from ringchain.gaps import _negative_edges
 
 
 def test_repulsive_upper_edges_are_squares():
@@ -44,7 +46,7 @@ def test_attractive_lower_edges_are_squares():
 def test_attractive_threshold_band():
     spectrum = compute_bands(-3.0, 30.0)
     band0 = spectrum.bands[0]
-    assert math.isclose(band0.e_lo, lowest_band_threshold(-3.0), rel_tol=1e-12)
+    assert band0.e_lo == lowest_band_threshold(-3.0)
     assert math.isclose(band0.e_lo, -0.7369125399334089, rel_tol=1e-12)
     # For coupling below the borderline the threshold band tops out below 0.
     assert math.isclose(band0.e_hi, -0.22441022678705386, rel_tol=1e-10)
@@ -113,16 +115,29 @@ def test_emax_truncates_band_list_not_edges():
     assert spectrum.bands[-1].e_lo < 30.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="compute_bands derives its per-cell scan points from the sweep width, "
-    "so the edge brackets, and an edge's last bits, move with e_max",
-)
-def test_band_edges_do_not_depend_on_emax():
-    # Band 2 of alpha = -3.5 ends at 7.883027317942549 (k 2.8076729364266324)
-    # with e_max = 30 but at 7.8830273179425463 (k 2.807672936426632) with
-    # e_max = 40 or 50.
-    ref = compute_bands(-3.5, 30.0).bands[2]
-    for e_max in (40.0, 50.0):
-        band = compute_bands(-3.5, e_max).bands[2]
-        assert (band.e_hi, band.k_hi) == (ref.e_hi, ref.k_hi)
+@pytest.mark.parametrize("e_max", [30.0, 40.0, 50.0, 100.0])
+@pytest.mark.parametrize("alpha", [3.0, -3.0, -3.5, -2.6, 1e-6])
+def test_band_edges_do_not_depend_on_emax(alpha, e_max):
+    # A wider window keeps every band of e_max = 30 to the last bit.  Band
+    # 2 of alpha = -3.5 used to end at k 2.8076729364266324 with e_max = 30
+    # but at 2.807672936426632 with e_max = 40 or 50.
+    ref = compute_bands(alpha, 30.0).bands
+    assert compute_bands(alpha, e_max).bands[:len(ref)] == ref
+
+
+@pytest.mark.parametrize("alpha", [3.0, 0.25, 1e-6, -0.5, -2.6, -3.0, -3.5, -8.0 / math.pi])
+def test_band_edges_are_the_gap_solvers_edges(alpha):
+    # Every non-integer edge is one the eigenvalue solvers also use: a gap
+    # interval's band edge or a threshold edge, equal to the last bit.
+    known = {gap.band_edge for gap in gap_intervals(alpha, 9)}
+    if alpha < 0.0:
+        known |= {-float(x) for x in _negative_edges(alpha)}
+    edges = [k for b in compute_bands(alpha, 50.0).bands for k in (b.k_lo, b.k_hi)]
+    assert [k for k in edges if k != round(k) and k not in known] == []
+
+
+@pytest.mark.parametrize("alpha", [1e-6, -1e-6])
+def test_weak_coupling_opens_every_gap(alpha):
+    # Every gap is open for alpha != 0: one band per unit cell up to e_max,
+    # where a scan at the old density merged them all into one band.
+    assert len(compute_bands(alpha, 30.0).bands) == 6

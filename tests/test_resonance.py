@@ -426,7 +426,7 @@ def test_real_branch_offsets_open_upward_for_repulsive_coupling():
 
 
 def test_branch_exponent_fixture():
-    fit = fit_branch_exponent(3.0, SingularPoint(1, 1, "+"), "real")
+    fit = fit_branch_exponent(3.0, SingularPoint(1, 1, "+"))
     assert fit.n_samples >= 8
     assert math.isclose(fit.exponent, 1.3333203066517625, rel_tol=1e-9)
     assert math.isclose(fit.coefficient, 0.22952113814169228, rel_tol=1e-9)
@@ -439,7 +439,7 @@ def test_branch_exponent_fixture():
 def test_branch_exponent_requires_enough_samples():
     with pytest.raises(InsufficientDataError):
         fit_branch_exponent(
-            3.0, SingularPoint(1, 1, "+"), "real",
+            3.0, SingularPoint(1, 1, "+"),
             delta_lo=1e-3, delta_hi=1.2e-3, samples_per_side=3, two_sided=False,
         )
 
