@@ -297,7 +297,10 @@ def compute_bands(alpha: float, e_max: float) -> BandSpectrum:
         return BandSpectrum(alpha, e_max, (band,), flats)
 
     k_max = math.ceil(math.sqrt(e_max)) + 1
-    edges = {gap.band_edge for gap in gap_intervals(alpha, k_max - (alpha > 0.0))}
+    # Gap n lies in the cell [n, n+1] (repulsive) or [n-1, n] (attractive);
+    # every cell below k_max holds one.
+    n_max = k_max - 1 if alpha > 0.0 else k_max
+    edges = {gap.band_edge for gap in gap_intervals(alpha, n_max)}
     edges |= {float(n) for n in range(1, k_max + 1)}
     if alpha < 0.0:
         x1, x_m1 = _negative_edges(alpha)
