@@ -50,6 +50,9 @@ ARGVS = [
     ["bands", "--alpha", "1e-6"],
     ["bands", "--alpha", repr(-8.0 / np.pi), "--emax", "10"],
     ["resonances", "--alpha", "3", "--nmax", "8"],
+    ["resonances", "--alpha", "3", "--nmax", "8", "--format", "json"],
+    ["resonances", "--alpha", "3", "--nmax", "4", "--parity", "-", "--branch", "upper"],
+    ["eigenvalues", "--alpha", "3", "--theta", "1.0", "--nmax", "3", "--format", "json"],
     ["verify", "--format", "json"],
 ]
 
