@@ -11,8 +11,8 @@ configurations produce byte-identical files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -47,6 +47,8 @@ BAND_COLUMNS = ("band_index", "e_lo", "e_hi", "k_lo", "k_hi", "closed_lo", "clos
 
 # The floor of --tol-residual: requests below double precision are rejected.
 MIN_TOLERANCE = 1e-14
+# Artifacts reach their destination in blocks of about this many characters.
+BLOCK_CHARS = 64 * 1024
 
 
 def _fmt(x: float) -> str:
@@ -79,24 +81,47 @@ def _jsonable(value):
     return float(value)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out is None:
-        sys.stdout.write(text)
-        return
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+class _Blocks:
+    """Text passed on to ``fh`` in blocks of about ``BLOCK_CHARS`` characters."""
+
+    def __init__(self, fh):
+        self.fh, self.parts, self.size = fh, [], 0
+
+    def write(self, text: str) -> None:
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size >= BLOCK_CHARS:
+            self.flush()
+
+    def flush(self) -> None:
+        self.fh.write("".join(self.parts))
+        self.parts, self.size = [], 0
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2) + "\n"
+def _write(args: argparse.Namespace, obj, header=None) -> int:
+    """Write ``obj`` as CSV rows under ``header``, as text, or else as JSON, to
+    ``--out`` or to ``sys.stdout`` as it is at call time.  Commands call this
+    only after their gates pass, so a numeric failure writes nothing.  Returns
+    the exit code: 2 if the destination cannot be opened or written."""
+    try:
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8", newline="")) as fh:
+            dest = _Blocks(fh)
+            if header is not None:
+                writer = csv.writer(dest, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(obj)
+            elif isinstance(obj, str):
+                dest.write(obj)
+            else:
+                json.dump(_jsonable(obj), dest, indent=2)
+                dest.write("\n")
+            dest.flush()
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"error: cannot write {args.out or 'stdout'}: {reason}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,8 +259,7 @@ def _theta_grid(args: argparse.Namespace) -> list[float]:
 def cmd_bands(args: argparse.Namespace) -> int:
     spectrum = compute_bands(args.alpha, args.emax)
     if args.format == "json":
-        _emit(args, _json_text(spectrum.as_dict()))
-        return EXIT_OK
+        return _write(args, spectrum.as_dict())
     rows = [
         (
             str(i),
@@ -248,8 +272,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
         )
         for i, b in enumerate(spectrum.bands)
     ]
-    _emit(args, _csv_text(BAND_COLUMNS, rows))
-    return EXIT_OK
+    return _write(args, rows, BAND_COLUMNS)
 
 
 def _eigenvalue_rows(args: argparse.Namespace, theta: float, records, singular) -> list[tuple]:
@@ -309,10 +332,8 @@ def cmd_eigenvalues(args: argparse.Namespace) -> int:
             "columns": list(CURVE_COLUMNS),
             "rows": [[cell if cell != "" else None for cell in row] for row in rows],
         }
-        _emit(args, _json_text(payload))
-    else:
-        _emit(args, _csv_text(CURVE_COLUMNS, rows))
-    return EXIT_OK
+        return _write(args, payload)
+    return _write(args, rows, CURVE_COLUMNS)
 
 
 def _trace_one(args: argparse.Namespace, sp):
@@ -327,7 +348,7 @@ def _trace_one(args: argparse.Namespace, sp):
 def cmd_resonances(args: argparse.Namespace) -> int:
     parities = ("+", "-") if args.parity == "both" else (args.parity,)
     branches = ("lower", "upper") if args.branch == "both" else (args.branch,)
-    # (branch, lower trace): an upper row is its lower twin moved by on_branch.
+    # Lower traces only: an upper row is its lower twin moved by on_branch.
     curves = []
     partial = []
     for p in parities:
@@ -341,10 +362,10 @@ def cmd_resonances(args: argparse.Namespace) -> int:
                             for br in branches]
                 continue
             if curve is not None:
-                curves += [(br, curve) for br in branches]
+                curves.append(curve)
     for note in partial:
         print(f"warning: curve abandoned {note}", file=sys.stderr)
-    worst = max((r for _, c in curves for r in c.residuals), default=0.0)
+    worst = max((r for c in curves for r in c.residuals), default=0.0)
     if worst > args.tol_residual:
         raise ContinuationError(f"resonance residual {worst:.3g} above --tol-residual")
     if args.format == "json":
@@ -364,26 +385,30 @@ def cmd_resonances(args: argparse.Namespace) -> int:
                         [t, k.real, on_branch(k, br).imag] for t, k in c.samples
                     ],
                 }
-                for br, c in curves
+                for c in curves
+                for br in branches
             ],
             "abandoned": partial,
         }
-        _emit(args, _json_text(payload))
-        return EXIT_OK
-    rows = (
-        (_fmt(t), _fmt(k.real), _fmt(on_branch(k, br).imag), "",
-         c.parity, str(c.seed.n), br, "", _fmt(res))
-        for br, c in curves
-        for (t, k), res in zip(c.samples, c.residuals)
-    )
-    _emit(args, _csv_text(CURVE_COLUMNS, rows))
-    return EXIT_OK
+        return _write(args, payload)
+
+    def rows():
+        # Theta, Re k and the residual are formatted once for every branch.
+        for c in curves:
+            n = str(c.seed.n)
+            shared = [(_fmt(t), _fmt(k.real), _fmt(r), k)
+                      for (t, k), r in zip(c.samples, c.residuals)]
+            for br in branches:
+                for t, re, r, k in shared:
+                    yield t, re, _fmt(on_branch(k, br).imag), "", c.parity, n, br, "", r
+
+    return _write(args, rows(), CURVE_COLUMNS)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = run_all(args.criteria)
     if args.format == "text":
-        _emit(args, summarize(results) + "\n")
+        code = _write(args, summarize(results) + "\n")
     else:
         payload = {
             "criteria": [
@@ -400,8 +425,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ],
             "overall_pass": all(r.passed for r in results),
         }
-        _emit(args, _json_text(payload))
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL
+        code = _write(args, payload)
+    return code or (EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL)
 
 
 _HANDLERS = {

@@ -12,6 +12,7 @@ import pytest
 from ringchain import cli
 from ringchain.cli import CURVE_COLUMNS, main
 from ringchain.dispersion import ContinuationError
+from ringchain.verify import run_all
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -366,14 +367,18 @@ def test_numeric_failure_exits_three(monkeypatch, capsys):
     assert "numeric failure" in captured.err
 
 
-def test_residual_gate_exits_three():
-    # An impossibly tight residual demand trips the numeric exit for real.
+def test_residual_gate_exits_three(tmp_path):
+    # An impossibly tight residual demand trips the numeric exit for real,
+    # before anything is opened or written.
+    out = tmp_path / "eig.csv"
     proc = run_cli(
         "eigenvalues", "--alpha", "3", "--theta", "1.0",
-        "--nmax", "3", "--tol-residual", "1e-14",
+        "--nmax", "3", "--tol-residual", "1e-14", "--out", str(out),
     )
     assert proc.returncode == 3
     assert "numeric failure" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.xfail(
@@ -393,15 +398,18 @@ def test_full_sweep_passes_the_residual_gate(alpha, capsys):
     assert code == 0
 
 
-def test_resonance_residual_gate_exits_three():
+def test_resonance_residual_gate_exits_three(tmp_path):
     # The polished samples up to n = 3 carry residuals up to about 8e-14,
     # above this demand (up to n = 1 they stay below 5e-15).
+    out = tmp_path / "res.csv"
     proc = run_cli(
         "resonances", "--alpha", "3", "--nmax", "3",
-        "--theta-count", "20", "--tol-residual", "1e-14",
+        "--theta-count", "20", "--tol-residual", "1e-14", "--out", str(out),
     )
     assert proc.returncode == 3
     assert "numeric failure" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -431,3 +439,72 @@ def test_thread_count_env(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("CHAIN_SPECTRUM_THREADS", "soon")
     assert main(args) == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def criterion_1():
+    return run_all(["1"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--alpha", "-3"],
+        ["bands", "--alpha", "-3", "--format", "json"],
+        ["eigenvalues", "--alpha", "3", "--theta", "1.0", "--nmax", "3"],
+        ["eigenvalues", "--alpha", "3", "--theta", "1.0", "--nmax", "3", "--format", "json"],
+        ["resonances", "--alpha", "3", "--nmax", "4"],
+        ["resonances", "--alpha", "3", "--nmax", "4", "--format", "json"],
+        ["verify", "--criteria", "1", "--format", "text"],
+        ["verify", "--criteria", "1", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_out_file_holds_the_stdout_bytes(argv, criterion_1, tmp_path, monkeypatch, capsys):
+    # verify reports its run time, so both calls share one run of criterion 1.
+    monkeypatch.setattr(cli, "run_all", lambda labels: criterion_1)
+    out = tmp_path / "artifact"
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/x.csv", "No such file or directory"), (".", "Is a directory")],
+)
+def test_unwritable_out_is_a_usage_error(target, reason, tmp_path, capsys):
+    path = tmp_path / target
+    assert main(["bands", "--alpha", "3", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+
+class Recorder:
+    """A stand-in for ``sys.stdout`` that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_artifacts_reach_stdout_in_blocks(monkeypatch):
+    # One write per block: not one per row, which is a syscall each on an
+    # unbuffered stdout, and not one string of the whole 850 KB artifact.
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(["resonances", "--alpha", "3", "--nmax", "8"]) == 0
+    assert 1 < len(recorder.writes) <= sum(map(len, recorder.writes)) // cli.BLOCK_CHARS + 1
+    assert max(map(len, recorder.writes)) <= 2 * cli.BLOCK_CHARS
+    recorder.writes.clear()
+    assert main(["bands", "--alpha", "3"]) == 0
+    assert len(recorder.writes) == 1
