@@ -483,28 +483,20 @@ def test_unwritable_out_is_a_usage_error(target, reason, tmp_path, capsys):
     assert captured.err == f"error: cannot write {path}: {reason}\n"
 
 
-class Recorder:
+class Recorder(list):
     """A stand-in for ``sys.stdout`` that keeps every write."""
 
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-        return len(text)
-
-    def flush(self):
-        pass
+    write = list.append
 
 
 def test_artifacts_reach_stdout_in_blocks(monkeypatch):
     # One write per block: not one per row, which is a syscall each on an
     # unbuffered stdout, and not one string of the whole 850 KB artifact.
-    recorder = Recorder()
-    monkeypatch.setattr(sys, "stdout", recorder)
+    writes = Recorder()
+    monkeypatch.setattr(sys, "stdout", writes)
     assert main(["resonances", "--alpha", "3", "--nmax", "8"]) == 0
-    assert 1 < len(recorder.writes) <= sum(map(len, recorder.writes)) // cli.BLOCK_CHARS + 1
-    assert max(map(len, recorder.writes)) <= 2 * cli.BLOCK_CHARS
-    recorder.writes.clear()
+    assert 1 < len(writes) <= sum(map(len, writes)) // cli.BLOCK_CHARS + 1
+    assert max(map(len, writes)) <= 2 * cli.BLOCK_CHARS
+    writes.clear()
     assert main(["bands", "--alpha", "3"]) == 0
-    assert len(recorder.writes) == 1
+    assert len(writes) == 1
