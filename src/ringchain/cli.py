@@ -118,8 +118,8 @@ def _write(args: argparse.Namespace, obj, header=None) -> int:
                 dest.write("\n")
             dest.flush()
     except OSError as exc:
-        reason = exc.strerror or exc
-        print(f"error: cannot write {args.out or 'stdout'}: {reason}", file=sys.stderr)
+        where = "stdout" if args.out is None else args.out
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 
@@ -399,8 +399,8 @@ def cmd_resonances(args: argparse.Namespace) -> int:
             shared = [(_fmt(t), _fmt(k.real), _fmt(r), k)
                       for (t, k), r in zip(c.samples, c.residuals)]
             for br in branches:
-                for t, re, r, k in shared:
-                    yield t, re, _fmt(on_branch(k, br).imag), "", c.parity, n, br, "", r
+                for t, k_re, r, k in shared:
+                    yield t, k_re, _fmt(on_branch(k, br).imag), "", c.parity, n, br, "", r
 
     return _write(args, rows(), CURVE_COLUMNS)
 

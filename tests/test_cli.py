@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import subprocess
@@ -481,6 +482,16 @@ def test_unwritable_out_is_a_usage_error(target, reason, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+
+def test_failed_write_is_a_usage_error(monkeypatch, capsys):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["bands", "--alpha", "3"]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
 
 
 class Recorder(list):
