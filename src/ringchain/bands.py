@@ -140,21 +140,20 @@ class GapInterval:
         return self.k_hi
 
 
-def in_spectrum(energy: float, alpha: float) -> bool:
+def in_spectrum(energy, alpha: float):
     """Membership test against the straight-chain essential spectrum.
 
     Positive energies with integer ``sqrt(E)`` are the flat eigenvalues and
     always belong; otherwise membership is ``|half-trace| <= 1`` on the
-    matching (positive or negative) branch.
+    matching (positive or negative) branch.  Takes a number or an array
+    of energies.
     """
-    if energy > 0.0:
-        k = math.sqrt(energy)
-        if is_near_integer(k):
-            return True
-        return abs(discriminant(k, alpha)) <= 1.0
-    if energy < 0.0:
-        return abs(discriminant_negative(math.sqrt(-energy), alpha)) <= 1.0
-    return abs(discriminant_zero_limit(alpha)) <= 1.0
+    e = np.asarray(energy, dtype=float)
+    inside = np.full(e.shape, abs(discriminant_zero_limit(alpha)) <= 1.0)
+    k = np.sqrt(e[e > 0.0])
+    inside[e > 0.0] = is_near_integer(k) | (abs(discriminant(k, alpha)) <= 1.0)
+    inside[e < 0.0] = abs(discriminant_negative(np.sqrt(-e[e < 0.0]), alpha)) <= 1.0
+    return inside[()]
 
 
 def _halftrace_signed(s, alpha):

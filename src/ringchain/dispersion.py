@@ -60,8 +60,10 @@ SMALL_ARG = 1e-4
 ZERO_ENERGY_ALPHA_MIN = -8.0 / math.pi
 
 
-# CPython's complex division, applied element by element.
+# CPython's complex division and ``cmath.sqrt``, applied element by element
+# (numpy's square root rounds differently once a part is subnormal).
 _complex_quotient = np.frompyfunc(operator.truediv, 2, 1)
+_complex_root = np.frompyfunc(cmath.sqrt, 1, 1)
 
 
 class DomainError(ValueError):
@@ -97,6 +99,14 @@ def _complex_divide(a, b):
     the bits of the scalar formulas.
     """
     return np.asarray(_complex_quotient(a, b), dtype=complex)[()]
+
+
+def _complex_multiply(a, b):
+    """``a * b`` for complex operands, rounded as CPython rounds it (numpy's may fuse, FMA)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out[()]
 
 
 def _sin_ratio(x, s, sign=-1.0):
@@ -149,24 +159,32 @@ def discriminant_zero_limit(alpha: float) -> float:
     return 1.0 + 0.25 * math.pi * alpha
 
 
-def floquet_phases(k: float | complex, alpha: float) -> tuple[complex, complex]:
+def floquet_phases(k, alpha):
     """Both Floquet multipliers at energy ``k**2``.
 
     Roots of ``z**2 - 2*d*z + 1 = 0`` with ``d`` the half-trace; they
     multiply to 1.  The first returned phase has the larger modulus.  Real
     ``k`` within ``INTEGER_WINDOW`` of an integer is rejected: there the
     period map is defective and the flat-band value ``k**2`` must be
-    handled as an eigenvalue, not through the phases.
+    handled as an eigenvalue, not through the phases.  Takes a number or an
+    array; ``alpha`` broadcasts with ``k``.
     """
-    kc = complex(k)
-    if kc.imag == 0.0 and is_near_integer(kc.real):
+    return _floquet(k, alpha)[:2]
+
+
+def _floquet(k, alpha):
+    """``floquet_phases``, then ``d**2 - 1``; each value has the bits of the complex scalar formula."""
+    k = np.asarray(k, dtype=complex)
+    real = k.imag == 0.0
+    if np.any(real & is_near_integer(k.real)):
         raise ValueError("integer wavenumber: flat-band point, phases undefined")
-    d = complex(discriminant(kc, alpha))
-    r = cmath.sqrt(d * d - 1.0)
+    d = discriminant(k, alpha)
+    d = np.where(real, d.real, d)  # +0 imaginary part at a real k, as for a number
+    disc = _complex_multiply(d, d) - 1.0
+    r = np.asarray(_complex_root(disc), dtype=complex)
     z1, z2 = d + r, d - r
-    if abs(z1) < abs(z2):
-        z1, z2 = z2, z1
-    return z1, z2
+    swap = np.hypot(z1.real, z1.imag) < np.hypot(z2.real, z2.imag)
+    return np.where(swap, z2, z1)[()], np.where(swap, z1, z2)[()], disc
 
 
 def _decaying_denominator(t, d):

@@ -15,10 +15,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dispersion import (
     DegenerateError,
     OverflowNormError,
-    discriminant,
+    _complex_divide,
+    _complex_multiply,
+    _floquet,
     is_near_integer,
 )
 
@@ -36,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """One-ring transfer matrix at (possibly complex) wavenumber ``k``."""
+    """One-ring transfer matrix at (possibly complex) wavenumber ``k``, or at each point of an array."""
 
     m11: complex
     m12: complex
@@ -47,7 +51,7 @@ class TransferMatrix:
 
     @property
     def det(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
+        return _complex_multiply(self.m11, self.m22) - _complex_multiply(self.m12, self.m21)
 
     @property
     def trace(self) -> complex:
@@ -86,57 +90,51 @@ class CoefficientPair:
         return math.hypot(abs(self.c_plus), abs(self.c_minus))
 
 
-def _check_wavenumber(k: complex) -> complex:
-    kc = complex(k)
-    if kc == 0:
-        raise ValueError("transfer matrix undefined at k = 0")
-    if kc.imag == 0.0 and is_near_integer(kc.real):
-        raise ValueError("integer wavenumber: flat-band point")
-    return kc
-
-
-def transfer_matrix(k: complex, alpha: float) -> TransferMatrix:
+def transfer_matrix(k, alpha) -> TransferMatrix:
     """Transfer matrix across one contact point at wavenumber ``k``.
 
     With ``a = alpha/(4ik)`` and ``E = exp(i pi k)`` the matrix is
     ``[[(1+a)E, a/E], [-aE, (1-a)/E]]``; its determinant is 1 and its
     trace twice the half-trace.  Purely imaginary ``k = i*kappa`` gives a
-    real matrix, matching the negative-energy branch.
+    real matrix, matching the negative-energy branch.  Takes a number or
+    an array (``alpha`` broadcasts with ``k``); each entry has the bits of
+    the ``cmath`` formula.
     """
-    kc = _check_wavenumber(k)
-    a = alpha / (4j * kc)
-    e = cmath.exp(1j * math.pi * kc)
-    einv = cmath.exp(-1j * math.pi * kc)
+    kc = np.asarray(k, dtype=complex)
+    if np.any((kc.imag == 0.0) & is_near_integer(kc.real)):
+        raise ValueError("integer wavenumber: flat-band point")
+    mul = _complex_multiply
+    a = _complex_divide(alpha, mul(4j, kc))
+    e, einv = np.exp(mul(1j * math.pi, kc)), np.exp(mul(-1j * math.pi, kc))
     return TransferMatrix(
-        (1.0 + a) * e, a * einv, -a * e, (1.0 - a) * einv, kc, alpha
+        mul(1.0 + a, e), mul(a, einv), mul(-a, e), mul(1.0 - a, einv), kc[()], alpha
     )
 
 
-def transfer_eigen(k: complex, alpha: float) -> TransferEigen:
+def transfer_eigen(k, alpha) -> TransferEigen:
     """Eigenvalues and eigenvectors of the one-ring transfer matrix.
 
-    Raises ``DegenerateError`` at band edges (half-trace ``±1`` within
-    ``1e-12`` of the branch point), where the matrix is defective.
+    The eigenvalues are ``floquet_phases(k, alpha)``.  Raises
+    ``DegenerateError`` at band edges (half-trace ``±1`` within ``1e-12``
+    of the branch point), where the matrix is defective.  Takes a number
+    or an array, which is rejected if any of its points is.
     """
-    kc = _check_wavenumber(k)
-    m = transfer_matrix(kc, alpha)
-    d = complex(discriminant(kc, alpha))
-    disc = d * d - 1.0
-    if abs(disc) < 1e-12:
+    m = transfer_matrix(k, alpha)
+    big, small, disc = _floquet(m.k, alpha)
+    if np.any(np.hypot(disc.real, disc.imag) < 1e-12):
         raise DegenerateError("transfer matrix defective at a band edge")
-    r = cmath.sqrt(disc)
-    lam1, lam2 = d + r, d - r
-    if abs(lam1) < abs(lam2):
-        lam1, lam2 = lam2, lam1
 
-    def eigvec(lam: complex) -> tuple[complex, complex]:
-        v = (m.m12, lam - m.m11)
-        if math.hypot(abs(v[0]), abs(v[1])) < 1e-12 * abs(lam):
-            v = (lam - m.m22, m.m21)
-        n = math.hypot(abs(v[0]), abs(v[1]))
-        return (v[0] / n, v[1] / n)
+    def norm(u, v):
+        return np.hypot(np.hypot(u.real, u.imag), np.hypot(v.real, v.imag))
 
-    return TransferEigen(lam1, lam2, eigvec(lam1), eigvec(lam2))
+    def eigvec(lam):
+        u, v = m.m12, lam - m.m11
+        swap = norm(u, v) < 1e-12 * np.hypot(lam.real, lam.imag)
+        u, v = np.where(swap, lam - m.m22, u), np.where(swap, m.m21, v)
+        n = norm(u, v)
+        return (_complex_divide(u, n), _complex_divide(v, n))
+
+    return TransferEigen(big, small, eigvec(big), eigvec(small))
 
 
 def boundary_vector_even(
@@ -193,8 +191,8 @@ def measured_decay_rate(
     but early enough that round-off contamination of the expanding mode
     has not yet surfaced.
     """
-    if hi + 1 > len(pairs):
-        raise ValueError("coefficient sequence too short for the window")
+    if not 0 <= lo < hi < len(pairs):
+        raise ValueError(f"decay window needs 0 <= lo < hi < {len(pairs)}, got {lo}, {hi}")
     logs = [
         math.log(pairs[j + 1].norm / pairs[j].norm) for j in range(lo, hi)
     ]

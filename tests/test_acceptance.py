@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from ringchain import _rootfind, gaps, resonance, verify
+from ringchain import _rootfind, dispersion, gaps, resonance, transfer, verify
 from ringchain.verify import EXPECTED_FAILURES, run_criterion
 
 # Runtime budgets per criterion, in seconds.
@@ -75,28 +75,66 @@ def test_criterion_05_spectral_form_equivalence():
     run_and_record("5")
 
 
+def _count_calls(monkeypatch, calls: dict, name: str, *modules) -> None:
+    """Count calls of ``name`` made through any of ``modules``."""
+    for module in modules:
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+
 def test_criterion_05_work_count(monkeypatch):
     # Criterion 5's 2,000 one-angle slots are scanned as stacked rows in
     # full blocks, and its gap and negative queries share one dispatch.
     # Slot by slot it made 2,611 scans and found the threshold edges of
     # its attractive couplings twice.
     calls = {}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(_rootfind, "bracket_rows")
-    counted(gaps, "_negative_edges")
+    _count_calls(monkeypatch, calls, "bracket_rows", _rootfind)
+    _count_calls(monkeypatch, calls, "_negative_edges", gaps)
     passed, _, detail = verify._criterion_form_equivalence()
     assert passed, detail
     assert calls["bracket_rows"] <= 500
     assert calls["_negative_edges"] == 1
+
+
+def test_criterion_03_work_count(monkeypatch):
+    # Criterion 3 asks for the membership of all its energies at once, one
+    # call per coupling; sample by sample it made 4,000 calls.
+    calls = {}
+    _count_calls(monkeypatch, calls, "in_spectrum", verify)
+    passed, measured, detail = verify._criterion_floquet_oracle()
+    assert passed, detail
+    assert measured["checked"] == 4000
+    assert calls["in_spectrum"] <= 4
+
+
+def test_criterion_11_work_count(monkeypatch):
+    # Criterion 11 evaluates its 10,000 draws in blocks.  Draw by draw it
+    # made 20,020 half-trace and 20,040 transfer-matrix calls; a per-draw
+    # loop coming back would exceed 1% of either.
+    calls = {}
+    _count_calls(monkeypatch, calls, "discriminant", verify, dispersion)
+    _count_calls(monkeypatch, calls, "transfer_matrix", verify, transfer)
+    passed, measured, detail = verify._criterion_transfer_invariants()
+    assert passed, detail
+    assert measured["decay_samples"] == 20
+    assert calls["discriminant"] <= 200
+    assert calls["transfer_matrix"] <= 200
+
+
+def test_criterion_06_fits_each_branch_once(monkeypatch):
+    # Criteria 6-exponent and 6-coefficient read the same four branch fits,
+    # made once per process.
+    calls = {}
+    _count_calls(monkeypatch, calls, "fit_branch_exponent", verify)
+    verify._branch_fits.cache_clear()
+    for label in ("6-exponent", "6-coefficient"):
+        assert run_criterion(label).measured
+    assert calls["fit_branch_exponent"] == 4
 
 
 def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):

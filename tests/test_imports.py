@@ -131,3 +131,23 @@ def test_cli_import_runs_one_thread():
 @needs_thread_count
 def test_cli_import_keeps_the_callers_blas_threads():
     assert _fresh_cli_import(OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+
+def test_commands_that_do_not_draw_leave_out_numpy_random():
+    # Loading ``numpy.random`` costs start-up time and peak memory; only
+    # verify's criteria draw samples, so no other command may load it.
+    code = (
+        "import contextlib, io, sys\n"
+        "import ringchain.cli as cli\n"
+        "loaded = ['numpy.random' in sys.modules]\n"
+        "for argv in (['eigenvalues', '--alpha', '3', '--theta', '1', '--nmax', '2'],\n"
+        "             ['resonances', '--alpha', '3', '--nmax', '1', '--theta-count', '8']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    loaded.append('numpy.random' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[False, False, False]"
