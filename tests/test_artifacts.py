@@ -48,6 +48,8 @@ ARGVS = [
     ["bands", "--alpha", "-0.5"],
     ["bands", "--alpha", "1e-3"],
     ["bands", "--alpha", "1e-6"],
+    ["bands", "--alpha=-1e-6", "--emax", "100"],
+    ["bands", "--alpha", "1e-9", "--emax", "100"],
     ["bands", "--alpha", repr(-8.0 / np.pi), "--emax", "10"],
     ["resonances", "--alpha", "3", "--nmax", "8"],
     ["resonances", "--alpha", "3", "--nmax", "8", "--format", "json"],
