@@ -1,17 +1,18 @@
 """Band spectrum of the straight ring chain: the one owner of its edges.
 
-Spectral bands are the energies where the period-map half-trace lies in
-``[-1, 1]``; on top of them sits a flat (infinitely degenerate) eigenvalue
-``n**2`` at every positive integer ``n``.  Every edge of the straight
-chain is found here, once, for the band list and for the gap solvers of
-``gaps`` alike: the non-integer edge of each spectral gap
-(``gap_intervals``, ``_gaps_at``) and the threshold edges of an
-attractive coupling on the decay axis (``_negative_edges``).  Each finder
-scans and bisects the edges of many couplings together on the batched
-root path of ``_rootfind``.  ``compute_bands`` assembles these edges and
-the integers along one signed axis ``s`` with ``E = sign(s) * s**2``
-(``s = -kappa`` below zero energy, ``s = k`` above it) and keeps the
-pieces whose midpoint has ``|half-trace| <= 1``.
+Spectral bands are the energies where the period-map half-trace
+``d = cos(pi*k) + (alpha/4k) sin(pi*k)`` lies in ``[-1, 1]``; on top of
+them sits a flat (infinitely degenerate) eigenvalue ``n**2`` at every
+positive integer ``n``.  Every edge of the straight chain is found here,
+once, for the band list and the gap solvers of ``gaps`` alike, as the
+one root of a well-conditioned equation in a known bracket, so the edges
+of many couplings are bisected together without a scan.  With
+``k = n + u`` and ``sigma = (-1)**n`` the half-trace factors as
+``d - sigma = sigma * 2 sin(pi*u/2) * [(alpha/4k) cos(pi*u/2) - sin(pi*u/2)]``,
+whose bracket gives the edge of gap ``n`` (``_gap_edges``); at
+``k = i*kappa`` it gives the threshold edges of an attractive coupling
+(``_negative_edges``).  ``compute_bands`` builds the bands as the
+complement of the gaps.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rootfind import _first_roots, _row_brackets, bisect_batch
+from ._rootfind import bisect_batch
 from .dispersion import (
+    ZERO_ENERGY_ALPHA_MIN,
     discriminant,
     discriminant_negative,
     discriminant_zero_limit,
@@ -38,13 +40,14 @@ __all__ = [
     "lowest_band_threshold",
 ]
 
-# Sample density used to bracket the threshold edges, per unit of kappa.
-BAND_SCAN_PER_UNIT = 128
-# Grid offset keeping scan samples off the exact integers, where the
-# half-trace equals ±1 identically.
-_EDGE_OFFSET = 1e-10
-# Scan roots closer than this to an integer collapse onto the integer.
-_SNAP = 1e-9
+# pi/8 as the unevaluated sum of two doubles; Dekker's splitter 2**27 + 1
+# cuts a double into two halves whose products are exact.
+_PI_8 = (math.pi / 8.0, 1.5308084989341915e-17)
+_SPLITTER = 134217729.0
+# Powers m, smallest terms first, and (2m + 1)! of the series of ``_twin``:
+# full precision up to h = 1.
+_M = np.arange(9.0, -1.0, -1.0)[:, None]
+_ODD_FACTORIALS = np.array([math.factorial(2 * m + 1) for m in range(9, -1, -1)], dtype=float)[:, None]
 
 
 @dataclass(frozen=True)
@@ -156,11 +159,64 @@ def in_spectrum(energy, alpha: float):
     return inside[()]
 
 
-def _halftrace_signed(s, alpha):
-    """Half-trace at the signed sweep variable ``s``: a number, or an array of one sign."""
-    if np.all(np.asarray(s) >= 0.0):
-        return discriminant(s, alpha)
-    return discriminant_negative(-s, alpha)
+def _twin_terms(alpha):
+    """``(a, coef)`` of ``_twin`` at every coupling of the array ``alpha``.
+
+    ``a = alpha*pi/8`` and ``coef[m] = (2m + 1 + a)/(2m + 1)!``; ``1 + a``,
+    zero at the borderline coupling, also takes the rounding error of ``a``
+    (Dekker's exact product) and ``alpha`` times the low part of ``pi/8``.
+    """
+    a = alpha * _PI_8[0]
+    t, p = _SPLITTER * alpha, _SPLITTER * _PI_8[0]
+    ah, ph = t - (t - alpha), p - (p - _PI_8[0])
+    al, pl = alpha - ah, _PI_8[0] - ph
+    coef = (2.0 * _M + 1.0 + a) / _ODD_FACTORIALS
+    coef[-1] += (((ah * ph - a) + ah * pl) + al * ph) + al * pl + alpha * _PI_8[1]
+    return a, coef
+
+
+def _twin(h, sign, a, coef):
+    """``cos(h) + a sin(h)/h`` (``sign = -1``) or ``cosh(h) + a sinh(h)/h`` (``sign = +1``).
+
+    ``a`` and ``coef`` come from ``_twin_terms``.  For ``h <= 1`` it is
+    summed as its series in ``s = sign*h**2``, ``sum_m coef[m] s**m``, so no
+    O(1) terms cancel next to the borderline coupling.
+    """
+    wide = np.maximum(h, 1.0)
+    sin, cos = (np.sinh, np.cosh) if sign > 0.0 else (np.sin, np.cos)
+    return np.where(h <= 1.0, ((sign * h * h) ** _M * coef).sum(axis=0), cos(wide) + a * sin(wide) / wide)
+
+
+def _gap_edges(alphas, ns) -> np.ndarray:
+    """Non-integer edge ``k`` of gap ``ns[i]`` at coupling ``alphas[i]``, for every ``i``.
+
+    The one root of ``(alpha/4) cos(pi*u/2) - k sin(pi*u/2)``, ``u = k - n``,
+    in the cell ``(n, n+1)`` (repulsive) or ``(n-1, n)`` (attractive); below
+    ``k = 2/pi`` in the cell ``(0, 1)`` its twin, the same divided by ``k``.
+    Gap 1 at or below ``ZERO_ENERGY_ALPHA_MIN`` reaches ``k = 0``.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    ns = np.asarray(ns, dtype=float)
+    edges = np.zeros(alphas.shape)
+    open_ = (ns != 1.0) | (alphas > ZERO_ENERGY_ALPHA_MIN)
+    al, n = alphas[open_], ns[open_]
+    # Each row bisects u = k - n, so that n + u rounds once, except the
+    # cell (0, 1) of an attractive coupling, which bisects k itself.
+    base = np.where((n == 1.0) & (al < 0.0), 0.0, n)
+    first = np.flatnonzero(base != n)
+    terms = _twin_terms(al[first])
+
+    def residual(x):
+        v = 0.5 * np.pi * (x + (base - n))
+        out = 0.25 * al * np.cos(v) - (base + x) * np.sin(v)
+        if first.size:
+            k = x[first]
+            out[first] = np.where(k < 2.0 / np.pi, _twin(0.5 * np.pi * k, -1.0, *terms), out[first])
+        return out
+
+    lo = np.where((al > 0.0) | (base == 0.0), 0.0, -1.0)
+    edges[open_] = base + bisect_batch(residual, lo, lo + 1.0)
+    return edges
 
 
 def gap_intervals(alpha: float, n_max: int) -> list[GapInterval]:
@@ -182,109 +238,53 @@ def gap_intervals(alpha: float, n_max: int) -> list[GapInterval]:
 
 
 def _gaps_at(alphas, ns) -> list[GapInterval]:
-    """Gap ``ns[i]`` of the straight chain at coupling ``alphas[i]``, for every ``i``.
-
-    The non-integer edge of gap ``n`` is the root of ``discriminant = +1``
-    (``n`` even) or ``-1`` (``n`` odd) in the unit cell ``[n, n+1]`` of a
-    repulsive coupling or ``[n-1, n]`` of an attractive one.  The cell
-    ``[0, 1]`` is bisected whole, every other cell in the first bracket of
-    a 512-point scan; all edges are bisected together.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    ns = np.asarray(ns, dtype=int)
-    cells = np.where(alphas > 0.0, ns, ns - 1)
-    targets = np.where(ns % 2 == 0, 1.0, -1.0)
-    edges = np.empty(len(ns))
-    for whole, points in ((True, 2), (False, 512)):
-        sel = (cells == 0) == whole
-        edges[sel] = _first_roots(
-            cells[sel] + 1e-9,
-            (cells[sel] + 1.0) - 1e-9,
-            lambda k, al, target: discriminant(k, al) - target,
-            alphas[sel],
-            targets[sel],
-            points=points,
-        )
+    """Gap ``ns[i]`` of the straight chain at coupling ``alphas[i]``, for every ``i``."""
+    alphas, ns = np.asarray(alphas, dtype=float), np.asarray(ns, dtype=int)
     out: list[GapInterval] = []
-    for alpha, n, cell, target, edge in zip(
-        alphas.tolist(), ns.tolist(), cells.tolist(), targets.tolist(), edges.tolist()
-    ):
-        if alpha < 0.0 and cell == 0 and not edge > 1e-9:
-            edge = 0.0  # the half-trace starts at or below -1: the gap reaches k = 0
-        if math.isnan(edge):
-            raise RuntimeError(f"no gap edge located in ({cell}, {cell + 1})")
+    for alpha, n, edge in zip(alphas.tolist(), ns.tolist(), _gap_edges(alphas, ns).tolist()):
         lo, hi = (float(n), edge) if alpha > 0.0 else (edge, float(n))
-        out.append(GapInterval(n, lo, hi, int(target)))
-    return out
-
-
-def _edge_roots(alphas, s_lo, s_hi: float, points: int) -> list[list[float]]:
-    """Non-integer roots of |half-trace| = 1 on ``(s_lo[i], s_hi)`` at ``alphas[i]``.
-
-    One sorted root list per coupling; ``s_lo`` broadcasts with
-    ``alphas``.  Each interval is scanned cell by cell, on ``points``
-    points per cell, against the targets +1 and -1 on grids kept off the
-    integers (the half-trace equals ±1 there by construction); the
-    bracketed crossings of all couplings are bisected together to full
-    precision, and roots landing within the snap window of an integer are
-    discarded — integers enter the edge list explicitly.
-    """
-    alphas, s_lo = np.broadcast_arrays(np.atleast_1d(np.asarray(alphas, dtype=float)), s_lo)
-    top = s_hi - _EDGE_OFFSET
-    cells = [
-        (i, alpha, max(cell + _EDGE_OFFSET, lo), min(cell + 1 - _EDGE_OFFSET, top), t)
-        for i, (alpha, lo) in enumerate(zip(alphas.tolist(), s_lo.tolist()))
-        for cell in range(math.floor(lo), math.ceil(s_hi))
-        for t in (1.0, -1.0)
-    ]
-    owner, alpha, a, b, target = np.array(cells, dtype=float).reshape(-1, 5).T
-
-    def kernel(x, al, t):
-        return _halftrace_signed(x, al) - t
-
-    row, lo, hi = _row_brackets(a, b, kernel, alpha, target, points=points)
-    roots = bisect_batch(lambda x: kernel(x, alpha[row], target[row]), lo, hi)
-    order = np.lexsort((roots, owner[row]))
-    out: list[list[float]] = [[] for _ in alphas]
-    for i, r in zip(owner[row][order].astype(int).tolist(), roots[order].tolist()):
-        kept = out[i]
-        if abs(r - round(r)) > _SNAP and (not kept or r - kept[-1] > _SNAP):
-            kept.append(r)
+        out.append(GapInterval(n, lo, hi, 1 if n % 2 == 0 else -1))
     return out
 
 
 def _negative_edges(alpha):
     """Threshold-band edges on the decay axis: ``(x1, x_minus1)``.
 
-    ``x1`` is the largest root of ``|discriminant_negative| = 1`` (the
-    bottom of the spectrum sits at ``-x1**2``); ``x_minus1`` is the root
-    of ``discriminant_negative = -1`` which exists only below the
-    borderline coupling ``ZERO_ENERGY_ALPHA_MIN`` (NaN above it).  Takes a
-    number or an array of couplings, all scanned and bisected together.
+    ``x1``, the root of ``kappa*tanh(pi*kappa/2) = -alpha/4``, is where
+    ``discriminant_negative = 1`` (the bottom of the spectrum is ``-x1**2``);
+    ``x_minus1``, where it is ``-1``, is the root of ``_twin`` at
+    ``h = pi*kappa/2`` and exists only below ``ZERO_ENERGY_ALPHA_MIN`` (NaN
+    elsewhere).  Both lie below ``|alpha|/2 + 1``.  Takes a number or an
+    array of attractive couplings, all bisected together.
     """
     alpha = np.asarray(alpha, dtype=float)
-    # The deepest spectral point has kappa <= |alpha|/2 + 1: the half-trace
-    # exceeds 1 beyond it, and the extra unit covers weak couplings too.
-    roots = _edge_roots(alpha, -(0.5 * np.abs(alpha) + 1.0), -1e-9, BAND_SCAN_PER_UNIT)
-    if not all(roots):
-        raise RuntimeError("no negative-branch edges found")
-    x1 = np.array([-r[0] for r in roots]).reshape(alpha.shape)
-    x_m1 = np.array([-r[-1] if len(r) >= 2 else math.nan for r in roots]).reshape(alpha.shape)
-    return x1[()], x_m1[()]
+    flat = alpha.reshape(-1)
+    deep = flat < ZERO_ENERGY_ALPHA_MIN
+    terms = _twin_terms(flat[deep])
+
+    def residual(x):
+        x1, h = x[:flat.size], 0.5 * np.pi * x[flat.size:]
+        return np.concatenate([x1 * np.tanh(0.5 * np.pi * x1) + 0.25 * flat, _twin(h, 1.0, *terms)])
+
+    hi = 0.5 * np.abs(np.concatenate([flat, flat[deep]])) + 1.0
+    roots = bisect_batch(residual, np.zeros(hi.shape), hi)
+    x_m1 = np.full(flat.shape, math.nan)
+    x_m1[deep] = roots[flat.size:]
+    return roots[:flat.size].reshape(alpha.shape)[()], x_m1.reshape(alpha.shape)[()]
 
 
 def compute_bands(alpha: float, e_max: float) -> BandSpectrum:
     """All spectral bands with ``e_lo < e_max``, plus flat eigenvalues.
 
-    The boundaries are the edges the gap solvers use: the non-integer edge
-    of every gap up to ``k_max``, the threshold edges ``-x1`` and ``-x_m1``
-    and zero for an attractive coupling, and the integers; a piece between
-    neighbouring boundaries is a band where the half-trace at its midpoint
-    lies in ``[-1, 1]``.  So the edges do not depend on ``e_max``.  Bands
-    are reported with their genuine edges, so the last band may reach
-    beyond ``e_max``.  For ``alpha = 0`` the essential spectrum is the
-    half-line ``[0, inf)``, reported as a single band cut at ``e_max``
-    with an open upper flag.
+    The bands are the complement of the gaps, with the edges the gap
+    solvers use: ``[k*_n, n+1]`` for a repulsive coupling; for an
+    attractive one ``[-x1, k*_1]`` (``[-x1, -x_m1]`` below the borderline)
+    and then ``[n, k*_(n+1)]``.  So the edges do not depend on ``e_max``.
+    Bands are reported with their genuine edges, so the last band may
+    reach beyond ``e_max``; two bands whose gap is too narrow to separate
+    in double precision are one band.  For ``alpha = 0`` the essential
+    spectrum is the half-line ``[0, inf)``, reported as a single band cut
+    at ``e_max`` with an open upper flag.
     """
     if not e_max > 1.0:
         raise ValueError("e_max must exceed 1")
@@ -295,31 +295,26 @@ def compute_bands(alpha: float, e_max: float) -> BandSpectrum:
         band = Band(0.0, e_max, 0.0, math.sqrt(e_max), True, False)
         return BandSpectrum(alpha, e_max, (band,), flats)
 
+    # Every cell below k_max holds one gap edge.
     k_max = math.ceil(math.sqrt(e_max)) + 1
-    # Gap n lies in the cell [n, n+1] (repulsive) or [n-1, n] (attractive);
-    # every cell below k_max holds one.
-    n_max = k_max - 1 if alpha > 0.0 else k_max
-    edges = {gap.band_edge for gap in gap_intervals(alpha, n_max)}
-    edges |= {float(n) for n in range(1, k_max + 1)}
-    if alpha < 0.0:
+    ns = range(k_max) if alpha > 0.0 else range(1, k_max + 1)
+    edges = _gap_edges([alpha] * k_max, ns).tolist()
+    if alpha > 0.0:
+        pieces = [(edge, n + 1.0) for n, edge in zip(ns, edges)]
+    else:
         x1, x_m1 = _negative_edges(alpha)
-        edges |= {-float(x1), 0.0} | (set() if math.isnan(x_m1) else {-float(x_m1)})
-    boundary = sorted(edges)
-
-    pieces: list[tuple[float, float]] = []
-    for a, b in zip(boundary, boundary[1:]):
-        if abs(_halftrace_signed(0.5 * (a + b), alpha)) <= 1.0:
-            if pieces and pieces[-1][1] == a:
-                pieces[-1] = (pieces[-1][0], b)
-            else:
-                pieces.append((a, b))
+        top = edges[0] if math.isnan(x_m1) else -float(x_m1)
+        pieces = [(-float(x1), top)] + [(n - 1.0, edge) for n, edge in zip(ns[1:], edges[1:])]
+    merged = pieces[:1]
+    for a, b in pieces[1:]:  # a gap that rounds shut joins its two bands
+        merged[-1:] = [(merged[-1][0], b)] if merged[-1][1] == a else [merged[-1], (a, b)]
 
     def to_energy(s: float) -> float:
         return math.copysign(s * s, s) if s != 0.0 else 0.0
 
     bands = tuple(
         Band(to_energy(a), to_energy(b), a, b)
-        for a, b in pieces
+        for a, b in merged
         if to_energy(a) < e_max
     )
     return BandSpectrum(alpha, e_max, bands, flats)

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 from .bands import compute_bands
@@ -140,6 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_emax=True):
+        # argparse takes only "-0.5"-style strings for negative numbers; read
+        # "-1e-6" as one too, not as an option.
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--alpha", type=float, required=True, help="coupling strength")
         if with_emax:
             p.add_argument("--emax", type=float, default=30.0, help="energy ceiling (> 1)")

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ringchain import _rootfind, bands
 from ringchain import (
     ZERO_ENERGY_ALPHA_MIN,
     compute_bands,
@@ -141,3 +143,48 @@ def test_weak_coupling_opens_every_gap(alpha):
     # Every gap is open for alpha != 0: one band per unit cell up to e_max,
     # where a scan at the old density merged them all into one band.
     assert len(compute_bands(alpha, 30.0).bands) == 6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    size=st.floats(min_value=-12.0, max_value=-2.0).map(lambda e: 10.0**e),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_weak_coupling_gap_widths_follow_first_order(size, sign):
+    # All gaps open for alpha != 0: gap n >= 1 is |alpha|/(2 pi n) wide, up
+    # to alpha**2/n, and to the rounding of n + u where u is its width.
+    alpha = sign * size
+    for gap in gap_intervals(alpha, 20)[1 if alpha > 0.0 else 0:]:
+        width = gap.k_hi - gap.k_lo
+        assert abs(width - size / (2.0 * math.pi * gap.n)) <= size * size / gap.n + 2.0 * math.ulp(gap.n)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, -1e-6, 1e-9, -1e-9])
+def test_weak_coupling_writes_one_band_per_unit_cell(alpha):
+    # A scan and a midpoint test merged the bands at e_max = 100: the top
+    # band of alpha = 1e-6 reached from 7 to 11, alpha = -1e-6 wrote 8 bands
+    # and alpha = 1e-9 a single one.
+    found = compute_bands(alpha, 100.0).bands
+    assert [math.ceil(b.k_hi) for b in found] == list(range(1, 11))
+    assert all(b.k_lo < b.k_hi for b in found)
+
+
+def test_edges_are_found_without_a_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("an edge finder scanned")
+
+    monkeypatch.setattr(_rootfind, "_row_brackets", scan)
+    monkeypatch.setattr(bands, "_row_brackets", scan, raising=False)
+    gap_intervals(3.1, 20)
+    _negative_edges(np.linspace(-8.0, -0.1, 200))
+    compute_bands(-3.0, 30.0)
+
+
+@pytest.mark.parametrize("alpha, count", [(1e-14, 4), (-1e-14, 5)])
+def test_gaps_that_round_shut_join_their_bands(alpha, count):
+    # From gap 4 (repulsive) or 5 (attractive) up, a gap is narrower than
+    # half the spacing of doubles next to its integer: n + u rounds to n,
+    # and the bands on either side of it are one.
+    found = compute_bands(alpha, 100.0).bands
+    assert len(found) == count
+    assert found[-1].k_hi == 11.0

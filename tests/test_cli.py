@@ -283,6 +283,20 @@ THETA_RANGE = ["--theta-start", "0.5", "--theta-stop", "2", "--theta-count", "3"
          "a range needs --theta-start, --theta-stop and --theta-count"),
         (None, ["eigenvalues", "--alpha", "3", "--theta", "3.5"],
          "--theta must lie strictly between 0 and pi"),
+        # A negative value in scientific notation is a value, not an option,
+        # for every numeric option.
+        (None, ["eigenvalues", "--alpha", "-1e-6", "--theta", "-1e-3"],
+         "--theta must lie strictly between 0 and pi"),
+        (None, ["bands", "--alpha", "-1E-6", "--emax", "-1e2"], "--emax must exceed 1"),
+        (None, ["bands", "--alpha", "3", "--tol-residual", "-1e-3"],
+         "--tol-residual must be >= 1e-14"),
+        (None, ["resonances", "--alpha", "-3e0", "--theta-start", "-.5e-1",
+                "--theta-stop", "-2e0", "--theta-count", "-3"],
+         "--theta-count must be at least 2"),
+        (None, ["resonances", "--alpha", "-3.0e+0", "--nmax", "-2"], "--nmax must be at least 1"),
+        (None, ["eigenvalues", "--alpha", "3", "--theta-start", "-1e-3", "--theta-stop", "2",
+                "--theta-count", "3"],
+         "the range must satisfy 0 <= start < stop <= pi"),
     ],
 )
 def test_usage_error_messages(threads, argv, message, monkeypatch, capsys):
@@ -324,6 +338,21 @@ SWEEP_2_5 = [
 def test_non_finite_values_are_usage_errors(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_negative_values_in_scientific_notation_are_read(capsys):
+    # argparse took only "-0.5"-style strings as negative numbers, so
+    # "--alpha -1e-6" was a usage error and "--alpha=-1e-6" was needed.
+    assert main(["bands", "--alpha=-1e-6", "--emax", "10"]) == 0
+    joined = capsys.readouterr()
+    assert main(["bands", "--alpha", "-1e-6", "--emax", "10"]) == 0
+    assert capsys.readouterr() == joined
+    # Negative infinity and NaN stay refused, spelled either way.
+    for argv in (["bands", "--alpha", "-inf"], ["bands", "--alpha", "-nan"]):
+        assert main(argv) == 2
+    for argv in (["bands", "--alpha=-inf"], ["bands", "--alpha=-nan"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith("error: --alpha must be finite\n")
 
 
 def test_infinite_residual_tolerance_turns_the_gate_off(capsys):

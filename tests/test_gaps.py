@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ringchain import (
     ZERO_ENERGY_ALPHA_MIN,
-    discriminant,
     gap_eigenvalues,
     gap_function,
     gap_function_negative,
@@ -29,7 +28,6 @@ from ringchain import (
     solve_negative,
     trace_eigenvalue_curve,
 )
-from ringchain._rootfind import bisect
 from ringchain.gaps import (
     _gaps_at,
     _negative_edges,
@@ -434,25 +432,50 @@ def test_negative_solves_batched_across_couplings_equal_one_by_one(queries, repe
     assert [repr(k) for k in batched] == [repr(solve_negative(*q)) for q in queries]
 
 
-def scalar_gap_edge(alpha, n):
-    """The non-integer edge of gap ``n`` by scalar scan and bisection."""
-    cell = n if alpha > 0.0 else n - 1
-    target = 1.0 if n % 2 == 0 else -1.0
+def mp_bisect(f, lo, hi):
+    """The one sign change of ``f`` on ``(lo, hi)``, to 1e-25 relative in 50 digits."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        f_lo = f(lo)
+        assert (f_lo > 0) != (f(hi) > 0)
+        while hi - lo > 1e-25 * hi:
+            mid = (lo + hi) / 2
+            if (f(mid) > 0) == (f_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
-    def fn(k):
-        return discriminant(k, alpha) - target
 
-    if cell == 0:
-        if alpha < 0.0 and not fn(1e-9) > 0.0:
-            return 0.0  # the first attractive gap reaches k = 0
-        return bisect(fn, 1e-9, 1.0 - 1e-9)
-    xs = np.linspace(cell + 1e-9, cell + 1.0 - 1e-9, 512).tolist()
-    for a, b in zip(xs, xs[1:]):  # the first sign change, or an exact zero
-        fa = fn(a)
-        if fa == 0.0:
-            return a
-        if (fa > 0.0) != (fn(b) > 0.0):
-            return bisect(fn, a, b)
+def mp_gap_edge(alpha, n):
+    """Non-integer edge of gap ``n``: where the half-trace is ``(-1)**n``, to 50 digits.
+
+    The cell excludes its integers, where the half-trace is ``±1`` too.
+    """
+    with mpmath.workdps(50):
+        a, tiny = mpmath.mpf(alpha), mpmath.mpf("1e-18")
+        target = 1 if n % 2 == 0 else -1
+
+        def f(k):
+            return mpmath.cos(mpmath.pi * k) + a / (4 * k) * mpmath.sin(mpmath.pi * k) - target
+
+        cell = n if alpha > 0.0 else n - 1
+        return mp_bisect(f, cell + tiny, cell + 1 - tiny)
+
+
+def mp_threshold_edge(alpha, target):
+    """Root of ``discriminant_negative = target`` (``x1`` or ``x_-1``), to 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+
+        def f(x):
+            return mpmath.cosh(mpmath.pi * x) + a / (4 * x) * mpmath.sinh(mpmath.pi * x) - target
+
+        return mp_bisect(f, mpmath.mpf("1e-18"), abs(a) / 2 + 1)
+
+
+def ulps(got: float, ref) -> float:
+    return float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
 
 
 @settings(max_examples=25, deadline=None)
@@ -475,9 +498,36 @@ def test_gap_edges_batched_across_couplings_equal_gap_intervals(couplings):
             alphas.append(alpha)
             ns.append(gap.n)
             want.append(gap)
-            edge = gap.k_hi if alpha > 0.0 else gap.k_lo
-            assert edge == scalar_gap_edge(alpha, gap.n)
+            if gap.band_edge != 0.0:
+                assert ulps(gap.band_edge, mp_gap_edge(alpha, gap.n)) <= 2.0
     assert [repr(g) for g in _gaps_at(alphas, ns)] == [repr(g) for g in want]
+
+
+# |alpha| from 1e-12 to 20, and couplings within 1e-12 to 1e-3 of the
+# borderline on either side, where the constant term of the edge equations
+# for x_-1 and gap 1 vanishes.
+EDGE_ALPHA = st.one_of(
+    st.builds(lambda e, sign: sign * 10.0**e,
+              st.floats(min_value=-12.0, max_value=math.log10(20.0)), st.sampled_from([1.0, -1.0])),
+    st.builds(lambda e, sign: ZERO_ENERGY_ALPHA_MIN + sign * 10.0**e,
+              st.floats(min_value=-12.0, max_value=-3.0), st.sampled_from([1.0, -1.0])),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=EDGE_ALPHA, n_max=st.integers(1, 20))
+def test_every_edge_matches_high_precision(alpha, n_max):
+    for gap in gap_intervals(alpha, n_max):
+        if gap.band_edge == 0.0:  # gap 1 at or below the borderline reaches k = 0
+            assert alpha <= ZERO_ENERGY_ALPHA_MIN and gap.n == 1
+        else:
+            assert ulps(gap.band_edge, mp_gap_edge(alpha, gap.n)) <= 2.0
+    if alpha < 0.0:
+        x1, x_m1 = _negative_edges(alpha)
+        assert ulps(x1, mp_threshold_edge(alpha, 1)) <= 2.0
+        assert math.isnan(x_m1) == (alpha >= ZERO_ENERGY_ALPHA_MIN)
+        if alpha < ZERO_ENERGY_ALPHA_MIN:
+            assert ulps(x_m1, mp_threshold_edge(alpha, -1)) <= 2.0
 
 
 def test_gap_one_odd_root_near_zero_energy_matches_high_precision():
@@ -499,17 +549,6 @@ def test_gap_one_odd_root_near_zero_energy_matches_high_precision():
         ref = mpmath.findroot(odd_condition, (mpmath.mpf("0.0033"), mpmath.mpf("0.0034")),
                               solver="anderson")
         assert abs(float((k - ref) / ref)) <= 1e-10
-
-
-def mp_negative_edge(alpha, target, guess):
-    """Root of ``discriminant_negative = target`` next to ``guess``, to 50 digits."""
-    with mpmath.workdps(50):
-        a = mpmath.mpf(alpha)
-
-        def d(k):
-            return mpmath.cosh(mpmath.pi * k) + a / 4 * mpmath.sinh(mpmath.pi * k) / k - target
-
-        return mpmath.findroot(d, mpmath.mpf(guess))
 
 
 def mp_kappa_cutoff(alpha, guess):
@@ -534,23 +573,22 @@ def test_threshold_edges_and_cutoff_of_many_couplings_match_high_precision():
     x1, x_m1 = _negative_edges(alphas)
     cutoff = kappa_cutoff(alphas)
     for alpha, a, b, c in zip(alphas.tolist(), x1, x_m1, cutoff):
-        assert relative_error(a, mp_negative_edge(alpha, 1, a)) <= 1e-13
+        assert relative_error(a, mp_threshold_edge(alpha, 1)) <= 1e-13
         assert relative_error(c, mp_kappa_cutoff(alpha, c)) <= 1e-13
         # The deeper edge exists exactly below the borderline.
         assert math.isnan(b) == (alpha > ZERO_ENERGY_ALPHA_MIN)
-        if alpha <= ZERO_ENERGY_ALPHA_MIN - 0.05:
-            assert relative_error(b, mp_negative_edge(alpha, -1, b)) <= 1e-13
+        if alpha < ZERO_ENERGY_ALPHA_MIN:
+            assert relative_error(b, mp_threshold_edge(alpha, -1)) <= 1e-13
     assert (x1[3], cutoff[3]) == (_negative_edges(alphas[3])[0], kappa_cutoff(alphas[3]))
 
 
-@pytest.mark.xfail(strict=True, reason="x_-1 is formed from O(1) terms that cancel near -8/pi")
 def test_deeper_threshold_edge_next_to_the_borderline_matches_high_precision():
     # Within 1e-6 below the borderline, discriminant_negative + 1 is the
-    # difference of terms near 1 and -1, and its slope at the root is about
-    # 2e-3: double precision places x_-1 only to about 1e-10 relative.
+    # difference of terms near 1 and -1: a scan of it placed x_-1 only to
+    # about 1e-10 relative.  Its factored form has no such cancellation.
     alpha = ZERO_ENERGY_ALPHA_MIN - 1e-6
     x_m1 = _negative_edges(alpha)[1]
-    assert relative_error(x_m1, mp_negative_edge(alpha, -1, x_m1)) <= 1e-13
+    assert relative_error(x_m1, mp_threshold_edge(alpha, -1)) <= 1e-13
 
 
 @pytest.mark.xfail(strict=True, reason="solve_gap discards roots within EDGE_WINDOW = 1e-9 of the band edge")
