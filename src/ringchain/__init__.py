@@ -60,7 +60,6 @@ from .gaps import (
 from .resonance import (
     ContourZeroError,
     SingularPoint,
-    connecting_hyperbola_angle,
     continue_curve,
     count_zeros_box,
     enumerate_singular_points,
@@ -142,7 +141,6 @@ __all__ = [
     "gentle_bend_coefficient",
     "fit_gentle_coefficient",
     "count_zeros_box",
-    "connecting_hyperbola_angle",
     # verify
     "run_criterion",
     "run_all",

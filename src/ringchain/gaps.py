@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rootfind import _first_roots, _row_brackets, bisect_batch
-from .bands import GapInterval, _gaps_at, _negative_edges, gap_intervals
+from .bands import GapInterval, _gaps_at, _negative_edges
 from .dispersion import (
     ZERO_ENERGY_ALPHA_MIN,
     ContinuationError,
@@ -52,10 +52,8 @@ __all__ = [
     "singular_angles",
     "is_singular_angle",
     "solve_gap",
-    "solve_gap_batch",
     "solve_gap_near_edge",
     "solve_negative",
-    "solve_negative_batch",
     "kappa_cutoff",
     "odd_zero_crossing_angle",
     "double_eigenvalue_residual",
@@ -193,15 +191,16 @@ def _scan_domain(gap: GapInterval) -> tuple[float, float] | None:
 
 
 def _gap_roots(slots) -> np.ndarray:
-    """Positive-energy roots of every slot ``(alpha, gap, parity, thetas)``.
+    """Positive-energy roots of every slot ``(alpha, n, parity, thetas)``.
 
     Gives one wavenumber per angle, the angles of all slots in turn, NaN
     where the slot has no eigenvalue there (see ``solve_gap``).  Every
     angle is one row on the scan grid of its slot's gap, and the rows of
     all slots are scanned together in full blocks (``_row_brackets``).
-    The gap function is sampled once for each run of slots with the same
-    coupling and gap; all brackets of all slots are bisected together on
-    one kernel with a per-bracket coupling and parity sign.
+    The gap intervals of all runs come from one ``_gaps_at`` call, and the
+    gap function is sampled once for each run; all brackets of all slots
+    are bisected together on one kernel with a per-bracket coupling and
+    parity sign.
     """
     sizes = [len(thetas) for *_, thetas in slots]
     # A run is a stretch of slots with one coupling and gap (the parities
@@ -209,13 +208,14 @@ def _gap_roots(slots) -> np.ndarray:
     heads = [i == 0 or slots[i - 1][:2] != slot[:2] for i, slot in enumerate(slots)]
     runs = [slot for slot, head in zip(slots, heads) if head]
     run_alpha = np.array([alpha for alpha, *_ in runs])
-    doms = np.array([_scan_domain(gap) or (math.nan, math.nan) for _, gap, *_ in runs])
+    gaps = _gaps_at(run_alpha, [n for _, n, *_ in runs])
+    doms = np.array([_scan_domain(gap) or (math.nan, math.nan) for gap in gaps])
     run = np.repeat(np.cumsum(heads, dtype=int) - 1, sizes)
-    n = np.repeat([gap.n for _, gap, *_ in slots], sizes)
+    n = np.repeat([n for _, n, *_ in slots], sizes)
     sgn = np.repeat([_parity_sign(p) for *_, p, _ in slots], sizes)
     th = np.concatenate([thetas for *_, thetas in slots] or [[]])
     lo, hi = doms.reshape(-1, 2)[run].T
-    for gn, p in {(gap.n, p) for _, gap, p, _ in slots}:  # no row at a singular angle
+    for gn, p in {(gn, p) for _, gn, p, _ in slots}:  # no row at a singular angle
         sel = (n == gn) & (sgn == _parity_sign(p))
         lo[sel] = np.where(is_singular_angle(th[sel], gn, p), math.nan, lo[sel])
     sampled = {}  # run -> the gap function on its grid, for the runs of one block
@@ -244,7 +244,7 @@ def _gap_roots(slots) -> np.ndarray:
         rs = kept.setdefault(i, [])
         if not rs or r - rs[-1] > 1e-9:
             rs.append(r)
-    edge = np.repeat([gap.band_edge for _, gap, *_ in slots], sizes)
+    edge = np.array([gap.band_edge for gap in gaps])[run]
     out = np.full(th.size, np.nan)
     for i, rs in kept.items():
         rs = [r for r in rs if abs(r - edge[i]) > EDGE_WINDOW]
@@ -385,8 +385,8 @@ def _signed_odd_roots(alpha, theta, x_m1) -> np.ndarray:
     )
 
 
-def _sector_roots(slots, positive=None) -> list[np.ndarray]:
-    """Signed root ``s`` of every slot ``(alpha, n, parity, thetas, gap)``.
+def _sector_roots(slots) -> list[np.ndarray]:
+    """Signed root ``s`` of every slot ``(alpha, n, parity, thetas)``.
 
     The one place that decides which solver serves which (coupling, gap,
     parity) sector; every solver runs once, over all of its slots:
@@ -395,31 +395,29 @@ def _sector_roots(slots, positive=None) -> list[np.ndarray]:
       and no odd one;
     - the odd eigenvalue of gap 1 below the borderline coupling is solved
       in the signed variable (``_signed_odd_roots``);
-    - every other sector holds a positive-energy root on the gap interval
-      ``gap`` (``_gap_roots``); a slot may leave ``gap`` as ``None`` to
-      have it computed here.  ``positive``, when given, holds one flag
-      per slot; a slot whose flag is false leaves this sector NaN, for a
-      query that reads negative energies only.
+    - every other sector holds a positive-energy root on gap ``n`` of the
+      straight chain (``_gap_roots``).
 
     Gives one ``s`` per angle of each slot (``energy = sign(s)*s**2``),
     NaN where the sector has no eigenvalue there.  The threshold edges
     and the cutoff are computed once per distinct attractive coupling.
     """
     sector = []
-    for i, (alpha, n, parity, _, _) in enumerate(slots):
+    for alpha, n, parity, _ in slots:
         if alpha == 0.0:
             raise ValueError("the uncoupled chain has no gap eigenvalues")
+        _parity_sign(parity)  # a bad parity is an error in every sector
         if alpha < 0.0 and n == 0:
             sector.append("even" if parity == "+" else None)
         elif alpha < ZERO_ENERGY_ALPHA_MIN and n == 1 and parity == "-":
             sector.append("odd")
         else:
-            sector.append("gap" if positive is None or positive[i] else None)
+            sector.append("gap")
     # One row per angle of every slot.
-    sizes = [len(thetas) for _, _, _, thetas, _ in slots]
+    sizes = [len(thetas) for *_, thetas in slots]
     row_sector = np.repeat(np.array(sector, dtype=object), sizes)
     al = np.repeat([slot[0] for slot in slots], sizes)
-    th = np.concatenate([thetas for _, _, _, thetas, _ in slots] or [[]])
+    th = np.concatenate([thetas for *_, thetas in slots] or [[]])
     out = np.full(al.size, np.nan)
     even, odd = row_sector == "even", row_sector == "odd"
     if even.any() or odd.any():
@@ -430,24 +428,15 @@ def _sector_roots(slots, positive=None) -> list[np.ndarray]:
         c = np.searchsorted(couplings, al)
         out[even] = -_negative_even_roots(al[even], th[even], x1[c[even]], cutoff[c[even]])
         out[odd] = _signed_odd_roots(al[odd], th[odd], x_m1[c[odd]])
-    gap_slots = [slot for slot, kind in zip(slots, sector) if kind == "gap"]
-    missing = [slot for slot in gap_slots if slot[4] is None]
-    computed = iter(_gaps_at([slot[0] for slot in missing], [slot[1] for slot in missing]))
-    out[row_sector == "gap"] = _gap_roots([
-        (alpha, next(computed) if gap is None else gap, parity, thetas)
-        for alpha, _, parity, thetas, gap in gap_slots
-    ])
+    out[row_sector == "gap"] = _gap_roots(
+        [slot for slot, kind in zip(slots, sector) if kind == "gap"]
+    )
     ends = np.cumsum(sizes).tolist()
     return [out[end - size:end] for size, end in zip(sizes, ends)]
 
 
-def solve_gap(
-    alpha: float,
-    theta: float,
-    gap: GapInterval,
-    parity: str,
-) -> float | None:
-    """Positive-energy eigenvalue wavenumber in one gap and parity sector.
+def solve_gap(alpha: float, theta: float, n: int, parity: str) -> float | None:
+    """Positive-energy eigenvalue wavenumber in gap ``n`` and one parity sector.
 
     Reads the signed root of ``_sector_roots`` where it is positive.
     Returns ``None`` when the sector has no eigenvalue of positive energy
@@ -456,12 +445,8 @@ def solve_gap(
     simply does not change sign.  At most one root can exist; finding
     more than one surviving candidate raises ``RuntimeError``.
     """
-    return solve_gap_batch([(alpha, theta, gap, parity)])[0]
-
-
-def solve_gap_batch(queries) -> list[float | None]:
-    """``solve_gap`` for every ``(alpha, theta, gap, parity)`` query, solved together."""
-    return _solve_queries(queries, ())[0]
+    ((s,),) = _sector_roots([(alpha, n, parity, _angles(theta))])
+    return s if s > 0.0 else None
 
 
 def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
@@ -475,48 +460,8 @@ def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
     under ``odd_zero_crossing_angle``.  Returns ``None`` when there is
     nothing to find.
     """
-    return solve_negative_batch([(alpha, theta, parity)])[0]
-
-
-def solve_negative_batch(queries) -> list[float | None]:
-    """``solve_negative`` for every ``(alpha, theta, parity)`` query, solved together."""
-    return _solve_queries((), queries)[1]
-
-
-def _solve_queries(gap_queries, negative_queries):
-    """``solve_gap_batch`` and ``solve_negative_batch`` together, in one ``_sector_roots`` call.
-
-    Every query becomes a one-angle slot.  A negative query names its
-    sector by parity alone (gap 0 even, gap 1 odd) and reads any slot of
-    that sector at its coupling and angle, so a gap query there answers
-    it too; a slot that only negative queries read leaves its
-    positive-energy sector unsolved.  Returns both answer lists.
-    """
-    gap_queries, negative_queries = list(gap_queries), list(negative_queries)
-    th = _angles([q[1] for q in gap_queries] + [q[1] for q in negative_queries])
-    angles = th.tolist()
-    slots, positive, index = [], [], {}
-
-    def slot(i, alpha, n, parity, gap):
-        # A negative query (no gap) reads any slot of its sector, a gap
-        # query only one solved on its own gap.
-        key = (alpha, n, parity, angles[i])
-        j = index.setdefault(key, len(slots))
-        if j == len(slots) or gap is not None and slots[j][4] != gap:
-            j = len(slots)
-            slots.append((alpha, n, parity, [angles[i]], gap))
-            positive.append(gap is not None)
-        return j
-
-    slot_of = [slot(i, a, g.n, p, g) for i, (a, _, g, p) in enumerate(gap_queries)]
-    slot_of += [
-        slot(i, a, 0 if p == "+" else 1, p, None)
-        for i, (a, _, p) in enumerate(negative_queries, len(gap_queries))
-    ]
-    index.clear()  # its keys would stay alive through the solve's peak memory
-    s = np.concatenate(_sector_roots(slots, positive) or [[]])[slot_of]
-    k, kappa = np.split(s, [len(gap_queries)])
-    return [x if x > 0.0 else None for x in k], [-x if x < 0.0 else None for x in kappa]
+    ((s,),) = _sector_roots([(alpha, 0 if parity == "+" else 1, parity, _angles(theta))])
+    return -s if s < 0.0 else None
 
 
 def double_eigenvalue_residual(k, alpha: float):
@@ -590,18 +535,23 @@ def gap_eigenvalues_grid(
     Every sector of the grid is one slot of ``_sector_roots``, so the gap
     intervals, the threshold edges, the cutoff and the gap function on
     each scan grid are computed once for the whole grid; the residuals of
-    all records take one array call per energy sign.
+    all records take one array call per energy sign.  ``parity`` is
+    ``'+'``, ``'-'`` or ``'both'``.
     """
+    if parity not in ("+", "-", "both"):
+        raise ValueError("parity must be '+', '-' or 'both'")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     thetas = _angles(thetas)
-    parities = [p for p in "+-" if parity in ("both", p)]
-    gaps = gap_intervals(alpha, n_max)
-    slots = [(alpha, gap.n, p, thetas, gap) for gap in gaps for p in parities]
+    parities = "+-" if parity == "both" else parity
+    ns = range(0 if alpha > 0.0 else 1, n_max + 1)
+    slots = [(alpha, n, p, thetas) for n in ns for p in parities]
     if alpha < 0.0 and "+" in parities:
-        slots.append((alpha, 0, "+", thetas, None))
-    roots = dict(zip(((n, p) for _, n, p, _, _ in slots), _sector_roots(slots)))
+        slots.append((alpha, 0, "+", thetas))
+    roots = dict(zip(((n, p) for _, n, p, _ in slots), _sector_roots(slots)))
     absent = np.full(len(thetas), np.nan)
     # Both parities of every gap, an absent root as NaN: (gap, parity, angle).
-    signed = np.array([[roots.get((g.n, p), absent) for p in "+-"] for g in gaps])
+    signed = np.array([[roots.get((n, p), absent) for p in "+-"] for n in ns])
     ks = np.where(signed > 0.0, signed, np.nan)
     # The negative energies: the even one of gap 0 and the odd one of gap 1.
     signed = np.array([roots.get((0, "+"), absent), roots.get((1, "-"), absent)])
@@ -616,8 +566,8 @@ def gap_eigenvalues_grid(
             for kap, r, p, n in zip(kaps[:, i], kap_res[:, i], "+-", (0, 1))
             if not np.isnan(kap)
         ]
-        for gap, k, r in zip(gaps, ks[..., i], res[..., i]):
-            records += _merge_records(theta, gap.n, alpha, k, r)
+        for n, k, r in zip(ns, ks[..., i], res[..., i]):
+            records += _merge_records(theta, n, alpha, k, r)
         records.sort(key=lambda r: (r.gap_index, r.energy, r.parity))
         out.append(records)
     return out
@@ -658,7 +608,7 @@ def trace_eigenvalue_curve(
     grid = list(thetas)
     if gap_index < 0:
         raise ValueError(f"gap {gap_index} not available")
-    (s,) = _sector_roots([(alpha, gap_index, parity, _angles(grid), None)])
+    (s,) = _sector_roots([(alpha, gap_index, parity, _angles(grid))])
     samples = [(theta, r) for theta, r in zip(grid, s) if not np.isnan(r)]
     # Secant continuity audit on the energies.
     for i in range(2, len(samples)):

@@ -47,7 +47,6 @@ __all__ = [
     "gentle_bend_coefficient",
     "fit_gentle_coefficient",
     "count_zeros_box",
-    "connecting_hyperbola_angle",
 ]
 
 # Continuation step bounds (in bend angle, radians).
@@ -114,9 +113,9 @@ def _residual_terms(
 class SingularPoint:
     """Flat-band point ``(theta0, n)`` where a gap loses its eigenvalue.
 
-    Even sector: ``theta0 = (n+1-2*ell) * pi / n``; odd sector:
-    ``theta0 = (n-2*ell) * pi / n``; in both cases ``ell`` is a positive
-    integer keeping ``theta0`` inside ``[0, pi)``.
+    ``theta0`` is the ``ell``-th angle of ``singular_angles(n, parity)``:
+    ``(n+1-2*ell) * pi / n`` in the even sector, ``(n-2*ell) * pi / n`` in
+    the odd one, with ``ell`` a positive integer keeping it in ``[0, pi)``.
     """
 
     n: int
@@ -127,16 +126,10 @@ class SingularPoint:
     def __post_init__(self) -> None:
         if self.n < 1 or self.ell < 1:
             raise ValueError("n and ell must be positive integers")
-        if self.parity == "+":
-            units = self.n + 1 - 2 * self.ell
-        elif self.parity == "-":
-            units = self.n - 2 * self.ell
-        else:
-            raise ValueError("parity must be '+' or '-'")
-        theta0 = units * math.pi / self.n
-        if not 0.0 <= theta0 < math.pi:
+        angles = singular_angles(self.n, self.parity)
+        if self.ell > len(angles):
             raise ValueError(f"({self.n}, {self.ell}) gives no admissible angle")
-        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "theta0", angles[self.ell - 1])
 
     @property
     def k0(self) -> float:
@@ -147,8 +140,7 @@ def enumerate_singular_points(n_max: int, parity: str) -> list[SingularPoint]:
     """All singular points with ``n <= n_max`` of one parity sector."""
     out: list[SingularPoint] = []
     for n in range(1, n_max + 1):
-        ell_hi = (n + 1) // 2 if parity == "+" else n // 2
-        for ell in range(1, ell_hi + 1):
+        for ell in range(1, len(singular_angles(n, parity)) + 1):
             out.append(SingularPoint(n, ell, parity))
     return out
 
@@ -528,11 +520,3 @@ def count_zeros_box(
         zs = np.insert(zs, np.flatnonzero(bad) + 1, mids[bad])
     raise RuntimeError("contour refinement did not converge")
 
-
-def connecting_hyperbola_angle(total: int, k: float) -> float:
-    """Bend angle on the hyperbola ``(theta + pi) * k = total * pi``.
-
-    The complex branches run along these curves between consecutive
-    singular points sharing the same ``total = n + ell``-style sum.
-    """
-    return total * math.pi / k - math.pi

@@ -36,7 +36,7 @@ from .dispersion import (
     discriminant_negative,
 )
 from .gaps import (
-    _solve_queries,
+    _sector_roots,
     double_points_in_gap,
     gap_eigenvalues_grid,
     kappa_cutoff,
@@ -44,7 +44,6 @@ from .gaps import (
     recover_double_angle,
     singular_angles,
     solve_gap,
-    solve_negative_batch,
     trace_eigenvalue_curve,
 )
 from .resonance import (
@@ -251,20 +250,28 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
             continue
         draws.append((alpha, n, theta))
     trials = len(draws)
-    alphas, ns, thetas = zip(*draws)
-    draws = list(zip(alphas, thetas, _gaps_at(alphas, ns)))
-    k_gaps, kappa_refs = map(iter, _solve_queries(
-        [(a, t, g, p) for a, t, g in draws for p in ("+", "-")],
-        [(a, t, p) for a, t, _ in draws if a < 0.0 for p in ("+", "-")],
-    ))
+    # Gap n in both parities; for an attractive coupling the even negative
+    # sector too, and below the borderline the odd one, whose slot in gap
+    # 1 serves both readers.
+    wanted = [(a, n, p, t) for a, n, t in draws for p in ("+", "-")]
+    for a, _, t in draws:
+        if a < 0.0:
+            wanted.append((a, 0, "+", t))
+        if a < ZERO_ENERGY_ALPHA_MIN:
+            wanted.append((a, 1, "-", t))
+    slots = list(dict.fromkeys(wanted))
+    solved = _sector_roots([(a, n, p, [t]) for a, n, p, t in slots])
+    signed = dict(zip(slots, np.concatenate(solved).tolist()))
+    alphas, ns, _ = zip(*draws)
     cutoffs = iter(kappa_cutoff([a for a, _, _ in draws if a < 0.0]))
     mismatches = 0
     worst = 0.0
-    for alpha, theta, gap in draws:
+    for (alpha, n, theta), gap in zip(draws, _gaps_at(alphas, ns)):
         ks = np.linspace(gap.k_lo + 1e-12, gap.k_hi - 1e-12, 2001)
         found = _cleared_roots(ks, alpha, theta, 1)
         for parity in ("+", "-"):
-            k_gap = next(k_gaps)
+            k_gap = signed[(alpha, n, parity, theta)]
+            k_gap = k_gap if k_gap > 0.0 else None
             roots = [
                 r for r in found[parity]
                 if min(abs(r - gap.k_lo), abs(r - gap.k_hi)) > 1e-9
@@ -279,8 +286,9 @@ def _criterion_form_equivalence() -> tuple[bool, dict, str]:
             # hyperbolic-form eigenvalues.
             kappas = np.linspace(1e-6, next(cutoffs) + 1.0, 4001)
             found = _cleared_roots(kappas, alpha, theta, 1j)
-            for parity in ("+", "-"):
-                kappa_ref = next(kappa_refs)
+            for parity, n_neg in (("+", 0), ("-", 1)):
+                kappa_ref = -signed.get((alpha, n_neg, parity, theta), math.nan)
+                kappa_ref = kappa_ref if kappa_ref > 0.0 else None
                 roots = found[parity]
                 if not _matches_reference(roots, kappa_ref):
                     mismatches += 1
@@ -377,8 +385,9 @@ def _criterion_negative_bounds() -> tuple[bool, dict, str]:
     worst_margin = math.inf
     ok = True
     thetas = [(i + 0.5) * math.pi / 20.0 for i in range(20)]
-    for kap in solve_negative_batch((alpha, theta, "+") for theta in thetas):
-        if kap is None:
+    (s,) = _sector_roots([(alpha, 0, "+", thetas)])
+    for kap in -s:
+        if np.isnan(kap):
             ok = False
             continue
         e = -kap * kap
@@ -410,8 +419,8 @@ def _criterion_double_points() -> tuple[bool, dict, str]:
             continue
         k_star = stars[0]
         theta = recover_double_angle(k_star, alpha)
-        kp = solve_gap(alpha, theta, gaps[n], "+")
-        km = solve_gap(alpha, theta, gaps[n], "-")
+        kp = solve_gap(alpha, theta, n, "+")
+        km = solve_gap(alpha, theta, n, "-")
         measured[f"k_star_gap{n}"] = k_star
         measured[f"theta_gap{n}"] = theta
         if kp is None or km is None:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from ringchain import _rootfind, dispersion, gaps, resonance, transfer, verify
+from ringchain import _rootfind, bands, dispersion, gaps, resonance, transfer, verify
 from ringchain.verify import EXPECTED_FAILURES, run_criterion
 
 # Runtime budgets per criterion, in seconds.
@@ -144,8 +144,8 @@ def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):
     # broken.
     alpha, theta = -3.0, 1.0
     kappa = gaps.solve_negative(alpha, theta, "+")
-    gap = gaps.gap_intervals(-alpha, 1)[1]
-    k = gaps.solve_gap(-alpha, theta, gap, "-")
+    gap = bands.gap_intervals(-alpha, 1)[1]
+    k = gaps.solve_gap(-alpha, theta, 1, "-")
     kappas = np.linspace(1e-6, gaps.kappa_cutoff(alpha) + 1.0, 4001)
     ks = np.linspace(gap.k_lo + 1e-12, gap.k_hi - 1e-12, 2001)
 
@@ -155,11 +155,8 @@ def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):
     for module, name in (
         (_rootfind, "bisect_batch"),
         (gaps, "bisect_batch"),
-        (gaps, "solve_negative_batch"),
-        (gaps, "solve_gap_batch"),
-        (gaps, "_solve_queries"),
-        (verify, "solve_negative_batch"),
-        (verify, "_solve_queries"),
+        (gaps, "_sector_roots"),
+        (verify, "_sector_roots"),
         (resonance, "resonance_residual"),
         (resonance, "resonance_residual_grid"),
     ):
@@ -203,7 +200,7 @@ def _per_parity_reference(xs, alpha, theta, parity, unit):
 )
 def test_cleared_roots_match_the_complex_per_parity_oracle(magnitude, attractive, theta, n):
     alpha = -magnitude if attractive else magnitude
-    gap = next(g for g in gaps.gap_intervals(alpha, n) if g.n == n)
+    gap = next(g for g in bands.gap_intervals(alpha, n) if g.n == n)
     axes = [(np.linspace(gap.k_lo + 1e-12, gap.k_hi - 1e-12, 2001), 1)]
     upper = gaps.kappa_cutoff(alpha) + 1.0 if attractive else 4.0
     axes.append((np.linspace(1e-6, upper, 4001), 1j))

@@ -28,14 +28,13 @@ from ringchain import (
     solve_negative,
     trace_eigenvalue_curve,
 )
+from ringchain import gaps
 from ringchain.gaps import (
     _gaps_at,
     _negative_edges,
     _odd_residual_scaled,
-    _solve_queries,
+    _sector_roots,
     double_eigenvalue_residual,
-    solve_gap_batch,
-    solve_negative_batch,
 )
 
 THETA = st.floats(min_value=0.3, max_value=math.pi - 0.3, allow_nan=False)
@@ -71,18 +70,16 @@ def test_gap_intervals_attractive_layout():
 
 
 def test_first_gap_fixture_roots():
-    gap1 = gap_intervals(3.0, 1)[1]
-    k_even = solve_gap(3.0, math.pi / 5.0, gap1, "+")
-    k_odd = solve_gap(3.0, math.pi / 5.0, gap1, "-")
+    k_even = solve_gap(3.0, math.pi / 5.0, 1, "+")
+    k_odd = solve_gap(3.0, math.pi / 5.0, 1, "-")
     assert math.isclose(k_even, 1.1239278679448357, rel_tol=1e-12)
     assert math.isclose(k_odd, 1.3239223583327728, rel_tol=1e-12)
 
 
 def test_solved_roots_satisfy_matching_conditions():
-    gap1 = gap_intervals(3.0, 1)[1]
     theta = math.pi / 5.0
-    k_even = solve_gap(3.0, theta, gap1, "+")
-    k_odd = solve_gap(3.0, theta, gap1, "-")
+    k_even = solve_gap(3.0, theta, 1, "+")
+    k_odd = solve_gap(3.0, theta, 1, "-")
     assert abs(math.cos(k_even * theta) - gap_function(k_even, 3.0)) < 1e-10
     assert abs(-math.cos(k_odd * theta) - gap_function(k_odd, 3.0)) < 1e-10
 
@@ -92,7 +89,7 @@ def test_solve_gap_root_is_unique_in_gap():
     # gap finds exactly one sign change, at the solver's root.
     alpha, theta = 3.0, 1.1
     gap = gap_intervals(alpha, 2)[2]
-    k_root = solve_gap(alpha, theta, gap, "+")
+    k_root = solve_gap(alpha, theta, 2, "+")
     xs = np.linspace(gap.k_lo + 1e-9, gap.k_hi - 1e-9, 4001)
     vals = [math.cos(x * theta) - gap_function(x, alpha) for x in xs]
     crossings = [
@@ -127,9 +124,8 @@ def test_singular_angle_examples():
 
 
 def test_eigenvalue_absent_exactly_at_singular_angle():
-    gap3 = gap_intervals(3.0, 3)[3]
-    assert solve_gap(3.0, 2.0 * math.pi / 3.0, gap3, "+") is None
-    assert solve_gap(3.0, 2.0 * math.pi / 3.0 + 0.05, gap3, "+") is not None
+    assert solve_gap(3.0, 2.0 * math.pi / 3.0, 3, "+") is None
+    assert solve_gap(3.0, 2.0 * math.pi / 3.0 + 0.05, 3, "+") is not None
 
 
 def test_gap_eigenvalue_records_are_consistent():
@@ -160,8 +156,8 @@ def test_double_angle_recovery_and_merged_record():
     assert math.isclose(k_star, 1.2756700453097611, rel_tol=1e-12)
     assert math.isclose(theta_star, 1.2313500129365125, rel_tol=1e-12)
     # Both parity solvers land on the same momentum there...
-    k_even = solve_gap(3.0, theta_star, gap1, "+")
-    k_odd = solve_gap(3.0, theta_star, gap1, "-")
+    k_even = solve_gap(3.0, theta_star, 1, "+")
+    k_odd = solve_gap(3.0, theta_star, 1, "-")
     assert abs(k_even - k_star) < 1e-9
     assert abs(k_odd - k_star) < 1e-9
     # ...and the record set reports one eigenvalue of multiplicity two.
@@ -232,7 +228,7 @@ def test_traced_odd_curve_crosses_zero_energy():
 def test_first_gap_even_root_properties(alpha, theta):
     assume(all(abs(theta - t) > 1e-2 for t in singular_angles(1, "+")))
     gap1 = gap_intervals(alpha, 1)[1]
-    k = solve_gap(alpha, theta, gap1, "+")
+    k = solve_gap(alpha, theta, 1, "+")
     assume(k is not None)
     assert gap1.k_lo < k < gap1.k_hi
     assert abs(math.cos(k * theta) - gap_function(k, alpha)) < 1e-9
@@ -299,17 +295,36 @@ def test_grid_rows_equal_the_one_angle_solve(alpha):
     assert not any(r.gap_index == 3 and "+" in r.parity for r in grid[-1])
 
 
+def reprs(values):
+    return [None if v is None else repr(float(v)) for v in values]
+
+
+def one_by_one(slots):
+    """The signed root of every one-angle slot, each from a call of its own."""
+    return [s for slot in slots for (s,) in _sector_roots([slot])]
+
+
 def test_gap_solves_batched_across_couplings_equal_one_by_one():
-    queries = [
-        (alpha, theta, gap, parity)
+    slots = [
+        (alpha, gap.n, parity, [theta])
         for alpha in (3.0, -3.0, 1.7)
         for theta in (0.4, 2.0 * math.pi / 3.0, 2.5)
         for gap in gap_intervals(alpha, 3)
         for parity in ("+", "-")
     ]
-    batched = solve_gap_batch(queries)
-    assert batched == [solve_gap(*q) for q in queries]
-    assert any(k is None for k in batched) and any(k is not None for k in batched)
+    batched = [s for (s,) in _sector_roots(slots)]
+    assert reprs(batched) == reprs(one_by_one(slots))
+    ks = [s if s > 0.0 else None for s in batched]
+    assert reprs(ks) == reprs(solve_gap(a, t, n, p) for a, n, p, (t,) in slots)
+    assert any(k is None for k in ks) and any(k is not None for k in ks)
+
+
+def test_solve_gap_reads_the_gap_of_its_own_coupling():
+    # Gap 2 is wider at alpha = 3 than at alpha = 2, and this root lies in
+    # the part that alpha = 2's gap leaves out.
+    k = solve_gap(3.0, 0.5, 2, "+")
+    assert k == 2.2052998308679292
+    assert gap_intervals(2.0, 2)[2].k_hi < k < gap_intervals(3.0, 2)[2].k_hi
 
 
 def _grid_root(alpha, theta, n, parity, negative):
@@ -326,45 +341,76 @@ def test_mixed_queries_equal_one_by_one_and_the_grid(count):
     # a block, and the gap function is sampled once per run of one
     # coupling and gap.  Runs of three slots put block boundaries inside
     # a run; pi/2 and 2*pi/3 are singular for gaps 2 and 3 (even), and a
-    # gap query and a negative query share gap 1's odd slot below the
-    # borderline coupling.
+    # positive-energy slot and a negative-energy slot name gap 1's odd
+    # sector below the borderline coupling.
     couplings = (3.0, 1.7, -3.1, -2.6, 2.2, -4.0)
     thetas = (0.7, math.pi / 2.0, 2.0 * math.pi / 3.0, 1.9, 0.35)
-    gap_queries = []
-    for i in range(count):
-        alpha = couplings[i // 3 % len(couplings)]
-        gap = gap_intervals(alpha, 3)[-1 - i // 3 % 3]
-        gap_queries.append((alpha, thetas[i % len(thetas)], gap, "+-"[i % 2]))
-    negative_queries = [
-        (alpha, theta, parity)
-        for alpha, theta, _, parity in gap_queries + [(-3.1, 0.4, None, "-")]
+    positive = [
+        (couplings[i // 3 % len(couplings)], 3 - i // 3 % 3, "+-"[i % 2], [thetas[i % len(thetas)]])
+        for i in range(count)
     ]
-    got = _solve_queries(gap_queries, negative_queries)
-    want = (
-        [solve_gap(*q) for q in gap_queries],
-        [solve_negative(*q) for q in negative_queries],
-    )
+    # The negative-energy sectors at the same angles: gap 0 even, gap 1 odd.
+    negative = [
+        (alpha, 0 if parity == "+" else 1, parity, theta)
+        for alpha, _, parity, theta in positive + [(-3.1, None, "-", [0.4])]
+    ]
+    got = [s for (s,) in _sector_roots(positive + negative)]
+    assert reprs(got) == reprs(one_by_one(positive + negative))
+    ks = [s if s > 0.0 else None for s in got[:count]]
+    kappas = [-s if s < 0.0 else None for s in got[count:]]
+    assert reprs(ks) == reprs(solve_gap(a, t, n, p) for a, n, p, (t,) in positive)
+    assert reprs(kappas) == reprs(solve_negative(a, t, p) for a, _, p, (t,) in negative)
+    assert reprs(ks) == reprs(_grid_root(a, t, n, p, False) for a, n, p, (t,) in positive)
+    assert reprs(kappas) == reprs(_grid_root(a, t, n, p, True) for a, n, p, (t,) in negative)
 
-    def reprs(values):
-        return [None if v is None else repr(float(v)) for v in values]
 
-    assert [reprs(part) for part in got] == [reprs(part) for part in want]
-    assert reprs(solve_gap_batch(gap_queries)) == reprs(want[0])
-    assert reprs(solve_negative_batch(negative_queries)) == reprs(want[1])
-    assert reprs(want[0]) == reprs(
-        _grid_root(a, t, g.n, p, False) for a, t, g, p in gap_queries
-    )
-    assert reprs(want[1]) == reprs(
-        _grid_root(a, t, 0 if p == "+" else 1, p, True) for a, t, p in negative_queries
-    )
+@pytest.mark.parametrize(
+    "reader, args",
+    [
+        (gap_eigenvalues_grid, (-3.1, [0.5, 1.0, 2.0], 5)),
+        (trace_eigenvalue_curve, (3.1, "+", 2, [0.5, 1.0, 2.0])),
+        (solve_gap, (3.0, 0.5, 2, "+")),
+    ],
+    ids=["grid", "curve", "solve_gap"],
+)
+def test_every_reader_finds_its_gaps_in_one_call(monkeypatch, reader, args):
+    calls = []
+
+    def counted(alphas, ns):
+        calls.append(ns)
+        return _gaps_at(alphas, ns)
+
+    monkeypatch.setattr(gaps, "_gaps_at", counted)
+    reader(*args)
+    assert len(calls) == 1
+
+
+BOTH = "parity must be '\\+', '-' or 'both'$"
+ONE = "parity must be '\\+' or '-'$"
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda p: gap_eigenvalues(3.0, 1.0, 3, p), BOTH),
+        (lambda p: gap_eigenvalues_grid(3.0, [1.0, 2.0], 3, p), BOTH),
+        (lambda p: solve_gap(3.0, 1.0, 2, p), ONE),
+        (lambda p: solve_negative(-3.0, 1.0, p), ONE),
+        (lambda p: trace_eigenvalue_curve(-3.0, p, 0, [1.0, 2.0]), ONE),
+    ],
+    ids=["gap_eigenvalues", "grid", "solve_gap", "solve_negative", "curve"],
+)
+@pytest.mark.parametrize("parity", ["x", "even"])
+def test_a_bad_parity_is_an_error(read, message, parity):
+    with pytest.raises(ValueError, match=message):
+        read(parity)
 
 
 def test_traced_curves_equal_the_one_angle_solvers():
     alpha = -3.0
     thetas = np.linspace(0.3, 2.8, 12)
-    gap = gap_intervals(alpha, 2)[-1]
     curve = trace_eigenvalue_curve(alpha, "+", 2, thetas)
-    assert list(curve.samples) == [(t, solve_gap(alpha, t, gap, "+")) for t in thetas]
+    assert list(curve.samples) == [(t, solve_gap(alpha, t, 2, "+")) for t in thetas]
     curve = trace_eigenvalue_curve(alpha, "+", 0, thetas)
     assert list(curve.samples) == [(t, -solve_negative(alpha, t, "+")) for t in thetas]
 
@@ -375,17 +421,13 @@ def test_every_reader_of_the_deep_odd_sector_equals_the_grid(alpha):
     # one-angle solvers and the traced curve must report the roots the
     # grid writes, bit for bit, on both sides of the crossing.
     thetas = [(i + 0.5) * math.pi / 64 for i in range(64)]
-    (gap1,) = gap_intervals(alpha, 1)
     odd = [
         next(r for r in records if r.gap_index == 1 and r.parity == "-")
         for records in gap_eigenvalues_grid(alpha, thetas, 1, "-")
     ]
     assert {r.energy > 0.0 for r in odd} == {True, False}
 
-    def reprs(values):
-        return [None if v is None else repr(float(v)) for v in values]
-
-    assert reprs(solve_gap(alpha, t, gap1, "-") for t in thetas) == reprs(
+    assert reprs(solve_gap(alpha, t, 1, "-") for t in thetas) == reprs(
         r.k if r.energy > 0.0 else None for r in odd
     )
     assert reprs(solve_negative(alpha, t, "-") for t in thetas) == reprs(
@@ -428,8 +470,9 @@ def test_negative_solves_batched_across_couplings_equal_one_by_one(queries, repe
     if repeat:  # the same coupling at a second angle and the other parity
         alpha, theta, parity = queries[0]
         queries.append((alpha, math.pi - theta, "-" if parity == "+" else "+"))
-    batched = solve_negative_batch(queries)
-    assert [repr(k) for k in batched] == [repr(solve_negative(*q)) for q in queries]
+    slots = [(alpha, 0 if parity == "+" else 1, parity, [theta]) for alpha, theta, parity in queries]
+    kappas = [-s if s < 0.0 else None for (s,) in _sector_roots(slots)]
+    assert reprs(kappas) == reprs(solve_negative(*q) for q in queries)
 
 
 def mp_bisect(f, lo, hi):

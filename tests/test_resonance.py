@@ -16,7 +16,6 @@ from ringchain import (
     ContourZeroError,
     InsufficientDataError,
     SingularPoint,
-    connecting_hyperbola_angle,
     count_zeros_box,
     enumerate_singular_points,
     fit_branch_exponent,
@@ -222,8 +221,12 @@ def test_singular_point_validation():
     sp = SingularPoint(2, 1, "+")
     assert sp.theta0 == pytest.approx(math.pi / 2.0)
     assert sp.k0 == 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gives no admissible angle"):
         SingularPoint(2, 5, "+")  # angle would leave [0, pi)
+    with pytest.raises(ValueError, match="positive integers"):
+        SingularPoint(0, 1, "+")
+    with pytest.raises(ValueError, match="parity must be"):
+        SingularPoint(2, 1, "x")
 
 
 SINGULAR_POINTS = [sp for p in "+-" for sp in enumerate_singular_points(8, p)]
@@ -502,7 +505,3 @@ def test_winding_scan_detects_on_contour_zero():
     with pytest.raises(ContourZeroError):
         count_zeros_box(-3.0, math.pi / 3.0, "-", -3.0, -0.05, -3.0, 3.0)
 
-
-def test_connecting_hyperbola_angle_formula():
-    assert connecting_hyperbola_angle(2, 1.0) == pytest.approx(math.pi)
-    assert connecting_hyperbola_angle(3, 2.0) == pytest.approx(math.pi / 2.0)
