@@ -7,6 +7,9 @@ Subcommands: ``bands`` (band spectrum of the straight chain),
 UTF-8 with LF line endings and 17 significant digits, and identical
 configurations produce byte-identical files.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 numeric failure.
+
+Only the standard library is imported here: each command imports the
+engine modules it runs, so ``--help`` and usage errors never load numpy.
 """
 from __future__ import annotations
 
@@ -18,12 +21,6 @@ import math
 import os
 import re
 import sys
-
-from .bands import compute_bands
-from .dispersion import ContinuationError
-from .gaps import gap_eigenvalues_grid, is_singular_angle
-from .resonance import enumerate_singular_points, on_branch, trace_complex_branch
-from .verify import CRITERION_LABELS, run_all, summarize
 
 __all__ = ["main", "build_parser"]
 
@@ -200,6 +197,8 @@ def _check_args(args: argparse.Namespace) -> None:
     """
     if args.command == "verify":
         if args.criteria is not None:
+            from .verify import CRITERION_LABELS
+
             tokens = tuple(t.strip() for t in args.criteria.split(",") if t.strip())
             known = set(CRITERION_LABELS) | {lab.split("-")[0] for lab in CRITERION_LABELS}
             bad = [t for t in tokens if t not in known]
@@ -261,6 +260,8 @@ def _theta_grid(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
+    from .bands import compute_bands
+
     spectrum = compute_bands(args.alpha, args.emax)
     if args.format == "json":
         return _write(args, spectrum.as_dict())
@@ -281,6 +282,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
 
 def _eigenvalue_rows(args: argparse.Namespace, theta: float, records, singular) -> list[tuple]:
     if any(r.residual > args.tol_residual for r in records):
+        from .dispersion import ContinuationError
+
         worst = max(r.residual for r in records)
         raise ContinuationError(
             f"eigenvalue residual {worst:.3g} above --tol-residual at theta={theta:.6g}"
@@ -313,6 +316,8 @@ def _eigenvalue_rows(args: argparse.Namespace, theta: float, records, singular) 
 
 
 def cmd_eigenvalues(args: argparse.Namespace) -> int:
+    from .gaps import gap_eigenvalues_grid, is_singular_angle
+
     thetas = [args.theta] if args.theta is not None else _theta_grid(args)
     per_angle = gap_eigenvalues_grid(args.alpha, thetas, args.nmax, args.parity)
     # Gaps 1..n_max hold an integer for either sign of alpha; each one's
@@ -341,6 +346,8 @@ def cmd_eigenvalues(args: argparse.Namespace) -> int:
 
 
 def _trace_one(args: argparse.Namespace, sp):
+    from .resonance import trace_complex_branch
+
     delta0 = 1e-2
     if sp.theta0 + delta0 >= args.theta_stop:
         return None
@@ -350,6 +357,9 @@ def _trace_one(args: argparse.Namespace, sp):
 
 
 def cmd_resonances(args: argparse.Namespace) -> int:
+    from .dispersion import ContinuationError
+    from .resonance import enumerate_singular_points, on_branch
+
     parities = ("+", "-") if args.parity == "both" else (args.parity,)
     branches = ("lower", "upper") if args.branch == "both" else (args.branch,)
     # Lower traces only: an upper row is its lower twin moved by on_branch.
@@ -410,6 +420,8 @@ def cmd_resonances(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_all, summarize
+
     results = run_all(args.criteria)
     if args.format == "text":
         code = _write(args, summarize(results) + "\n")

@@ -385,6 +385,19 @@ def _signed_odd_roots(alpha, theta, x_m1) -> np.ndarray:
     )
 
 
+def _sector(alpha: float, n: int, parity: str) -> str | None:
+    """Solver of the (coupling, gap, parity) sector: ``"even"``, ``"odd"`` or
+    ``"gap"``, or ``None`` where it holds no eigenvalue (see ``_sector_roots``)."""
+    if alpha == 0.0:
+        raise ValueError("the uncoupled chain has no gap eigenvalues")
+    _parity_sign(parity)  # a bad parity is an error in every sector
+    if alpha < 0.0 and n == 0:
+        return "even" if parity == "+" else None
+    if alpha < ZERO_ENERGY_ALPHA_MIN and n == 1 and parity == "-":
+        return "odd"
+    return "gap"
+
+
 def _sector_roots(slots) -> list[np.ndarray]:
     """Signed root ``s`` of every slot ``(alpha, n, parity, thetas)``.
 
@@ -402,17 +415,7 @@ def _sector_roots(slots) -> list[np.ndarray]:
     NaN where the sector has no eigenvalue there.  The threshold edges
     and the cutoff are computed once per distinct attractive coupling.
     """
-    sector = []
-    for alpha, n, parity, _ in slots:
-        if alpha == 0.0:
-            raise ValueError("the uncoupled chain has no gap eigenvalues")
-        _parity_sign(parity)  # a bad parity is an error in every sector
-        if alpha < 0.0 and n == 0:
-            sector.append("even" if parity == "+" else None)
-        elif alpha < ZERO_ENERGY_ALPHA_MIN and n == 1 and parity == "-":
-            sector.append("odd")
-        else:
-            sector.append("gap")
+    sector = [_sector(alpha, n, parity) for alpha, n, parity, _ in slots]
     # One row per angle of every slot.
     sizes = [len(thetas) for *_, thetas in slots]
     row_sector = np.repeat(np.array(sector, dtype=object), sizes)
@@ -458,9 +461,14 @@ def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
     spectral threshold and the cutoff of ``kappa_cutoff``.  Odd sector:
     exists only below the borderline coupling and only for bend angles
     under ``odd_zero_crossing_angle``.  Returns ``None`` when there is
-    nothing to find.
+    nothing to find, without solving where the sector holds no negative
+    energy: a repulsive coupling, or the odd sector at or above the
+    borderline.
     """
-    ((s,),) = _sector_roots([(alpha, 0 if parity == "+" else 1, parity, _angles(theta))])
+    n, th = 0 if parity == "+" else 1, _angles(theta)
+    if _sector(alpha, n, parity) == "gap":
+        return None
+    ((s,),) = _sector_roots([(alpha, n, parity, th)])
     return -s if s < 0.0 else None
 
 

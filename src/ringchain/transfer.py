@@ -98,7 +98,9 @@ def transfer_matrix(k, alpha) -> TransferMatrix:
     trace twice the half-trace.  Purely imaginary ``k = i*kappa`` gives a
     real matrix, matching the negative-energy branch.  Takes a number or
     an array (``alpha`` broadcasts with ``k``); each entry has the bits of
-    the ``cmath`` formula.
+    the ``cmath`` formula.  Raises ``OverflowNormError`` where the entry
+    products overflow, so that the determinant would be NaN: next to
+    ``k = 0`` (``|a|`` above about 1e154) or far off the real axis.
     """
     kc = np.asarray(k, dtype=complex)
     if np.any((kc.imag == 0.0) & is_near_integer(kc.real)):
@@ -106,9 +108,12 @@ def transfer_matrix(k, alpha) -> TransferMatrix:
     mul = _complex_multiply
     a = _complex_divide(alpha, mul(4j, kc))
     e, einv = np.exp(mul(1j * math.pi, kc)), np.exp(mul(-1j * math.pi, kc))
-    return TransferMatrix(
+    m = TransferMatrix(
         mul(1.0 + a, e), mul(a, einv), mul(-a, e), mul(1.0 - a, einv), kc[()], alpha
     )
+    if not np.all(np.isfinite(m.det)):
+        raise OverflowNormError("transfer matrix entry products overflow")
+    return m
 
 
 def transfer_eigen(k, alpha) -> TransferEigen:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ringchain import cli
+from ringchain import cli, resonance
 from ringchain.cli import CURVE_COLUMNS, main
 from ringchain.dispersion import ContinuationError
 from ringchain.verify import run_all
@@ -183,14 +183,14 @@ def test_resonances_json_bundles():
 def test_abandoned_seed_warns_once_per_requested_branch(monkeypatch, capsys):
     # One trace serves both branches of a seed, so a failed trace must
     # still warn for, and drop the rows of, each branch by its own name.
-    real = cli.trace_complex_branch
+    real = resonance.trace_complex_branch
 
     def fail_at_2_1(alpha, sp, *args, **kwargs):
         if (sp.n, sp.ell, sp.parity) == (2, 1, "+"):
             raise ContinuationError("step underflow at theta=1.6")
         return real(alpha, sp, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "trace_complex_branch", fail_at_2_1)
+    monkeypatch.setattr(resonance, "trace_complex_branch", fail_at_2_1)
     argv = ["resonances", "--alpha", "3", "--nmax", "2", "--theta-count", "30"]
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -390,7 +390,7 @@ def test_numeric_failure_exits_three(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise ContinuationError("synthetic failure")
 
-    monkeypatch.setattr("ringchain.cli.gap_eigenvalues_grid", explode)
+    monkeypatch.setattr("ringchain.gaps.gap_eigenvalues_grid", explode)
     code = main(["eigenvalues", "--alpha", "3", "--theta", "1.0"])
     captured = capsys.readouterr()
     assert code == 3
@@ -492,7 +492,7 @@ def criterion_1():
 )
 def test_out_file_holds_the_stdout_bytes(argv, criterion_1, tmp_path, monkeypatch, capsys):
     # verify reports its run time, so both calls share one run of criterion 1.
-    monkeypatch.setattr(cli, "run_all", lambda labels: criterion_1)
+    monkeypatch.setattr("ringchain.verify.run_all", lambda labels: criterion_1)
     out = tmp_path / "artifact"
     assert main(argv) == 0
     stdout = capsys.readouterr().out

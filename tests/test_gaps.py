@@ -28,7 +28,7 @@ from ringchain import (
     solve_negative,
     trace_eigenvalue_curve,
 )
-from ringchain import gaps
+from ringchain import _rootfind, gaps
 from ringchain.gaps import (
     _gaps_at,
     _negative_edges,
@@ -473,6 +473,59 @@ def test_negative_solves_batched_across_couplings_equal_one_by_one(queries, repe
     slots = [(alpha, 0 if parity == "+" else 1, parity, [theta]) for alpha, theta, parity in queries]
     kappas = [-s if s < 0.0 else None for (s,) in _sector_roots(slots)]
     assert reprs(kappas) == reprs(solve_negative(*q) for q in queries)
+
+
+# Repulsive couplings, and odd sectors from the borderline up to zero.
+NO_NEGATIVE_ENERGY = [
+    (alpha, parity)
+    for alpha in (0.3, 2.0, 5.0)
+    for parity in ("+", "-")
+] + [(alpha, "-") for alpha in (ZERO_ENERGY_ALPHA_MIN, -2.0, -0.5, -1e-9)]
+
+
+def test_solve_negative_scans_nothing_where_no_negative_energy_lives(monkeypatch):
+    calls, real = [], _rootfind._row_brackets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gaps, "_row_brackets", counted)
+    monkeypatch.setattr(_rootfind, "_row_brackets", counted)
+    for alpha, parity in NO_NEGATIVE_ENERGY:
+        for theta in (0.1, 1.0, 3.0):
+            assert solve_negative(alpha, theta, parity) is None
+    assert calls == []
+
+
+def test_solve_negative_keeps_the_sector_roots_on_a_grid():
+    # The answer of a one-slot ``_sector_roots`` call, as solve_negative
+    # read it before it stopped solving the sectors without negative energy.
+    couplings = (-6.0, -3.0, ZERO_ENERGY_ALPHA_MIN, -2.0, -0.5, 0.3, 2.0, 5.0)
+    thetas = (0.05, 0.7, 1.6, 2.5, 3.1)
+    for alpha in couplings:
+        for parity in ("+", "-"):
+            slots = [(alpha, 0 if parity == "+" else 1, parity, [t]) for t in thetas]
+            want = [-s if s < 0.0 else None for s in one_by_one(slots)]
+            got = [solve_negative(alpha, t, parity) for t in thetas]
+            assert reprs(got) == reprs(want), (alpha, parity)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.0, 1.0, "+"), "uncoupled"),
+        ((0.0, 1.0, "-"), "uncoupled"),
+        ((2.0, 1.0, "x"), "parity"),
+        ((-3.0, 1.0, "even"), "parity"),
+        ((2.0, 0.0, "-"), "theta"),
+        ((2.0, math.pi, "+"), "theta"),
+        ((-3.0, 4.0, "+"), "theta"),
+    ],
+)
+def test_solve_negative_keeps_its_errors(args, message):
+    with pytest.raises(ValueError, match=message):
+        solve_negative(*args)
 
 
 def mp_bisect(f, lo, hi):

@@ -1,9 +1,12 @@
 """Every module-level import in the package is used or re-exported, the
 scalar ``bisect`` stays verify's own, one dispatcher routes every gap
-eigenvalue, and the CLI's import stays light and single-threaded."""
+eigenvalue, the CLI's import stays light and single-threaded, and each
+command loads only the modules it runs."""
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import ringchain
 from ringchain.verify import _usable_cpus
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringchain"
@@ -151,3 +155,105 @@ def test_commands_that_do_not_draw_leave_out_numpy_random():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[False, False, False]"
+
+
+def _child(code: str):
+    """Run ``code`` in a fresh interpreter; its last line of output as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ringchain.'))"
+
+
+def _run_main(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code of ``main(argv)`` in a fresh interpreter, and the modules it loaded."""
+    return tuple(_child(
+        "import contextlib, io, json, sys\n"
+        "import ringchain.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED}]))\n"
+    ))
+
+
+def test_cli_import_loads_no_engine_and_no_numpy():
+    assert _child(f"import json, sys, ringchain.cli; print(json.dumps({LOADED}))") == [
+        "ringchain.cli"
+    ]
+
+
+ENGINE = {
+    "bands": ["_rootfind", "bands", "dispersion"],
+    "eigenvalues": ["_rootfind", "bands", "dispersion", "gaps"],
+    "resonances": ["_rootfind", "bands", "dispersion", "gaps", "resonance"],
+    "verify": [p.stem for p in MODULES if p.stem != "cli"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--alpha", "3"],
+        ["eigenvalues", "--alpha", "3", "--theta", "1", "--nmax", "2"],
+        ["resonances", "--alpha", "3", "--nmax", "1", "--theta-count", "8"],
+        ["verify", "--criteria", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv):
+    want = sorted(["numpy", "ringchain.cli", *(f"ringchain.{m}" for m in ENGINE[argv[0]])])
+    assert _run_main(argv) == (0, want)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["eigenvalues", "--alpha", "nan", "--theta", "1"], 2), (["--help"], 0)],
+    ids=["usage-error", "help"],
+)
+def test_usage_errors_and_help_leave_numpy_unloaded(argv, code):
+    assert _run_main(argv) == (code, ["ringchain.cli"])
+
+
+def _defining_module(name: str) -> str:
+    """The one package module whose top level defines ``name``, read from source."""
+    owners = [
+        path.stem
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+        or (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets))
+    ]
+    assert len(owners) == 1, (name, owners)
+    return owners[0]
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    names = [n for n in ringchain.__all__ if n != "__version__"]
+    wrong = [
+        name for name in names
+        if getattr(ringchain, name)
+        is not getattr(importlib.import_module(f"ringchain.{_defining_module(name)}"), name)
+    ]
+    assert len(names) == 53 and not wrong
+
+
+def test_a_public_name_loads_its_module_on_first_access():
+    loaded = _child(
+        "import json, sys, ringchain\n"
+        f"before = {LOADED}\n"
+        "ringchain.solve_gap\n"
+        f"print(json.dumps([before, {LOADED}, 'solve_gap' in vars(ringchain)]))\n"
+    )
+    after = ["numpy", *(f"ringchain.{m}" for m in ENGINE["eigenvalues"])]
+    assert loaded == [[], sorted(after), True]
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_gaps_at", "CRITERION_LABELS"])
+def test_an_unknown_attribute_is_an_error(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(ringchain, name)

@@ -83,6 +83,19 @@ def test_band_edge_is_degenerate():
         transfer_eigen(1.327409862383918, 3.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [1e-200 * (1 + 1j), 1e-170j, 300j, 2.5 - 300j])
+@pytest.mark.parametrize("call", [transfer_matrix, transfer_eigen])
+def test_overflowing_entry_products_are_an_error(call, k):
+    # Near k = 0 the entries grow like alpha/(4k), far off the real axis
+    # like exp(pi |Im k|); once their products overflow the determinant
+    # is NaN, and the call says so for a number and for any array point.
+    with pytest.raises(OverflowNormError):
+        call(k, 1.0)
+    with pytest.raises(OverflowNormError):
+        call(np.array([1.5 + 0.2j, k, 2.5]), np.array([1.0, 1.0, -2.0]))
+
+
 def test_boundary_vector_rejects_integer_momentum():
     with pytest.raises(ValueError):
         boundary_vector_even(2.0, 3.0, 1.0)
@@ -135,7 +148,8 @@ def test_growing_seed_overflows_loudly():
 # is a wavenumber with its coupling, alpha = +-U[0.1, 20]: off the real
 # axis (Re k in (0, 12], Im k in [-1, 1], one in ten on the real axis), on
 # the imaginary axis, at an integer (rejected with ValueError) or at a
-# band edge (``transfer_eigen`` raises DegenerateError).
+# band edge (``transfer_eigen`` raises DegenerateError).  Next to k = 0 the
+# transfer matrix's entry products overflow (OverflowNormError).
 ALPHA_SIGNED = st.builds(
     lambda sign, size: sign * size,
     st.sampled_from((1.0, -1.0)),
@@ -181,7 +195,7 @@ def _cmath_values(fn, k: complex, alpha: float) -> list:
 def _scalar_outcome(fn, k: complex, alpha: float):
     try:
         return fn(k.real if k.imag == 0.0 else k, alpha)
-    except (ValueError, DegenerateError) as exc:
+    except (ValueError, OverflowNormError, DegenerateError) as exc:
         return type(exc)
 
 
@@ -219,7 +233,8 @@ def test_array_calls_equal_the_scalar_calls_bit_for_bit(points):
             with pytest.raises(outcomes[i]):
                 fn(k[i:i + 1], alpha[i:i + 1])
         if raised.any():
-            first = ValueError if ValueError in outcomes else DegenerateError
+            first = next(e for e in (ValueError, OverflowNormError, DegenerateError)
+                         if e in outcomes)
             with pytest.raises(first):
                 fn(k, alpha)
         keep = ~raised
