@@ -76,16 +76,6 @@ class Band:
     def width(self) -> float:
         return self.e_hi - self.e_lo
 
-    def as_dict(self) -> dict:
-        return {
-            "e_lo": self.e_lo,
-            "e_hi": self.e_hi,
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "closed_lo": self.closed_lo,
-            "closed_hi": self.closed_hi,
-        }
-
 
 @dataclass(frozen=True)
 class BandSpectrum:
@@ -101,14 +91,6 @@ class BandSpectrum:
             if not prev.e_hi < cur.e_lo:
                 raise ValueError("bands must be disjoint and ordered")
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "e_max": self.e_max,
-            "bands": [b.as_dict() for b in self.bands],
-            "flat_eigenvalues": list(self.flat_eigenvalues),
-        }
-
 
 @dataclass(frozen=True)
 class GapInterval:
@@ -116,14 +98,13 @@ class GapInterval:
 
     ``n`` is the integer contained in the closure (``n = 0`` labels the
     gap below the first band of a repulsive coupling, whose interior
-    carries no integer).  ``sign_halftrace`` records the sign of the
-    half-trace on the interior, which fixes the decaying Floquet branch.
+    carries no integer).  The half-trace on the interior has the sign
+    ``(-1)**n``, which fixes the decaying Floquet branch.
     """
 
     n: int
     k_lo: float
     k_hi: float
-    sign_halftrace: int
 
     def __post_init__(self) -> None:
         if self.n < 0 or not self.k_lo < self.k_hi:
@@ -243,7 +224,7 @@ def _gaps_at(alphas, ns) -> list[GapInterval]:
     out: list[GapInterval] = []
     for alpha, n, edge in zip(alphas.tolist(), ns.tolist(), _gap_edges(alphas, ns).tolist()):
         lo, hi = (float(n), edge) if alpha > 0.0 else (edge, float(n))
-        out.append(GapInterval(n, lo, hi, 1 if n % 2 == 0 else -1))
+        out.append(GapInterval(n, lo, hi))
     return out
 
 

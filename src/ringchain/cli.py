@@ -8,8 +8,9 @@ UTF-8 with LF line endings and 17 significant digits, and identical
 configurations produce byte-identical files.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 numeric failure.
 
-Only the standard library is imported here: each command imports the
-engine modules it runs, so ``--help`` and usage errors never load numpy.
+Only the standard library is imported here, and not ``dataclasses``,
+which loads ``inspect``: each command imports what it runs, so
+``--help`` and usage errors never load numpy.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ CURVE_COLUMNS = (
     "multiplicity",
     "residual_abs",
 )
-BAND_COLUMNS = ("band_index", "e_lo", "e_hi", "k_lo", "k_hi", "closed_lo", "closed_hi")
 
 # The floor of --tol-residual: requests below double precision are rejected.
 MIN_TOLERANCE = 1e-14
@@ -67,13 +67,8 @@ def _thread_count() -> int:
     return 1
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+def _json_default(value):
+    """What ``json`` cannot write: a complex number as ``{"re", "im"}``, a numpy scalar as a float."""
     if isinstance(value, complex):
         return {"re": float(value.real), "im": float(value.imag)}
     return float(value)
@@ -112,7 +107,7 @@ def _write(args: argparse.Namespace, obj, header=None) -> int:
             elif isinstance(obj, str):
                 dest.write(obj)
             else:
-                json.dump(_jsonable(obj), dest, indent=2)
+                json.dump(obj, dest, indent=2, default=_json_default)
                 dest.write("\n")
             dest.flush()
     except OSError as exc:
@@ -197,16 +192,10 @@ def _check_args(args: argparse.Namespace) -> None:
     """
     if args.command == "verify":
         if args.criteria is not None:
-            from .verify import CRITERION_LABELS
+            from .verify import select_criteria
 
-            tokens = tuple(t.strip() for t in args.criteria.split(",") if t.strip())
-            known = set(CRITERION_LABELS) | {lab.split("-")[0] for lab in CRITERION_LABELS}
-            bad = [t for t in tokens if t not in known]
-            if bad:
-                raise ValueError(f"unknown criteria: {', '.join(bad)}")
-            if not tokens:
-                raise ValueError("empty criteria selection")
-            args.criteria = tokens
+            tokens = [t.strip() for t in args.criteria.split(",")]
+            args.criteria = select_criteria([t for t in tokens if t])
         return
 
     if not args.tol_residual >= MIN_TOLERANCE:
@@ -260,24 +249,19 @@ def _theta_grid(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
-    from .bands import compute_bands
+    from dataclasses import asdict, astuple, fields
+
+    from .bands import Band, compute_bands
 
     spectrum = compute_bands(args.alpha, args.emax)
     if args.format == "json":
-        return _write(args, spectrum.as_dict())
+        return _write(args, asdict(spectrum))
+    # A CSV row is the band's index, then its fields in declaration order (flags as 0/1).
     rows = [
-        (
-            str(i),
-            _fmt(b.e_lo),
-            _fmt(b.e_hi),
-            _fmt(b.k_lo),
-            _fmt(b.k_hi),
-            str(int(b.closed_lo)),
-            str(int(b.closed_hi)),
-        )
+        (str(i), *(str(int(v)) if isinstance(v, bool) else _fmt(v) for v in astuple(b)))
         for i, b in enumerate(spectrum.bands)
     ]
-    return _write(args, rows, BAND_COLUMNS)
+    return _write(args, rows, ("band_index", *(f.name for f in fields(Band))))
 
 
 def _eigenvalue_rows(args: argparse.Namespace, theta: float, records, singular) -> list[tuple]:
@@ -420,29 +404,17 @@ def cmd_resonances(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .verify import run_all, summarize
 
     results = run_all(args.criteria)
+    passed = all(r.passed for r in results)
     if args.format == "text":
         code = _write(args, summarize(results) + "\n")
     else:
-        payload = {
-            "criteria": [
-                {
-                    "label": r.label,
-                    "description": r.description,
-                    "passed": r.passed,
-                    "expected_to_fail": r.expected_to_fail,
-                    "runtime_seconds": r.runtime_seconds,
-                    "detail": r.detail,
-                    "measured": r.measured,
-                }
-                for r in results
-            ],
-            "overall_pass": all(r.passed for r in results),
-        }
-        code = _write(args, payload)
-    return code or (EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL)
+        code = _write(args, {"criteria": [asdict(r) for r in results], "overall_pass": passed})
+    return code or (EXIT_OK if passed else EXIT_VERIFY_FAIL)
 
 
 _HANDLERS = {

@@ -18,9 +18,9 @@ solution.
 Each formula is written once, as a numpy kernel: a number is the 0-d case
 of an array, and the coupling broadcasts with the wavenumbers.  The public
 functions check their domain and raise ``ValueError``/``DomainError``; the
-solvers call the unchecked kernels (``_gap_function``,
-``_gap_function_negative``), whose square roots are clamped onto the band
-edge.  Positive energies give the bits of the ``math``/``cmath`` formulas;
+solvers call the unchecked kernel ``_gap_function``, which serves both
+energy signs and whose square root is clamped onto the band edge.
+Positive energies give the bits of the ``math``/``cmath`` formulas;
 ``np.cosh``/``np.sinh`` may differ from ``math`` in the last ulp.
 """
 from __future__ import annotations
@@ -193,20 +193,13 @@ def _decaying_denominator(t, d):
     return t + np.where(d >= 0.0, root, -root)
 
 
-def _gap_function(k, alpha):
-    """``gap_function`` without its checks, for points in a gap."""
-    pk = np.pi * k
-    s, c = np.sin(pk), np.cos(pk)
-    t = 0.25 * alpha * _sin_ratio(k, s)
-    return -c + s * s / _decaying_denominator(t, c + t)
-
-
-def _gap_function_negative(kappa, alpha):
-    """``gap_function_negative`` without its checks, for ``kappa > 0`` off the threshold band."""
-    pk = np.pi * kappa
-    s, c = np.sinh(pk), np.cosh(pk)
-    t = 0.25 * alpha * _sin_ratio(kappa, s, 1.0)
-    return -c - s * s / _decaying_denominator(t, c + t)
+def _gap_function(x, alpha, sign=-1.0):
+    """``gap_function`` (``sign = -1``) or ``gap_function_negative`` (``sign = +1``)
+    without their checks, for points in a gap off the threshold band."""
+    px = np.pi * x
+    s, c = (np.sinh(px), np.cosh(px)) if sign > 0.0 else (np.sin(px), np.cos(px))
+    t = 0.25 * alpha * _sin_ratio(x, s, sign)
+    return -c - sign * (s * s / _decaying_denominator(t, c + t))
 
 
 def gap_function(k, alpha):
@@ -250,7 +243,7 @@ def gap_function_negative(kappa, alpha):
     d = discriminant_negative(kappa, alpha)
     if np.any(d * d - 1.0 < 0.0):
         raise DomainError(f"kappa={kappa} lies inside the threshold band")
-    return _gap_function_negative(np.asarray(kappa, dtype=float), alpha)[()]
+    return _gap_function(np.asarray(kappa, dtype=float), alpha, 1.0)[()]
 
 
 def gap_function_negative_curvature(alpha):

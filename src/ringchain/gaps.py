@@ -39,8 +39,8 @@ from .bands import GapInterval, _gaps_at, _negative_edges
 from .dispersion import (
     ZERO_ENERGY_ALPHA_MIN,
     ContinuationError,
+    _decaying_denominator,
     _gap_function,
-    _gap_function_negative,
     gap_function,
     gap_function_negative_curvature,
 )
@@ -159,9 +159,12 @@ def _parity_sign(parity: str) -> float:
     raise ValueError("parity must be '+' or '-'")
 
 
-def _gap_residual(k, alpha, theta, sgn):
-    """Gap condition ``sgn*cos(k*theta) - gap_function(k)`` (``sgn = ±1``); arguments broadcast."""
-    return sgn * np.cos(k * theta) - _gap_function(k, alpha)
+def _gap_residual(x, alpha, theta, sgn, sign=-1.0):
+    """Gap condition ``sgn*cos(x*theta) - gap_function(x)`` (``sign = -1``) or its
+    hyperbolic twin ``sgn*cosh(x*theta) - gap_function_negative(x)`` (``sign = +1``),
+    with ``sgn = ±1`` the parity sign; arguments broadcast."""
+    cos = np.cosh if sign > 0.0 else np.cos
+    return sgn * cos(x * theta) - _gap_function(x, alpha, sign)
 
 
 def _angles(thetas) -> np.ndarray:
@@ -307,14 +310,6 @@ def odd_zero_crossing_angle(alpha: float) -> float:
     return math.sqrt(2.0 * gap_function_negative_curvature(alpha))
 
 
-def _negative_residual(kappa, alpha, theta, sgn):
-    """Hyperbolic gap condition ``sgn*cosh(kappa*theta) - gap_function_negative``.
-
-    All arguments broadcast.
-    """
-    return sgn * np.cosh(kappa * theta) - _gap_function_negative(kappa, alpha)
-
-
 def _odd_residual_scaled(s, alpha, theta, curvature):
     """Odd-sector residual divided by ``-E`` (``E = sign(s)*s**2``), stably.
 
@@ -338,10 +333,9 @@ def _odd_residual_scaled(s, alpha, theta, curvature):
         return np.where(neg, np.cosh(z), np.cos(z))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = 0.25 * alpha * sin(np.pi * x) / x
-        d = cos(np.pi * x) + t
-        denom = t - np.sqrt(np.maximum(d * d - 1.0, 0.0))  # half-trace <= -1 here
         sp = sin(np.pi * x)
+        t = 0.25 * alpha * sp / x
+        denom = _decaying_denominator(t, cos(np.pi * x) + t)  # half-trace <= -1 here
         term1 = 2.0 * sin(0.5 * x * (np.pi + theta)) * sin(0.5 * x * (np.pi - theta))
         value = (term1 + sp * sp / denom) / (x * x)
     return np.where(x < 1e-8, curvature - 0.5 * theta * theta, value)
@@ -356,7 +350,7 @@ def _negative_even_roots(alpha, theta, x1, cutoff) -> np.ndarray:
     return _first_roots(
         x1 + 1e-12,
         cutoff - 1e-12,
-        lambda kp, al, th: _negative_residual(kp, al, th, 1.0),
+        lambda kp, al, th: _gap_residual(kp, al, th, 1.0, 1.0),
         alpha,
         theta,
         points=GAP_SCAN_POINTS,
@@ -566,7 +560,7 @@ def gap_eigenvalues_grid(
     kaps = np.where(signed < 0.0, -signed, np.nan)
     sgn = np.array([[1.0], [-1.0]])
     res = np.abs(_gap_residual(ks, alpha, thetas, sgn))
-    kap_res = np.abs(_negative_residual(kaps, alpha, thetas, sgn))
+    kap_res = np.abs(_gap_residual(kaps, alpha, thetas, sgn, 1.0))
     out: list[list[EigenvalueRecord]] = []
     for i, theta in enumerate(thetas.tolist()):
         records = [

@@ -457,10 +457,7 @@ def resonance_residual_grid(
     zs: np.ndarray, alpha: float, theta: float, parity: str
 ) -> np.ndarray:
     """Vectorised ``resonance_residual`` over an array of momenta, real or complex."""
-    return _cleared(
-        np.cos(zs * theta), np.cos(np.pi * zs), 2.0 * zs * np.sin(np.pi * zs),
-        alpha, _parity_sign(parity),
-    )
+    return _cleared(*_axis_terms(zs, theta, 1, np), alpha, _parity_sign(parity))
 
 
 def count_zeros_box(

@@ -68,6 +68,7 @@ __all__ = [
     "CriterionResult",
     "EXPECTED_FAILURES",
     "CRITERION_LABELS",
+    "select_criteria",
     "run_criterion",
     "run_all",
     "summarize",
@@ -573,6 +574,25 @@ CRITERIA: tuple[tuple[str, str, object], ...] = (
 CRITERION_LABELS: tuple[str, ...] = tuple(label for label, _, _ in CRITERIA)
 
 
+def select_criteria(labels=None) -> tuple[str, ...]:
+    """Labels of the criteria ``labels`` asks for, in declaration order (default: all).
+
+    A label is a criterion's label or the number before its dash (``"6"``
+    selects both parts of criterion 6); a bare string is one label.  An
+    unknown label or an empty selection is a ``ValueError``.
+    """
+    if labels is None:
+        return CRITERION_LABELS
+    wanted = [labels] if isinstance(labels, str) else list(labels)
+    prefixes = {lab: lab.split("-")[0] for lab in CRITERION_LABELS}
+    bad = [t for t in wanted if t not in prefixes and t not in prefixes.values()]
+    if bad:
+        raise ValueError(f"unknown criteria: {', '.join(bad)}")
+    if not wanted:
+        raise ValueError("empty criteria selection")
+    return tuple(lab for lab, num in prefixes.items() if lab in wanted or num in wanted)
+
+
 def run_criterion(label: str) -> CriterionResult:
     """Run one criterion by label, timing it and never raising."""
     for lab, desc, fn in CRITERIA:
@@ -621,21 +641,14 @@ def _exit_with_parent() -> None:
 
 
 def run_all(labels=None) -> list[CriterionResult]:
-    """Run the requested criteria (default: all), results in declaration order.
+    """Run the criteria ``select_criteria(labels)`` picks, results in declaration order.
 
     Two or more criteria on two or more usable CPUs run in forked worker
     processes, one per CPU and at most one per criterion; otherwise, or
     where the platform cannot fork, they run in this process.  The
     results are the same either way.
     """
-    wanted = list(labels) if labels is not None else list(CRITERION_LABELS)
-    selected = [
-        lab
-        for lab in CRITERION_LABELS
-        if lab in wanted or lab.split("-")[0] in wanted
-    ]
-    if not selected:
-        raise ValueError(f"no criteria match {wanted!r}")
+    selected = select_criteria(labels)
     workers = min(len(selected), _usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return [run_criterion(lab) for lab in selected]

@@ -304,6 +304,25 @@ def test_run_all_runs_a_patched_run_criterion(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _marked(label):
+    return verify.CriterionResult(label, "marked", True, False, 0.0)
+
+
+def test_run_all_reads_a_bare_string_as_one_label(monkeypatch):
+    # "12" is criterion 12, not criteria 1 and 2.
+    monkeypatch.setattr(verify, "run_criterion", _marked)
+    assert [r.label for r in verify.run_all("12")] == ["12"]
+    assert [r.label for r in verify.run_all("6")] == ["6-exponent", "6-coefficient"]
+
+
+def test_run_all_rejects_an_unknown_or_empty_selection(monkeypatch):
+    monkeypatch.setattr(verify, "run_criterion", _marked)
+    with pytest.raises(ValueError, match="^unknown criteria: 99$"):
+        verify.run_all(["1", "99"])
+    with pytest.raises(ValueError, match="^empty criteria selection$"):
+        verify.run_all([])
+
+
 # Prints each worker's pid, then keeps the worker busy.
 _SLOW_WORKERS = """
 import os, time

@@ -1,6 +1,7 @@
 """Tests for the straight-chain band structure."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_flat_band_energies_belong_to_spectrum():
 
 def test_band_serialization_round_trip():
     spectrum = compute_bands(3.0, 10.0)
-    d = spectrum.as_dict()
+    d = dataclasses.asdict(spectrum)
     assert d["alpha"] == 3.0
     assert d["e_max"] == 10.0
     assert len(d["bands"]) == len(spectrum.bands)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -11,9 +12,10 @@ import sys
 import pytest
 
 from ringchain import cli, resonance
+from ringchain.bands import Band, BandSpectrum
 from ringchain.cli import CURVE_COLUMNS, main
 from ringchain.dispersion import ContinuationError
-from ringchain.verify import run_all
+from ringchain.verify import CriterionResult, run_all
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -499,6 +501,20 @@ def test_out_file_holds_the_stdout_bytes(argv, criterion_1, tmp_path, monkeypatc
     assert main([*argv, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == stdout.encode("utf-8")
+
+
+def test_json_keys_are_the_dataclass_fields_in_order(criterion_1, monkeypatch, capsys):
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert main(["bands", "--alpha", "-3", "--format", "json"]) == 0
+    spectrum = json.loads(capsys.readouterr().out)
+    assert list(spectrum) == names(BandSpectrum)
+    assert [list(band) for band in spectrum["bands"]] == [names(Band)] * len(spectrum["bands"])
+    monkeypatch.setattr("ringchain.verify.run_all", lambda labels: criterion_1)
+    assert main(["verify", "--criteria", "1", "--format", "json"]) == 0
+    criteria = json.loads(capsys.readouterr().out)["criteria"]
+    assert [list(c) for c in criteria] == [names(CriterionResult)]
 
 
 @pytest.mark.parametrize(

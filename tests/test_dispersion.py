@@ -188,6 +188,21 @@ def scalar_gap_function(k, alpha):
     return -math.cos(math.pi * k) + s * s / denom
 
 
+def scalar_gap_function_negative(kappa, alpha):
+    """``-cosh - sinh**2/(t ± sqrt(d**2 - 1))`` on numpy scalars (``np.cosh`` is not ``math.cosh``)."""
+    x = np.float64(kappa)
+    s, c = np.sinh(np.pi * x), np.cosh(np.pi * x)
+    if x < SMALL_ARG:
+        x2 = (np.pi * x) * (np.pi * x)
+        ratio = np.pi * (1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0)))
+    else:
+        ratio = s / x
+    t = 0.25 * alpha * ratio
+    d = c + t
+    denom = t + (1.0 if d >= 0.0 else -1.0) * math.sqrt(d * d - 1.0)
+    return -c - s * s / denom
+
+
 def same_bits(got, want) -> bool:
     return np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -224,6 +239,13 @@ def test_kernels_equal_the_scalar_formulas_bit_for_bit(ks, zs, alpha):
         want = [scalar_gap_function(k, alpha) for k in in_gap]
         assert same_bits(gap_function(np.array(in_gap), alpha), want)
         assert same_bits(gap_function(in_gap[0], alpha), want[0])
+    # The hyperbolic twin, off the threshold band: an array call, the
+    # per-point calls and the written-out formula agree bit for bit.
+    off_band = [k for k in ks if k > 0.0 and discriminant_negative(k, alpha) ** 2 > 1.0]
+    if off_band:
+        want = [scalar_gap_function_negative(k, alpha) for k in off_band]
+        assert same_bits(gap_function_negative(np.array(off_band), alpha), want)
+        assert same_bits([gap_function_negative(k, alpha) for k in off_band], want)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 2.5])
