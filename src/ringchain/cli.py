@@ -330,13 +330,12 @@ def cmd_eigenvalues(args: argparse.Namespace) -> int:
 
 
 def _trace_one(args: argparse.Namespace, sp):
-    from .resonance import trace_complex_branch
+    from .resonance import SEED_OFFSET, trace_complex_branch
 
-    delta0 = 1e-2
-    if sp.theta0 + delta0 >= args.theta_stop:
+    if sp.theta0 + SEED_OFFSET >= args.theta_stop:
         return None
     return trace_complex_branch(
-        args.alpha, sp, delta0=delta0, theta_stop=args.theta_stop, n_nodes=args.theta_count
+        args.alpha, sp, theta_stop=args.theta_stop, n_nodes=args.theta_count
     )
 
 

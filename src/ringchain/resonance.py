@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,13 @@ PLAUSIBLE_MOVE = 0.5
 # A trajectory within this distance of an integer is snapped onto the
 # singular point it is entering.
 SNAP_DISTANCE = 1e-5
+# A complex branch is seeded this far (in bend angle) past its singular angle.
+SEED_OFFSET = 1e-2
+# Angle offsets of the real-branch exponent fit: this many geometric
+# samples from the low to the high offset, on each side of the angle.
+FIT_DELTA_LO = 1e-3
+FIT_DELTA_HI = 1e-2
+FIT_SAMPLES_PER_SIDE = 13
 
 
 class ContourZeroError(RuntimeError):
@@ -145,18 +152,15 @@ def enumerate_singular_points(n_max: int, parity: str) -> list[SingularPoint]:
     return out
 
 
-def seed_from_singular_point(
-    sp: SingularPoint, alpha: float, delta: float, branch: str = "lower"
-) -> complex:
-    """Leading-order branch position at bend angle ``theta0 + delta``.
+def seed_from_singular_point(sp: SingularPoint, alpha: float, delta: float) -> complex:
+    """Leading-order lower-branch position at bend angle ``theta0 + delta``.
 
     Implements ``k = n + eps`` with ``eps`` the real-branch offset
     ``cbrt(alpha/8) * (n/pi) * |delta|**(4/3)`` rotated by
-    ``exp(±2 pi i / 3)`` onto the complex pair; ``branch`` picks
-    ``'lower'`` (negative imaginary part, the resonance side) or
-    ``'upper'``, the exact conjugate of the lower seed.  ``delta = 0`` is
-    rejected; ``|delta| <= 0.1`` keeps the expansion inside its trust
-    region.
+    ``exp(±2 pi i / 3)`` into the lower half-plane, the resonance side;
+    ``on_branch(seed, 'upper')`` is the upper seed, its exact conjugate.
+    ``delta = 0`` is rejected; ``|delta| <= 0.1`` keeps the expansion
+    inside its trust region.
     """
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
@@ -167,11 +171,8 @@ def seed_from_singular_point(
         * (sp.k0 / math.pi)
         * abs(delta) ** (4.0 / 3.0)
     )
-    if branch not in ("upper", "lower"):
-        raise ValueError("branch must be 'upper' or 'lower'")
-    # The lower seed is eps rotated into the lower half-plane.
     rot = cmath.exp(2j * math.pi / 3.0)
-    return on_branch(sp.k0 + (eps_real / rot if eps_real > 0.0 else eps_real * rot), branch)
+    return sp.k0 + (eps_real / rot if eps_real > 0.0 else eps_real * rot)
 
 
 def on_branch(k: complex, branch: str) -> complex:
@@ -204,7 +205,6 @@ class ResonanceCurve:
 
     alpha: float
     parity: str
-    branch: str
     samples: tuple[tuple[float, complex], ...]
     residuals: tuple[float, ...]
     termination: str
@@ -217,7 +217,6 @@ def continue_curve(
     theta_grid,
     k_start: complex,
     *,
-    branch: str = "lower",
     seed: SingularPoint | None = None,
 ) -> ResonanceCurve:
     """Continue a residual zero across a monotone grid of bend angles.
@@ -237,8 +236,8 @@ def continue_curve(
     the ``|F|`` of its polish.  Landing within ``SNAP_DISTANCE`` of an
     integer while a matching singular angle is nearby snaps the endpoint
     onto the exact singular point, evaluated there, and stops.
-    A step below ``MIN_STEP`` raises ``ContinuationError``.  ``branch``
-    only labels the curve: the branch followed is the one of ``k_start``.
+    A step below ``MIN_STEP`` raises ``ContinuationError``.  The branch
+    followed is the one of ``k_start``.
     """
     thetas = [float(t) for t in theta_grid]
     if len(thetas) < 2:
@@ -293,37 +292,29 @@ def continue_curve(
             break
         samples.append(cur)
         residuals.append(polish.residual)
-    return ResonanceCurve(
-        alpha, parity, branch, tuple(samples), tuple(residuals), termination, seed
-    )
+    return ResonanceCurve(alpha, parity, tuple(samples), tuple(residuals), termination, seed)
 
 
 def trace_complex_branch(
     alpha: float,
     sp: SingularPoint,
-    branch: str = "lower",
     *,
-    delta0: float = 1e-2,
     theta_stop: float | None = None,
     n_nodes: int = 200,
 ) -> ResonanceCurve:
-    """Trace one complex branch away from a singular point.
+    """Trace the lower complex branch away from a singular point.
 
-    Seeds the Puiseux law at ``theta0 + delta0``, polishes it, then
+    Seeds the Puiseux law at ``theta0 + SEED_OFFSET``, polishes it, then
     continues toward ``theta_stop`` (default: just short of ``pi``).  The
-    ``'upper'`` branch is the lower trace moved by ``on_branch``, which is
-    what tracing it from its conjugate seed gives, bit for bit.
+    upper branch is this trace moved by ``on_branch``, which is what
+    tracing it from its conjugate seed gives, bit for bit.
     """
     stop = theta_stop if theta_stop is not None else math.pi - 1e-2
-    t0 = sp.theta0 + delta0
+    t0 = sp.theta0 + SEED_OFFSET
     if not 0.0 < t0 < math.pi:
         raise ValueError("seed angle outside (0, pi)")
-    k_seed = seed_from_singular_point(sp, alpha, delta0, "lower" if branch == "upper" else branch)
-    grid = np.linspace(t0, stop, n_nodes)
-    curve = continue_curve(alpha, sp.parity, grid, k_seed, branch=branch, seed=sp)
-    if branch != "upper":
-        return curve
-    return replace(curve, samples=tuple((t, on_branch(k, branch)) for t, k in curve.samples))
+    k_seed = seed_from_singular_point(sp, alpha, SEED_OFFSET)
+    return continue_curve(alpha, sp.parity, np.linspace(t0, stop, n_nodes), k_seed, seed=sp)
 
 
 def real_branch_offset(alpha: float, gap: GapInterval, thetas, parity: str):
@@ -361,26 +352,17 @@ class BranchFit:
     n_samples: int
 
 
-def fit_branch_exponent(
-    alpha: float,
-    sp: SingularPoint,
-    *,
-    delta_lo: float = 1e-3,
-    delta_hi: float = 1e-2,
-    samples_per_side: int = 13,
-    two_sided: bool | None = None,
-) -> BranchFit:
+def fit_branch_exponent(alpha: float, sp: SingularPoint) -> BranchFit:
     """Fit ``|k - n| = C |theta - theta0|**p`` on the real branch near a singular point.
 
-    ``k - n`` is the gap root's offset from ``real_branch_offset``.  When
-    the singular angle is interior the fit pools both sides of it, which
-    cancels the odd-order corrections of the branch expansion.  Fewer than
-    8 usable samples raise ``InsufficientDataError``.
+    ``k - n`` is the gap root's offset from ``real_branch_offset``, sampled
+    at ``FIT_SAMPLES_PER_SIDE`` angle offsets from ``FIT_DELTA_LO`` to
+    ``FIT_DELTA_HI``.  When the singular angle is interior the fit pools
+    both sides of it, which cancels the odd-order corrections of the branch
+    expansion.  Fewer than 8 usable samples raise ``InsufficientDataError``.
     """
-    if two_sided is None:
-        two_sided = sp.theta0 > 0.0
-    deltas = np.geomspace(delta_lo, delta_hi, samples_per_side)
-    signed = np.concatenate([deltas, -deltas]) if two_sided else deltas
+    deltas = np.geomspace(FIT_DELTA_LO, FIT_DELTA_HI, FIT_SAMPLES_PER_SIDE)
+    signed = np.concatenate([deltas, -deltas]) if sp.theta0 > 0.0 else deltas
     thetas = sp.theta0 + signed
     inside = (0.0 < thetas) & (thetas < math.pi)
     signed, thetas = signed[inside], thetas[inside]

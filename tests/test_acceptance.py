@@ -323,13 +323,15 @@ def test_run_all_rejects_an_unknown_or_empty_selection(monkeypatch):
         verify.run_all([])
 
 
-# Prints each worker's pid, then keeps the worker busy.
+# Writes each worker's pid, then keeps the worker busy.  One write per
+# line: a pipe write below PIPE_BUF is atomic, whereas print may split the
+# line in two writes that the other worker's can interleave.
 _SLOW_WORKERS = """
 import os, time
 from ringchain import verify
 
 def slow(label):
-    print(os.getpid(), flush=True)
+    os.write(1, f"{os.getpid()}\\n".encode())
     time.sleep(60)
 
 verify.run_criterion = slow

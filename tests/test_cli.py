@@ -211,6 +211,22 @@ def test_abandoned_seed_warns_once_per_requested_branch(monkeypatch, capsys):
     assert captured.err.count("warning: curve abandoned") == 1
 
 
+def test_seed_past_theta_stop_is_skipped_without_warning(capsys):
+    # The (2,1) seed sits at pi/2 + 1e-2: past a stop of 1.575 it is not
+    # traced and not reported, and a stop of 1.6 traces it.
+    argv = ["resonances", "--alpha", "3", "--theta-start", "0", "--theta-count", "5",
+            "--nmax", "2", "--parity", "+", "--format", "json"]
+    for stop, seeds in (("1.575", [(1, 1)]), ("1.6", [(1, 1), (2, 1)])):
+        assert main([*argv, "--theta-stop", stop]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert captured.err == ""
+        assert payload["abandoned"] == []
+        assert [(c["seed"]["n"], c["seed"]["ell"], c["branch"]) for c in payload["curves"]] == [
+            (n, ell, br) for n, ell in seeds for br in ("lower", "upper")
+        ]
+
+
 def test_verify_subset_passes():
     proc = run_cli("verify", "--criteria", "1,2,9", "--format", "text")
     assert proc.returncode == 0

@@ -242,8 +242,8 @@ SINGULAR_POINTS = [sp for p in "+-" for sp in enumerate_singular_points(8, p)]
 def test_seed_branches_are_conjugate(alpha, delta, sp):
     # The upper seed is the lower one conjugated, bit for bit, so the two
     # branches traced from them mirror each other exactly.
-    lo = seed_from_singular_point(sp, alpha, delta, "lower")
-    up = seed_from_singular_point(sp, alpha, delta, "upper")
+    lo = seed_from_singular_point(sp, alpha, delta)
+    up = resonance.on_branch(lo, "upper")
     assert lo.imag < 0.0 < up.imag
     assert (up.real, up.imag) == (lo.real, -lo.imag)
 
@@ -251,19 +251,19 @@ def test_seed_branches_are_conjugate(alpha, delta, sp):
 def test_seed_rejects_deltas_outside_the_expansion():
     sp = SingularPoint(2, 1, "+")
     with pytest.raises(ValueError):
-        seed_from_singular_point(sp, 3.0, 0.3, "lower")  # outside expansion range
+        seed_from_singular_point(sp, 3.0, 0.3)  # outside expansion range
     with pytest.raises(ValueError):
-        seed_from_singular_point(sp, 3.0, 0.0, "lower")
+        seed_from_singular_point(sp, 3.0, 0.0)
 
 
 def test_refined_pole_fixture():
     sp = SingularPoint(2, 1, "+")
-    seed = seed_from_singular_point(sp, 3.0, 0.05, "lower")
+    seed = seed_from_singular_point(sp, 3.0, 0.05)
     res = refine_resonance(3.0, sp.theta0 + 0.05, "+", seed)
     assert res.converged
     assert res.residual < 1e-12
     grid = np.linspace(sp.theta0 + 0.05, sp.theta0 + 0.3, 60)
-    curve = continue_curve(3.0, "+", grid, res.root, branch="lower", seed=sp)
+    curve = continue_curve(3.0, "+", grid, res.root, seed=sp)
     assert curve.termination == "completed"
     t_last, k_last = curve.samples[-1]
     assert t_last == pytest.approx(sp.theta0 + 0.3)
@@ -275,10 +275,10 @@ def test_continuation_snaps_onto_singular_point():
     # Walking the branch back toward its seed angle must land exactly on
     # the flat-band point and stop there.
     sp = SingularPoint(2, 1, "+")
-    seed = seed_from_singular_point(sp, 3.0, 0.05, "lower")
+    seed = seed_from_singular_point(sp, 3.0, 0.05)
     res = refine_resonance(3.0, sp.theta0 + 0.05, "+", seed)
     grid = np.linspace(sp.theta0 + 0.05, sp.theta0, 30)
-    curve = continue_curve(3.0, "+", grid, res.root, branch="lower", seed=sp)
+    curve = continue_curve(3.0, "+", grid, res.root, seed=sp)
     assert curve.termination == "singular-point"
     t_last, k_last = curve.samples[-1]
     assert t_last == pytest.approx(sp.theta0)
@@ -292,10 +292,13 @@ def test_continue_curve_needs_two_nodes():
 
 def test_full_branch_trace_and_conjugacy():
     sp = SingularPoint(2, 1, "+")
-    lower = trace_complex_branch(3.0, sp, "lower")
-    upper = trace_complex_branch(3.0, sp, "upper")
+    lower = trace_complex_branch(3.0, sp)
+    # The upper branch, traced on its own from the conjugate seed.
+    grid = np.linspace(sp.theta0 + 1e-2, math.pi - 1e-2, 200)
+    k_seed = seed_from_singular_point(sp, 3.0, 1e-2).conjugate()
+    upper = continue_curve(3.0, "+", grid, k_seed, seed=sp)
     assert lower.termination == upper.termination == "completed"
-    assert upper.branch == "upper" and upper.residuals == lower.residuals
+    assert upper.residuals == lower.residuals
     # Poles come in conjugate pairs: the two branches mirror each other.
     assert upper.samples == tuple((t, k.conjugate()) for t, k in lower.samples)
     # The lower branch stays in the lower half plane with positive Re k.
@@ -305,7 +308,7 @@ def test_full_branch_trace_and_conjugacy():
 def test_samples_do_not_depend_on_the_guess():
     # Re-polishing every sample of a branch that runs into a flat-band
     # point, from guesses 1e-7 off in eight directions, returns it.
-    curve = trace_complex_branch(3.0, SingularPoint(4, 2, "-"), "lower")
+    curve = trace_complex_branch(3.0, SingularPoint(4, 2, "-"))
     assert curve.termination == "singular-point"
     for i, (t, k) in enumerate(curve.samples[:-1]):
         guess = k + 1e-7 * cmath.exp(0.25j * math.pi * i)
@@ -327,7 +330,7 @@ def _mp_residual(k, alpha, theta, parity):
 def test_samples_match_high_precision_roots(alpha, sp):
     # Both ends of a branch from one flat-band point to the next, where
     # k lies within 2e-3 of an integer, and its middle.
-    curve = trace_complex_branch(alpha, sp, "lower")
+    curve = trace_complex_branch(alpha, sp)
     assert curve.termination == "singular-point"
     mid = len(curve.samples) // 2
     picks = curve.samples[:2] + curve.samples[mid:mid + 1] + curve.samples[-3:-1]
@@ -401,8 +404,8 @@ def test_upper_rows_equal_an_independent_upper_trace(alpha, tmp_path):
             continue
         sp = SingularPoint(c["seed"]["n"], c["seed"]["ell"], c["parity"])
         grid = np.linspace(sp.theta0 + 1e-2, math.pi - 1e-2, 200)
-        k_seed = seed_from_singular_point(sp, alpha, 1e-2, "upper")
-        ref = continue_curve(alpha, sp.parity, grid, k_seed, branch="upper", seed=sp)
+        k_seed = seed_from_singular_point(sp, alpha, 1e-2).conjugate()
+        ref = continue_curve(alpha, sp.parity, grid, k_seed, seed=sp)
         expected = [(t, k.real, k.imag) for t, k in ref.samples]
         assert c["termination"] == ref.termination
         assert [tuple(s) for s in c["samples"]] == expected
@@ -429,8 +432,9 @@ def test_real_branch_offsets_open_upward_for_repulsive_coupling():
 
 
 def test_branch_exponent_fixture():
+    # theta0 = 0: the fit samples one side only.
     fit = fit_branch_exponent(3.0, SingularPoint(1, 1, "+"))
-    assert fit.n_samples >= 8
+    assert fit.n_samples == 13
     assert math.isclose(fit.exponent, 1.3333203066517625, rel_tol=1e-9)
     assert math.isclose(fit.coefficient, 0.22952113814169228, rel_tol=1e-9)
     # The measured coefficient tracks cbrt(alpha/8) * k0 / pi to a few
@@ -439,12 +443,21 @@ def test_branch_exponent_fixture():
     assert abs(fit.coefficient - target) / target < 3e-2
 
 
-def test_branch_exponent_requires_enough_samples():
+def test_branch_exponent_pools_both_sides_of_an_interior_angle():
+    # theta0 = pi/2: 13 samples on each side, whose pooled fit cancels the
+    # odd-order corrections (one side alone reads 1.359).
+    fit = fit_branch_exponent(3.0, SingularPoint(2, 1, "+"))
+    assert fit.n_samples == 26
+    assert abs(fit.exponent - 4.0 / 3.0) < 3e-3
+
+
+def test_branch_exponent_requires_enough_samples(monkeypatch):
+    # Three samples on one side (theta0 = 0) of a narrow window.
+    monkeypatch.setattr(resonance, "FIT_DELTA_LO", 1e-3)
+    monkeypatch.setattr(resonance, "FIT_DELTA_HI", 1.2e-3)
+    monkeypatch.setattr(resonance, "FIT_SAMPLES_PER_SIDE", 3)
     with pytest.raises(InsufficientDataError):
-        fit_branch_exponent(
-            3.0, SingularPoint(1, 1, "+"),
-            delta_lo=1e-3, delta_hi=1.2e-3, samples_per_side=3, two_sided=False,
-        )
+        fit_branch_exponent(3.0, SingularPoint(1, 1, "+"))
 
 
 def test_gentle_bend_coefficient_fixtures():
