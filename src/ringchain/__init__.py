@@ -39,9 +39,8 @@ _EXPORTS = {
         "lowest_band_threshold",
     ),
     "gaps": (
-        "singular_angles", "is_singular_angle", "solve_gap",
-        "solve_gap_near_edge", "solve_negative", "kappa_cutoff",
-        "odd_zero_crossing_angle", "double_points_in_gap",
+        "singular_angles", "is_singular_angle", "solve_gap_near_edge",
+        "kappa_cutoff", "odd_zero_crossing_angle", "double_points_in_gap",
         "recover_double_angle", "gap_eigenvalues", "gap_eigenvalues_grid",
         "trace_eigenvalue_curve",
     ),

@@ -329,19 +329,9 @@ def cmd_eigenvalues(args: argparse.Namespace) -> int:
     return _write(args, rows, CURVE_COLUMNS)
 
 
-def _trace_one(args: argparse.Namespace, sp):
-    from .resonance import SEED_OFFSET, trace_complex_branch
-
-    if sp.theta0 + SEED_OFFSET >= args.theta_stop:
-        return None
-    return trace_complex_branch(
-        args.alpha, sp, theta_stop=args.theta_stop, n_nodes=args.theta_count
-    )
-
-
 def cmd_resonances(args: argparse.Namespace) -> int:
     from .dispersion import ContinuationError
-    from .resonance import enumerate_singular_points, on_branch
+    from .resonance import SEED_OFFSET, enumerate_singular_points, on_branch, trace_complex_branch
 
     parities = ("+", "-") if args.parity == "both" else (args.parity,)
     branches = ("lower", "upper") if args.branch == "both" else (args.branch,)
@@ -352,14 +342,17 @@ def cmd_resonances(args: argparse.Namespace) -> int:
         for sp in enumerate_singular_points(args.nmax, p):
             if not args.theta_start <= sp.theta0 < args.theta_stop:
                 continue
+            if sp.theta0 + SEED_OFFSET >= args.theta_stop:  # seeded at or past the stop
+                continue
             try:
-                curve = _trace_one(args, sp)
+                curve = trace_complex_branch(
+                    args.alpha, sp, theta_stop=args.theta_stop, n_nodes=args.theta_count
+                )
             except (ContinuationError, ValueError) as exc:
                 partial += [f"({sp.n},{sp.ell},{sp.parity},{br}): {exc} (branch {br})"
                             for br in branches]
                 continue
-            if curve is not None:
-                curves.append(curve)
+            curves.append(curve)
     for note in partial:
         print(f"warning: curve abandoned {note}", file=sys.stderr)
     worst = max((r for c in curves for r in c.residuals), default=0.0)

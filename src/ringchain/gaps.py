@@ -11,7 +11,7 @@ sector: the even negative eigenvalue of an attractive coupling (gap 0),
 the odd eigenvalue of gap 1 below the borderline coupling, solved in the
 signed variable through zero energy, or a positive-energy root on the gap
 interval.  It returns the signed root ``s`` (``energy = sign(s)*s**2``)
-at every angle of every slot, and the public solvers only read it.  Each
+at every angle of every slot, and the public readers only read it.  Each
 solver runs once over all of its slots: work that depends only on the
 coupling (gap intervals, threshold edges, the cutoff, the gap function on
 each scan grid) is done once; every angle of every slot is one row on
@@ -51,9 +51,7 @@ __all__ = [
     "SpectralCurve",
     "singular_angles",
     "is_singular_angle",
-    "solve_gap",
     "solve_gap_near_edge",
-    "solve_negative",
     "kappa_cutoff",
     "odd_zero_crossing_angle",
     "double_eigenvalue_residual",
@@ -197,7 +195,8 @@ def _gap_roots(slots) -> np.ndarray:
     """Positive-energy roots of every slot ``(alpha, n, parity, thetas)``.
 
     Gives one wavenumber per angle, the angles of all slots in turn, NaN
-    where the slot has no eigenvalue there (see ``solve_gap``).  Every
+    where the slot has no eigenvalue there: at a singular angle, on the
+    band edge (within ``EDGE_WINDOW``), or with no sign change.  Every
     angle is one row on the scan grid of its slot's gap, and the rows of
     all slots are scanned together in full blocks (``_row_brackets``).
     The gap intervals of all runs come from one ``_gaps_at`` call, and the
@@ -264,7 +263,7 @@ def solve_gap_near_edge(alpha: float, thetas, gap: GapInterval, parity: str):
     """Eigenvalue wavenumber hugging the non-integer band edge, at every angle of ``thetas``.
 
     Small bend angles push the gap root exponentially close to the band
-    edge, far below the resolution of the uniform scan in ``solve_gap``;
+    edge, far below the resolution of the uniform scan in ``_gap_roots``;
     this variant bisects directly on a one-sided bracket, at most 1e-2
     wide, at the edge, all angles together.  NaN where no sign change
     exists in the bracket.
@@ -398,10 +397,12 @@ def _sector_roots(slots) -> list[np.ndarray]:
     The one place that decides which solver serves which (coupling, gap,
     parity) sector; every solver runs once, over all of its slots:
 
-    - gap 0 of an attractive coupling holds the even negative eigenvalue
+    - gap 0 of an attractive coupling holds the even negative eigenvalue,
+      strictly between the threshold and ``kappa_cutoff`` at every angle,
       and no odd one;
     - the odd eigenvalue of gap 1 below the borderline coupling is solved
-      in the signed variable (``_signed_odd_roots``);
+      in the signed variable (``_signed_odd_roots``); its energy is
+      negative only below ``odd_zero_crossing_angle``;
     - every other sector holds a positive-energy root on gap ``n`` of the
       straight chain (``_gap_roots``).
 
@@ -430,40 +431,6 @@ def _sector_roots(slots) -> list[np.ndarray]:
     )
     ends = np.cumsum(sizes).tolist()
     return [out[end - size:end] for size, end in zip(sizes, ends)]
-
-
-def solve_gap(alpha: float, theta: float, n: int, parity: str) -> float | None:
-    """Positive-energy eigenvalue wavenumber in gap ``n`` and one parity sector.
-
-    Reads the signed root of ``_sector_roots`` where it is positive.
-    Returns ``None`` when the sector has no eigenvalue of positive energy
-    there: at a singular angle, or when the root has collapsed onto the
-    non-integer band edge (within ``EDGE_WINDOW``), or when the residual
-    simply does not change sign.  At most one root can exist; finding
-    more than one surviving candidate raises ``RuntimeError``.
-    """
-    ((s,),) = _sector_roots([(alpha, n, parity, _angles(theta))])
-    return s if s > 0.0 else None
-
-
-def solve_negative(alpha: float, theta: float, parity: str) -> float | None:
-    """Decay parameter ``kappa`` of a negative-energy eigenvalue.
-
-    Reads the signed root of ``_sector_roots`` where it is negative: the
-    even sector is gap 0, the odd sector gap 1.  Even sector: exists for
-    every attractive coupling and every bend angle, strictly between the
-    spectral threshold and the cutoff of ``kappa_cutoff``.  Odd sector:
-    exists only below the borderline coupling and only for bend angles
-    under ``odd_zero_crossing_angle``.  Returns ``None`` when there is
-    nothing to find, without solving where the sector holds no negative
-    energy: a repulsive coupling, or the odd sector at or above the
-    borderline.
-    """
-    n, th = 0 if parity == "+" else 1, _angles(theta)
-    if _sector(alpha, n, parity) == "gap":
-        return None
-    ((s,),) = _sector_roots([(alpha, n, parity, th)])
-    return -s if s < 0.0 else None
 
 
 def double_eigenvalue_residual(k, alpha: float):

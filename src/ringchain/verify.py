@@ -43,7 +43,6 @@ from .gaps import (
     odd_zero_crossing_angle,
     recover_double_angle,
     singular_angles,
-    solve_gap,
     trace_eigenvalue_curve,
 )
 from .resonance import (
@@ -163,15 +162,12 @@ def _criterion_gap_counts() -> tuple[bool, dict, str]:
     violations: list[str] = []
     lo_seen, hi_seen = math.inf, -math.inf
     for alpha in (3.0, -3.0):
-        indices = [g.n for g in gap_intervals(alpha, 5)]
-        if alpha < 0.0:
-            indices = [0] + indices
         thetas = [(i + 0.5) * math.pi / 50.0 for i in range(50)]
         for theta, records in zip(thetas, gap_eigenvalues_grid(alpha, thetas, 5)):
             counts: dict[int, int] = {}
             for r in records:
                 counts[r.gap_index] = counts.get(r.gap_index, 0) + r.multiplicity
-            for idx in indices:
+            for idx in range(6):
                 c = counts.get(idx, 0)
                 lo_seen, hi_seen = min(lo_seen, c), max(hi_seen, c)
                 if not 1 <= c <= 2:
@@ -413,18 +409,21 @@ def _criterion_double_points() -> tuple[bool, dict, str]:
     ok = True
     measured: dict = {}
     worst = 0.0
+    stars = {}
     for n in (1, 2, 3):
-        stars = double_points_in_gap(alpha, gaps[n])
-        if not stars:
+        found = double_points_in_gap(alpha, gaps[n])
+        if found:
+            stars[n] = (found[0], recover_double_angle(found[0], alpha))
+        else:
             ok = False
-            continue
-        k_star = stars[0]
-        theta = recover_double_angle(k_star, alpha)
-        kp = solve_gap(alpha, theta, n, "+")
-        km = solve_gap(alpha, theta, n, "-")
+    # Both parities of every gap at its double angle, solved in one call.
+    slots = [(alpha, n, p, [theta]) for n, (_, theta) in stars.items() for p in "+-"]
+    roots = iter(_sector_roots(slots))
+    for n, (k_star, theta) in stars.items():
+        (kp,), (km,) = next(roots), next(roots)
         measured[f"k_star_gap{n}"] = k_star
         measured[f"theta_gap{n}"] = theta
-        if kp is None or km is None:
+        if not (kp > 0.0 and km > 0.0):
             ok = False
             continue
         dev = max(abs(kp - k_star), abs(km - k_star))

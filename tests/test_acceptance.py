@@ -137,15 +137,32 @@ def test_criterion_06_fits_each_branch_once(monkeypatch):
     assert calls["fit_branch_exponent"] == 4
 
 
+def test_criterion_09_solves_every_double_point_in_one_call(monkeypatch):
+    # Both parities of gaps 1-3, each at its own double angle, are one
+    # slot of one angle apiece in a single call of the gap engine.
+    calls = []
+
+    def counted(slots):
+        calls.append(slots)
+        return gaps._sector_roots(slots)
+
+    monkeypatch.setattr(verify, "_sector_roots", counted)
+    passed, measured, detail = verify._criterion_double_points()
+    assert passed, detail
+    (slots,) = calls
+    assert [(n, p) for _, n, p, _ in slots] == [(n, p) for n in (1, 2, 3) for p in "+-"]
+    assert [t for *_, t in slots] == [[measured[f"theta_gap{n}"]] for n in (1, 2, 3) for _ in "+-"]
+
+
 def test_criterion_05_oracle_runs_without_the_engine_it_checks(monkeypatch):
     # Criterion 5 checks the batched solvers against verify's own scan and
     # scalar bisection of the cleared residual; the oracle must still work
     # with every batched entry point and both complex residual kernels
     # broken.
     alpha, theta = -3.0, 1.0
-    kappa = gaps.solve_negative(alpha, theta, "+")
+    (s_even,), (k,) = gaps._sector_roots([(alpha, 0, "+", [theta]), (-alpha, 1, "-", [theta])])
+    kappa = -s_even
     gap = bands.gap_intervals(-alpha, 1)[1]
-    k = gaps.solve_gap(-alpha, theta, 1, "-")
     kappas = np.linspace(1e-6, gaps.kappa_cutoff(alpha) + 1.0, 4001)
     ks = np.linspace(gap.k_lo + 1e-12, gap.k_hi - 1e-12, 2001)
 

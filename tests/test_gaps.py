@@ -23,12 +23,10 @@ from ringchain import (
     odd_zero_crossing_angle,
     recover_double_angle,
     singular_angles,
-    solve_gap,
     solve_gap_near_edge,
-    solve_negative,
     trace_eigenvalue_curve,
 )
-from ringchain import _rootfind, gaps
+from ringchain import gaps
 from ringchain.gaps import (
     _gaps_at,
     _negative_edges,
@@ -41,6 +39,15 @@ THETA = st.floats(min_value=0.3, max_value=math.pi - 0.3, allow_nan=False)
 COUPLING = st.floats(min_value=1.0, max_value=6.0, allow_nan=False)
 # Couplings below the borderline, where the odd residual crosses zero energy.
 DEEP = st.floats(min_value=-8.0, max_value=ZERO_ENERGY_ALPHA_MIN - 1e-3)
+
+
+def reprs(values):
+    return [None if v is None else repr(float(v)) for v in values]
+
+
+def one_by_one(slots):
+    """The signed root of every one-angle slot, each from a call of its own."""
+    return [s for slot in slots for (s,) in _sector_roots([slot])]
 
 
 def test_gap_intervals_repulsive_layout():
@@ -70,16 +77,14 @@ def test_gap_intervals_attractive_layout():
 
 
 def test_first_gap_fixture_roots():
-    k_even = solve_gap(3.0, math.pi / 5.0, 1, "+")
-    k_odd = solve_gap(3.0, math.pi / 5.0, 1, "-")
+    k_even, k_odd = one_by_one([(3.0, 1, p, [math.pi / 5.0]) for p in "+-"])
     assert math.isclose(k_even, 1.1239278679448357, rel_tol=1e-12)
     assert math.isclose(k_odd, 1.3239223583327728, rel_tol=1e-12)
 
 
 def test_solved_roots_satisfy_matching_conditions():
     theta = math.pi / 5.0
-    k_even = solve_gap(3.0, theta, 1, "+")
-    k_odd = solve_gap(3.0, theta, 1, "-")
+    k_even, k_odd = one_by_one([(3.0, 1, p, [theta]) for p in "+-"])
     assert abs(math.cos(k_even * theta) - gap_function(k_even, 3.0)) < 1e-10
     assert abs(-math.cos(k_odd * theta) - gap_function(k_odd, 3.0)) < 1e-10
 
@@ -89,7 +94,7 @@ def test_solve_gap_root_is_unique_in_gap():
     # gap finds exactly one sign change, at the solver's root.
     alpha, theta = 3.0, 1.1
     gap = gap_intervals(alpha, 2)[2]
-    k_root = solve_gap(alpha, theta, 2, "+")
+    (k_root,) = one_by_one([(alpha, 2, "+", [theta])])
     xs = np.linspace(gap.k_lo + 1e-9, gap.k_hi - 1e-9, 4001)
     vals = [math.cos(x * theta) - gap_function(x, alpha) for x in xs]
     crossings = [
@@ -124,8 +129,10 @@ def test_singular_angle_examples():
 
 
 def test_eigenvalue_absent_exactly_at_singular_angle():
-    assert solve_gap(3.0, 2.0 * math.pi / 3.0, 3, "+") is None
-    assert solve_gap(3.0, 2.0 * math.pi / 3.0 + 0.05, 3, "+") is not None
+    theta = 2.0 * math.pi / 3.0
+    at, off = one_by_one([(3.0, 3, "+", [theta]), (3.0, 3, "+", [theta + 0.05])])
+    assert math.isnan(at)
+    assert off > 0.0
 
 
 def test_gap_eigenvalue_records_are_consistent():
@@ -156,8 +163,7 @@ def test_double_angle_recovery_and_merged_record():
     assert math.isclose(k_star, 1.2756700453097611, rel_tol=1e-12)
     assert math.isclose(theta_star, 1.2313500129365125, rel_tol=1e-12)
     # Both parity solvers land on the same momentum there...
-    k_even = solve_gap(3.0, theta_star, 1, "+")
-    k_odd = solve_gap(3.0, theta_star, 1, "-")
+    k_even, k_odd = one_by_one([(3.0, 1, p, [theta_star]) for p in "+-"])
     assert abs(k_even - k_star) < 1e-9
     assert abs(k_odd - k_star) < 1e-9
     # ...and the record set reports one eigenvalue of multiplicity two.
@@ -168,8 +174,8 @@ def test_double_angle_recovery_and_merged_record():
 
 
 def test_negative_roots_fixtures_and_conditions():
-    kappa_even = solve_negative(-3.0, 1.0, "+")
-    kappa_odd = solve_negative(-3.0, 1.0, "-")
+    # Negative energies read s = -kappa: gap 0 even and gap 1 odd.
+    kappa_even, kappa_odd = (-s for s in one_by_one([(-3.0, 0, "+", [1.0]), (-3.0, 1, "-", [1.0])]))
     assert math.isclose(kappa_even, 0.8615691865149844, rel_tol=1e-12)
     assert math.isclose(kappa_odd, 0.45543538071420087, rel_tol=1e-12)
     assert abs(
@@ -187,8 +193,8 @@ def test_negative_even_root_is_bracketed():
     x1 = math.sqrt(-lowest_band_threshold(alpha))
     cutoff = kappa_cutoff(alpha)
     assert math.isclose(cutoff, 1.5002417505725039, rel_tol=1e-12)
-    for theta in (0.3, 1.0, 1.9, 2.7):
-        kappa = solve_negative(alpha, theta, "+")
+    (s,) = _sector_roots([(alpha, 0, "+", [0.3, 1.0, 1.9, 2.7])])
+    for kappa in -s:
         assert x1 < kappa < cutoff
 
 
@@ -201,8 +207,9 @@ def test_odd_negative_root_exists_below_crossing_angle_only():
         rel_tol=1e-12,
     )
     assert math.isclose(theta_c, 1.958929867883135, rel_tol=1e-12)
-    assert solve_negative(alpha, theta_c - 0.05, "-") is not None
-    assert solve_negative(alpha, theta_c + 0.05, "-") is None
+    below, above = one_by_one([(alpha, 1, "-", [theta_c + d]) for d in (-0.05, 0.05)])
+    assert below < 0.0
+    assert not above < 0.0
 
 
 def test_traced_odd_curve_crosses_zero_energy():
@@ -228,8 +235,8 @@ def test_traced_odd_curve_crosses_zero_energy():
 def test_first_gap_even_root_properties(alpha, theta):
     assume(all(abs(theta - t) > 1e-2 for t in singular_angles(1, "+")))
     gap1 = gap_intervals(alpha, 1)[1]
-    k = solve_gap(alpha, theta, 1, "+")
-    assume(k is not None)
+    (k,) = one_by_one([(alpha, 1, "+", [theta])])
+    assume(k > 0.0)
     assert gap1.k_lo < k < gap1.k_hi
     assert abs(math.cos(k * theta) - gap_function(k, alpha)) < 1e-9
 
@@ -295,15 +302,6 @@ def test_grid_rows_equal_the_one_angle_solve(alpha):
     assert not any(r.gap_index == 3 and "+" in r.parity for r in grid[-1])
 
 
-def reprs(values):
-    return [None if v is None else repr(float(v)) for v in values]
-
-
-def one_by_one(slots):
-    """The signed root of every one-angle slot, each from a call of its own."""
-    return [s for slot in slots for (s,) in _sector_roots([slot])]
-
-
 def test_gap_solves_batched_across_couplings_equal_one_by_one():
     slots = [
         (alpha, gap.n, parity, [theta])
@@ -314,15 +312,13 @@ def test_gap_solves_batched_across_couplings_equal_one_by_one():
     ]
     batched = [s for (s,) in _sector_roots(slots)]
     assert reprs(batched) == reprs(one_by_one(slots))
-    ks = [s if s > 0.0 else None for s in batched]
-    assert reprs(ks) == reprs(solve_gap(a, t, n, p) for a, n, p, (t,) in slots)
-    assert any(k is None for k in ks) and any(k is not None for k in ks)
+    assert any(not s > 0.0 for s in batched) and any(s > 0.0 for s in batched)
 
 
 def test_solve_gap_reads_the_gap_of_its_own_coupling():
     # Gap 2 is wider at alpha = 3 than at alpha = 2, and this root lies in
     # the part that alpha = 2's gap leaves out.
-    k = solve_gap(3.0, 0.5, 2, "+")
+    (k,) = one_by_one([(3.0, 2, "+", [0.5])])
     assert k == 2.2052998308679292
     assert gap_intervals(2.0, 2)[2].k_hi < k < gap_intervals(3.0, 2)[2].k_hi
 
@@ -358,8 +354,6 @@ def test_mixed_queries_equal_one_by_one_and_the_grid(count):
     assert reprs(got) == reprs(one_by_one(positive + negative))
     ks = [s if s > 0.0 else None for s in got[:count]]
     kappas = [-s if s < 0.0 else None for s in got[count:]]
-    assert reprs(ks) == reprs(solve_gap(a, t, n, p) for a, n, p, (t,) in positive)
-    assert reprs(kappas) == reprs(solve_negative(a, t, p) for a, _, p, (t,) in negative)
     assert reprs(ks) == reprs(_grid_root(a, t, n, p, False) for a, n, p, (t,) in positive)
     assert reprs(kappas) == reprs(_grid_root(a, t, n, p, True) for a, n, p, (t,) in negative)
 
@@ -369,9 +363,8 @@ def test_mixed_queries_equal_one_by_one_and_the_grid(count):
     [
         (gap_eigenvalues_grid, (-3.1, [0.5, 1.0, 2.0], 5)),
         (trace_eigenvalue_curve, (3.1, "+", 2, [0.5, 1.0, 2.0])),
-        (solve_gap, (3.0, 0.5, 2, "+")),
     ],
-    ids=["grid", "curve", "solve_gap"],
+    ids=["grid", "curve"],
 )
 def test_every_reader_finds_its_gaps_in_one_call(monkeypatch, reader, args):
     calls = []
@@ -394,11 +387,9 @@ ONE = "parity must be '\\+' or '-'$"
     [
         (lambda p: gap_eigenvalues(3.0, 1.0, 3, p), BOTH),
         (lambda p: gap_eigenvalues_grid(3.0, [1.0, 2.0], 3, p), BOTH),
-        (lambda p: solve_gap(3.0, 1.0, 2, p), ONE),
-        (lambda p: solve_negative(-3.0, 1.0, p), ONE),
         (lambda p: trace_eigenvalue_curve(-3.0, p, 0, [1.0, 2.0]), ONE),
     ],
-    ids=["gap_eigenvalues", "grid", "solve_gap", "solve_negative", "curve"],
+    ids=["gap_eigenvalues", "grid", "curve"],
 )
 @pytest.mark.parametrize("parity", ["x", "even"])
 def test_a_bad_parity_is_an_error(read, message, parity):
@@ -409,10 +400,10 @@ def test_a_bad_parity_is_an_error(read, message, parity):
 def test_traced_curves_equal_the_one_angle_solvers():
     alpha = -3.0
     thetas = np.linspace(0.3, 2.8, 12)
-    curve = trace_eigenvalue_curve(alpha, "+", 2, thetas)
-    assert list(curve.samples) == [(t, solve_gap(alpha, t, 2, "+")) for t in thetas]
-    curve = trace_eigenvalue_curve(alpha, "+", 0, thetas)
-    assert list(curve.samples) == [(t, -solve_negative(alpha, t, "+")) for t in thetas]
+    for n in (2, 0):
+        curve = trace_eigenvalue_curve(alpha, "+", n, thetas)
+        want = one_by_one([(alpha, n, "+", [t]) for t in thetas])
+        assert list(curve.samples) == list(zip(thetas, want))
 
 
 @pytest.mark.parametrize("alpha", [-2.6, -3.1, -4.0])
@@ -427,11 +418,8 @@ def test_every_reader_of_the_deep_odd_sector_equals_the_grid(alpha):
     ]
     assert {r.energy > 0.0 for r in odd} == {True, False}
 
-    assert reprs(solve_gap(alpha, t, 1, "-") for t in thetas) == reprs(
-        r.k if r.energy > 0.0 else None for r in odd
-    )
-    assert reprs(solve_negative(alpha, t, "-") for t in thetas) == reprs(
-        r.k if r.energy < 0.0 else None for r in odd
+    assert reprs(one_by_one([(alpha, 1, "-", [t]) for t in thetas])) == reprs(
+        math.copysign(r.k, r.energy) for r in odd
     )
     curve = trace_eigenvalue_curve(alpha, "-", 1, thetas)
     assert curve.thetas() == thetas
@@ -471,44 +459,7 @@ def test_negative_solves_batched_across_couplings_equal_one_by_one(queries, repe
         alpha, theta, parity = queries[0]
         queries.append((alpha, math.pi - theta, "-" if parity == "+" else "+"))
     slots = [(alpha, 0 if parity == "+" else 1, parity, [theta]) for alpha, theta, parity in queries]
-    kappas = [-s if s < 0.0 else None for (s,) in _sector_roots(slots)]
-    assert reprs(kappas) == reprs(solve_negative(*q) for q in queries)
-
-
-# Repulsive couplings, and odd sectors from the borderline up to zero.
-NO_NEGATIVE_ENERGY = [
-    (alpha, parity)
-    for alpha in (0.3, 2.0, 5.0)
-    for parity in ("+", "-")
-] + [(alpha, "-") for alpha in (ZERO_ENERGY_ALPHA_MIN, -2.0, -0.5, -1e-9)]
-
-
-def test_solve_negative_scans_nothing_where_no_negative_energy_lives(monkeypatch):
-    calls, real = [], _rootfind._row_brackets
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gaps, "_row_brackets", counted)
-    monkeypatch.setattr(_rootfind, "_row_brackets", counted)
-    for alpha, parity in NO_NEGATIVE_ENERGY:
-        for theta in (0.1, 1.0, 3.0):
-            assert solve_negative(alpha, theta, parity) is None
-    assert calls == []
-
-
-def test_solve_negative_keeps_the_sector_roots_on_a_grid():
-    # The answer of a one-slot ``_sector_roots`` call, as solve_negative
-    # read it before it stopped solving the sectors without negative energy.
-    couplings = (-6.0, -3.0, ZERO_ENERGY_ALPHA_MIN, -2.0, -0.5, 0.3, 2.0, 5.0)
-    thetas = (0.05, 0.7, 1.6, 2.5, 3.1)
-    for alpha in couplings:
-        for parity in ("+", "-"):
-            slots = [(alpha, 0 if parity == "+" else 1, parity, [t]) for t in thetas]
-            want = [-s if s < 0.0 else None for s in one_by_one(slots)]
-            got = [solve_negative(alpha, t, parity) for t in thetas]
-            assert reprs(got) == reprs(want), (alpha, parity)
+    assert reprs(s for (s,) in _sector_roots(slots)) == reprs(one_by_one(slots))
 
 
 @pytest.mark.parametrize(
@@ -524,8 +475,10 @@ def test_solve_negative_keeps_the_sector_roots_on_a_grid():
     ],
 )
 def test_solve_negative_keeps_its_errors(args, message):
+    # The negative-energy sector of a parity: gap 0 even, gap 1 odd.
+    alpha, theta, parity = args
     with pytest.raises(ValueError, match=message):
-        solve_negative(*args)
+        trace_eigenvalue_curve(alpha, parity, 0 if parity == "+" else 1, [theta])
 
 
 def mp_bisect(f, lo, hi):
@@ -687,7 +640,7 @@ def test_deeper_threshold_edge_next_to_the_borderline_matches_high_precision():
     assert relative_error(x_m1, mp_threshold_edge(alpha, -1)) <= 1e-13
 
 
-@pytest.mark.xfail(strict=True, reason="solve_gap discards roots within EDGE_WINDOW = 1e-9 of the band edge")
+@pytest.mark.xfail(strict=True, reason="_gap_roots discards roots within EDGE_WINDOW = 1e-9 of the band edge")
 def test_small_angle_keeps_the_eigenvalues_next_to_the_band_edge():
     # At alpha = 3 and theta = 0.01 these four states lie 6e-11 to 5e-10
     # below their non-integer band edge; the one-sided edge solver finds

@@ -239,15 +239,15 @@ def test_every_public_name_is_its_defining_modules_object():
         if getattr(ringchain, name)
         is not getattr(importlib.import_module(f"ringchain.{_defining_module(name)}"), name)
     ]
-    assert len(names) == 53 and not wrong
+    assert len(names) == 51 and not wrong
 
 
 def test_a_public_name_loads_its_module_on_first_access():
     loaded = _child(
         "import json, sys, ringchain\n"
         f"before = {LOADED}\n"
-        "ringchain.solve_gap\n"
-        f"print(json.dumps([before, {LOADED}, 'solve_gap' in vars(ringchain)]))\n"
+        "ringchain.gap_eigenvalues\n"
+        f"print(json.dumps([before, {LOADED}, 'gap_eigenvalues' in vars(ringchain)]))\n"
     )
     after = ["numpy", *(f"ringchain.{m}" for m in ENGINE["eigenvalues"])]
     assert loaded == [[], sorted(after), True]
