@@ -8,18 +8,14 @@ brackets (``bracket_rows``), and all brackets are bisected together in
 numpy to floating-point exhaustion (``bisect_batch``, which returns a
 degenerate bracket's exact zero as it stands; ``_first_roots`` keeps the
 first bracket of each row).  The scalar ``bisect`` has the same rules and
-gives the same roots; it serves only as an independent reference.  A
-damped complex Newton iteration, run to exhaustion, serves the resonance
-residual; its callable returns the value and the exact derivative
-together, so each point costs one call.  The solvers in the public
-modules own all model knowledge; this module only sees callables.
+gives the same roots; it serves only as an independent reference.  The
+resonance residual's complex Newton iteration is scalar ``cmath`` code
+and lives with its one caller, ``resonance``, which runs without numpy.
+The solvers in the public modules own all model knowledge; this module
+only sees callables.
 """
 from __future__ import annotations
 
-import cmath
-import math
-import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +24,6 @@ __all__ = [
     "bisect",
     "bisect_batch",
     "bracket_rows",
-    "newton_complex",
-    "NewtonResult",
 ]
 
 # Samples per scan block: a block holds as many rows (angles, queries or
@@ -38,12 +32,6 @@ __all__ = [
 # 8 rows of 1,024 points; 16 such rows raised the peak RSS of ``verify``
 # and of an attractive sweep by about 0.9 MB.
 SCAN_SAMPLES = 8 * 1024
-# A Newton root must bring |F| below this.
-NEWTON_RESIDUAL_TOL = 1e-12
-# Newton iterations before a run counts as not converged.
-NEWTON_MAX_ITER = 30
-# Newton stops once its step is within this many ulp of |z|.
-NEWTON_ULP_STEPS = 4
 
 
 def bisect(
@@ -201,57 +189,3 @@ def _first_roots(lo, hi, kernel, *params, points: int) -> np.ndarray:
     roots = np.full(lo.shape, np.nan)
     roots[rows] = bisect_batch(lambda x: kernel(x, *sub), a[first], b[first])
     return roots
-
-
-@dataclass(frozen=True)
-class NewtonResult:
-    """Outcome of a complex Newton run; ``values`` is ``fn`` at ``root``."""
-
-    root: complex
-    residual: float
-    iterations: int
-    converged: bool
-    values: tuple
-
-
-def newton_complex(
-    fn: Callable[..., tuple],
-    z0: complex,
-    *args,
-) -> NewtonResult:
-    """Damped Newton iteration in the complex plane, run to exhaustion.
-
-    ``fn(z, *args)`` returns ``(F, F', ...)`` at ``z``: the value, the
-    exact derivative and anything else the caller wants at the root, so
-    one call per point serves both.  While ``|F| >= NEWTON_RESIDUAL_TOL``
-    a step that fails to reduce ``|F|`` is halved, at most 8 times.  The
-    iteration stops once the Newton step is within ``NEWTON_ULP_STEPS``
-    ulp of ``|z|``, or once ``|F| < NEWTON_RESIDUAL_TOL`` and the step
-    stops shrinking, i.e. only rounding is left; either way with
-    ``converged`` set when ``|F|`` is below the tolerance.  A run that
-    hits ``NEWTON_MAX_ITER`` or a vanishing derivative has not converged.
-    """
-    z = complex(z0)
-    vals = fn(z, *args)
-    last = math.inf
-    for it in range(NEWTON_MAX_ITER):
-        fz, dz = vals[0], vals[1]
-        if dz == 0 or not cmath.isfinite(dz):
-            return NewtonResult(z, abs(fz), it, False, vals)
-        step = fz / dz
-        small = abs(fz) < NEWTON_RESIDUAL_TOL
-        size = abs(step)
-        at_ulp = size <= NEWTON_ULP_STEPS * sys.float_info.epsilon * abs(z)
-        if at_ulp or (small and size >= last):
-            return NewtonResult(z, abs(fz), it, small, vals)
-        last = size
-        z_new = z - step
-        vals = fn(z_new, *args)
-        halvings = 0
-        while not small and abs(vals[0]) > abs(fz) and halvings < 8:
-            step *= 0.5
-            z_new = z - step
-            vals = fn(z_new, *args)
-            halvings += 1
-        z = z_new
-    return NewtonResult(z, abs(vals[0]), NEWTON_MAX_ITER, False, vals)

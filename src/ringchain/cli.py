@@ -330,8 +330,9 @@ def cmd_eigenvalues(args: argparse.Namespace) -> int:
 
 
 def cmd_resonances(args: argparse.Namespace) -> int:
-    from .dispersion import ContinuationError
-    from .resonance import SEED_OFFSET, enumerate_singular_points, on_branch, trace_complex_branch
+    from .resonance import (
+        SEED_OFFSET, ContinuationError, enumerate_singular_points, on_branch, trace_complex_branch,
+    )
 
     parities = ("+", "-") if args.parity == "both" else (args.parity,)
     branches = ("lower", "upper") if args.branch == "both" else (args.branch,)

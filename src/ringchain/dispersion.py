@@ -31,6 +31,8 @@ import operator
 
 import numpy as np
 
+from ._core import ContinuationError, InsufficientDataError
+
 __all__ = [
     "SMALL_ARG",
     "ZERO_ENERGY_ALPHA_MIN",
@@ -76,14 +78,6 @@ class DegenerateError(RuntimeError):
 
 class OverflowNormError(OverflowError):
     """A coefficient recursion left the representable range."""
-
-
-class ContinuationError(RuntimeError):
-    """Curve continuation lost its footing (jump or step underflow)."""
-
-
-class InsufficientDataError(RuntimeError):
-    """Too few valid samples to fit the requested model."""
 
 
 def is_near_integer(k):

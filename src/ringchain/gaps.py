@@ -34,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._core import ContinuationError, _parity_sign, singular_angles
 from ._rootfind import _first_roots, _row_brackets, bisect_batch
 from .bands import GapInterval, _gaps_at, _negative_edges
 from .dispersion import (
     ZERO_ENERGY_ALPHA_MIN,
-    ContinuationError,
     _decaying_denominator,
     _gap_function,
     gap_function,
@@ -121,24 +121,6 @@ class SpectralCurve:
         return [math.copysign(s * s, s) for _, s in self.samples]
 
 
-def singular_angles(n: int, parity: str) -> tuple[float, ...]:
-    """Bend angles at which gap ``n`` loses its ``parity`` eigenvalue.
-
-    Even sector: ``(n+1-2l)*pi/n`` for ``l = 1..floor((n+1)/2)``; odd
-    sector: ``(n-2l)*pi/n`` for ``l = 1..floor(n/2)``.  Values outside
-    ``[0, pi)`` do not occur.  Gap 0 has none.
-    """
-    if n < 1:
-        return ()
-    if parity == "+":
-        vals = ((n + 1 - 2 * ell) * math.pi / n for ell in range(1, (n + 1) // 2 + 1))
-    elif parity == "-":
-        vals = ((n - 2 * ell) * math.pi / n for ell in range(1, n // 2 + 1))
-    else:
-        raise ValueError("parity must be '+' or '-'")
-    return tuple(v for v in vals if 0.0 <= v < math.pi)
-
-
 def is_singular_angle(theta, n: int, parity: str):
     """True where ``theta`` lies within ``SINGULAR_ANGLE_TOL`` of a singular angle.
 
@@ -147,14 +129,6 @@ def is_singular_angle(theta, n: int, parity: str):
     angles = np.array(singular_angles(n, parity), dtype=float)
     near = np.abs(np.asarray(theta, dtype=float)[..., None] - angles) < SINGULAR_ANGLE_TOL
     return np.any(near, axis=-1)[()]
-
-
-def _parity_sign(parity: str) -> float:
-    if parity == "+":
-        return 1.0
-    if parity == "-":
-        return -1.0
-    raise ValueError("parity must be '+' or '-'")
 
 
 def _gap_residual(x, alpha, theta, sgn, sign=-1.0):

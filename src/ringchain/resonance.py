@@ -14,20 +14,24 @@ Puiseux branches ``k = n + eps``, ``eps ~ cbrt(alpha/8) (n/pi)
 |theta - theta0|**(4/3)`` — one real and a conjugate pair spiralling off
 at ``exp(±2 pi i/3)``.  This module seeds Newton iterations from that law,
 continues the branches in the bend angle, fits the branch exponents, and
-counts zeros in rectangles by the argument principle.
+counts zeros in rectangles by the argument principle.  The trace is
+scalar ``cmath`` code and runs without numpy; the functions that build
+arrays (the fits, the residual grid, the zero count) import it when called.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+from ._core import ContinuationError, InsufficientDataError, _parity_sign, singular_angles
 
-from ._rootfind import NewtonResult, _first_roots, newton_complex
-from .bands import GapInterval, gap_intervals
-from .dispersion import ContinuationError, InsufficientDataError
-from .gaps import _parity_sign, singular_angles, solve_gap_near_edge
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .bands import GapInterval
 
 __all__ = [
     "ContourZeroError",
@@ -69,6 +73,12 @@ SEED_OFFSET = 1e-2
 FIT_DELTA_LO = 1e-3
 FIT_DELTA_HI = 1e-2
 FIT_SAMPLES_PER_SIDE = 13
+# A Newton root must bring |F| below this.
+NEWTON_RESIDUAL_TOL = 1e-12
+# Newton iterations before a run counts as not converged.
+NEWTON_MAX_ITER = 30
+# Newton stops once its step is within this many ulp of |z|.
+NEWTON_ULP_STEPS = 4
 
 
 class ContourZeroError(RuntimeError):
@@ -181,6 +191,60 @@ def on_branch(k: complex, branch: str) -> complex:
     exact mirror of the lower, with the same ``|F|``.  A real ``k`` (a
     snapped endpoint) keeps its ``+0.0`` imaginary part."""
     return k.conjugate() if branch == "upper" and k.imag else k
+
+
+@dataclass(frozen=True)
+class NewtonResult:
+    """Outcome of a complex Newton run; ``values`` is ``fn`` at ``root``."""
+
+    root: complex
+    residual: float
+    iterations: int
+    converged: bool
+    values: tuple
+
+
+def newton_complex(
+    fn: Callable[..., tuple],
+    z0: complex,
+    *args,
+) -> NewtonResult:
+    """Damped Newton iteration in the complex plane, run to exhaustion.
+
+    ``fn(z, *args)`` returns ``(F, F', ...)`` at ``z``: the value, the
+    exact derivative and anything else the caller wants at the root, so
+    one call per point serves both.  While ``|F| >= NEWTON_RESIDUAL_TOL``
+    a step that fails to reduce ``|F|`` is halved, at most 8 times.  The
+    iteration stops once the Newton step is within ``NEWTON_ULP_STEPS``
+    ulp of ``|z|``, or once ``|F| < NEWTON_RESIDUAL_TOL`` and the step
+    stops shrinking, i.e. only rounding is left; either way with
+    ``converged`` set when ``|F|`` is below the tolerance.  A run that
+    hits ``NEWTON_MAX_ITER`` or a vanishing derivative has not converged.
+    """
+    z = complex(z0)
+    vals = fn(z, *args)
+    last = math.inf
+    for it in range(NEWTON_MAX_ITER):
+        fz, dz = vals[0], vals[1]
+        if dz == 0 or not cmath.isfinite(dz):
+            return NewtonResult(z, abs(fz), it, False, vals)
+        step = fz / dz
+        small = abs(fz) < NEWTON_RESIDUAL_TOL
+        size = abs(step)
+        at_ulp = size <= NEWTON_ULP_STEPS * sys.float_info.epsilon * abs(z)
+        if at_ulp or (small and size >= last):
+            return NewtonResult(z, abs(fz), it, small, vals)
+        last = size
+        z_new = z - step
+        vals = fn(z_new, *args)
+        halvings = 0
+        while not small and abs(vals[0]) > abs(fz) and halvings < 8:
+            step *= 0.5
+            z_new = z - step
+            vals = fn(z_new, *args)
+            halvings += 1
+        z = z_new
+    return NewtonResult(z, abs(vals[0]), NEWTON_MAX_ITER, False, vals)
 
 
 def refine_resonance(
@@ -314,7 +378,11 @@ def trace_complex_branch(
     if not 0.0 < t0 < math.pi:
         raise ValueError("seed angle outside (0, pi)")
     k_seed = seed_from_singular_point(sp, alpha, SEED_OFFSET)
-    return continue_curve(alpha, sp.parity, np.linspace(t0, stop, n_nodes), k_seed, seed=sp)
+    # np.linspace(t0, stop, n_nodes) in its own arithmetic (i * step + t0,
+    # the last node stop), without numpy.
+    step = (stop - t0) / max(n_nodes - 1, 1)
+    grid = [i * step + t0 for i in range(n_nodes - 1)] + [stop]
+    return continue_curve(alpha, sp.parity, grid, k_seed, seed=sp)
 
 
 def real_branch_offset(alpha: float, gap: GapInterval, thetas, parity: str):
@@ -325,6 +393,10 @@ def real_branch_offset(alpha: float, gap: GapInterval, thetas, parity: str):
     integer (unlike the gap function); all angles are bisected together.
     NaN where the sector has no root there.
     """
+    import numpy as np
+
+    from ._rootfind import _first_roots
+
     if gap.n < 1:
         raise ValueError("offset defined for gaps containing an integer")
     n = float(gap.n)
@@ -361,6 +433,10 @@ def fit_branch_exponent(alpha: float, sp: SingularPoint) -> BranchFit:
     both sides of it, which cancels the odd-order corrections of the branch
     expansion.  Fewer than 8 usable samples raise ``InsufficientDataError``.
     """
+    import numpy as np
+
+    from .bands import gap_intervals
+
     deltas = np.geomspace(FIT_DELTA_LO, FIT_DELTA_HI, FIT_SAMPLES_PER_SIDE)
     signed = np.concatenate([deltas, -deltas]) if sp.theta0 > 0.0 else deltas
     thetas = sp.theta0 + signed
@@ -402,6 +478,10 @@ def fit_gentle_coefficient(alpha: float, gap: GapInterval) -> float:
     weighted fit of ``offset/theta**4`` against ``theta**2`` (the next term
     of the even expansion).
     """
+    import numpy as np
+
+    from .gaps import solve_gap_near_edge
+
     thetas = np.geomspace(0.01, 0.1, 12)
     off = np.abs(gap.band_edge - solve_gap_near_edge(alpha, thetas, gap, "+"))
     thetas, off = thetas[off > 0.0], off[off > 0.0]
@@ -439,6 +519,8 @@ def resonance_residual_grid(
     zs: np.ndarray, alpha: float, theta: float, parity: str
 ) -> np.ndarray:
     """Vectorised ``resonance_residual`` over an array of momenta, real or complex."""
+    import numpy as np
+
     return _cleared(*_axis_terms(zs, theta, 1, np), alpha, _parity_sign(parity))
 
 
@@ -459,6 +541,8 @@ def count_zeros_box(
     count undefined; it is detected by a node magnitude collapsing
     relative to its neighbours and raises ``ContourZeroError``.
     """
+    import numpy as np
+
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("degenerate counting rectangle")
     corners = [

@@ -187,11 +187,13 @@ def test_cli_import_loads_no_engine_and_no_numpy():
 
 
 ENGINE = {
-    "bands": ["_rootfind", "bands", "dispersion"],
-    "eigenvalues": ["_rootfind", "bands", "dispersion", "gaps"],
-    "resonances": ["_rootfind", "bands", "dispersion", "gaps", "resonance"],
+    "bands": ["_core", "_rootfind", "bands", "dispersion"],
+    "eigenvalues": ["_core", "_rootfind", "bands", "dispersion", "gaps"],
+    "resonances": ["_core", "resonance"],
     "verify": [p.stem for p in MODULES if p.stem != "cli"],
 }
+# The resonance trace is scalar ``cmath`` code, so its command loads no numpy.
+NUMPY = {"bands": True, "eigenvalues": True, "resonances": False, "verify": True}
 
 
 @pytest.mark.parametrize(
@@ -200,13 +202,48 @@ ENGINE = {
         ["bands", "--alpha", "3"],
         ["eigenvalues", "--alpha", "3", "--theta", "1", "--nmax", "2"],
         ["resonances", "--alpha", "3", "--nmax", "1", "--theta-count", "8"],
+        ["resonances", "--alpha", "3", "--nmax", "1", "--theta-count", "8", "--format", "json"],
         ["verify", "--criteria", "1"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["bands", "eigenvalues", "resonances", "resonances-json", "verify"],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv):
-    want = sorted(["numpy", "ringchain.cli", *(f"ringchain.{m}" for m in ENGINE[argv[0]])])
+    numpy = ["numpy"] if NUMPY[argv[0]] else []
+    want = sorted([*numpy, "ringchain.cli", *(f"ringchain.{m}" for m in ENGINE[argv[0]])])
     assert _run_main(argv) == (0, want)
+
+
+# Each resonance function that builds arrays imports numpy and the engine
+# names it needs when called.  ``r`` is ``ringchain.resonance``; the first
+# two calls load numpy, ``bands`` and ``_rootfind`` themselves.
+LAZY_CALLS = """
+sp = r.SingularPoint(2, 1, "+")
+out = [
+    r.count_zeros_box(3.0, sp.theta0 + 0.3, "+", 1.8, 2.1, -0.2, 0.1),
+    list(vars(r.fit_branch_exponent(3.0, sp)).values()),
+]
+import numpy as np
+from ringchain.bands import gap_intervals
+zs = np.array([0.5 + 0.1j, 1.5 - 0.3j, 2.5 + 0j])
+out.append([[z.real, z.imag] for z in r.resonance_residual_grid(zs, 3.0, 1.1, "-").tolist()])
+gap = gap_intervals(3.0, 2)[2]
+thetas = np.array([sp.theta0 - 5e-3, sp.theta0 + 5e-3])
+out.append(r.real_branch_offset(3.0, gap, thetas, "+").tolist())
+out.append(r.fit_gentle_coefficient(3.0, gap))
+"""
+
+
+def test_resonance_functions_import_numpy_when_called():
+    got = _child(
+        "import json, sys\n"
+        "from ringchain import resonance as r\n"
+        f"loaded = {LOADED}\n"
+        f"{LAZY_CALLS}\n"
+        "print(json.dumps([loaded, json.dumps(out)]))\n"
+    )
+    here = {"r": importlib.import_module("ringchain.resonance")}
+    exec(LAZY_CALLS, here)
+    assert got == [["ringchain._core", "ringchain.resonance"], json.dumps(here["out"])]
 
 
 @pytest.mark.parametrize(

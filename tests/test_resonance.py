@@ -10,7 +10,7 @@ import struct
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ringchain import (
     ContourZeroError,
@@ -288,6 +288,36 @@ def test_continuation_snaps_onto_singular_point():
 def test_continue_curve_needs_two_nodes():
     with pytest.raises(ValueError):
         continue_curve(3.0, "+", [1.0], 2.0 - 0.01j)
+
+
+def _traced_grid(sp, stop, n):
+    """The angle grid ``trace_complex_branch`` hands to ``continue_curve``."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resonance, "continue_curve", lambda a, p, grid, *r, **kw: seen.append(grid))
+        trace_complex_branch(3.0, sp, theta_stop=stop, n_nodes=n)
+    return seen[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    sp=st.sampled_from([sp for p in "+-" for sp in enumerate_singular_points(60, p)]),
+    share=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    n=st.integers(min_value=2, max_value=400),
+)
+def test_branch_grid_is_numpys_linspace_bit_for_bit(sp, share, n):
+    # The trace builds its grid without numpy, in linspace's own arithmetic.
+    t0 = sp.theta0 + resonance.SEED_OFFSET
+    stop = t0 + share * (math.pi - t0)
+    assume(t0 < stop < math.pi)
+    grid = _traced_grid(sp, stop, n)
+    assert [t.hex() for t in grid] == [t.hex() for t in np.linspace(t0, stop, n).tolist()]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_branch_grid_of_fewer_than_two_nodes_is_an_error(n):
+    with pytest.raises(ValueError, match="^theta grid needs at least two nodes$"):
+        trace_complex_branch(3.0, SingularPoint(2, 1, "+"), n_nodes=n)
 
 
 def test_full_branch_trace_and_conjugacy():
