@@ -58,7 +58,7 @@ def bisect(
     if fb == 0.0:
         return b
     if (fa > 0.0) == (fb > 0.0):
-        raise ValueError(f"no sign change on [{a!r}, {b!r}]")
+        raise ValueError(f"no sign change on [{float(a)!r}, {float(b)!r}]")
     for _ in range(200):
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -97,7 +97,7 @@ def bisect_batch(
     flat = np.flatnonzero(~(za | zb) & ((fa > 0.0) == (fb > 0.0)))
     if flat.size:
         i = flat[0]
-        raise ValueError(f"no sign change on [{a[i]!r}, {b[i]!r}]")
+        raise ValueError(f"no sign change on [{float(a[i])!r}, {float(b[i])!r}]")
     # A finished bracket collapses onto its root (a == b), after which its
     # midpoint is never strictly inside again.
     a, b = np.where(zb & ~za, b, a), np.where(za, a, b)

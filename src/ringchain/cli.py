@@ -91,11 +91,32 @@ class _Blocks:
         self.parts, self.size = [], 0
 
 
+def _json_chunks(payload: dict):
+    """The text of ``json.dump(payload, indent=2)`` and a newline, in pieces:
+    a value given as an iterator is encoded one element at a time.  A JSON
+    text holds no raw newline, so indenting its lines nests it."""
+    encode = json.JSONEncoder(indent=2, default=_json_default).encode
+    lead = "{"
+    for key, value in payload.items():
+        yield f"{lead}\n  {encode(key)}: "
+        lead = ","
+        if not hasattr(value, "__next__"):
+            yield encode(value).replace("\n", "\n  ")
+            continue
+        sep, end = "[", "[]"
+        for item in value:
+            yield f"{sep}\n    " + encode(item).replace("\n", "\n    ")
+            sep, end = ",", "\n  ]"
+        yield end
+    yield "{}\n" if lead == "{" else "\n}\n"
+
+
 def _write(args: argparse.Namespace, obj, header=None) -> int:
     """Write ``obj`` as CSV rows under ``header``, as text, or else as JSON, to
-    ``--out`` or to ``sys.stdout`` as it is at call time.  Commands call this
-    only after their gates pass, so a numeric failure writes nothing.  Returns
-    the exit code: 2 if the destination cannot be opened or written."""
+    ``--out`` or to ``sys.stdout`` as it is at call time.  Rows and the items
+    of a JSON value given as an iterator are formatted as they are written, so
+    commands call this only after their gates pass on the whole result: a
+    numeric failure writes nothing.  Returns 2 if the destination cannot be opened or written."""
     try:
         with (contextlib.nullcontext(sys.stdout) if args.out is None
               else open(args.out, "w", encoding="utf-8", newline="")) as fh:
@@ -107,8 +128,8 @@ def _write(args: argparse.Namespace, obj, header=None) -> int:
             elif isinstance(obj, str):
                 dest.write(obj)
             else:
-                json.dump(obj, dest, indent=2, default=_json_default)
-                dest.write("\n")
+                for text in _json_chunks(obj):
+                    dest.write(text)
             dest.flush()
     except OSError as exc:
         where = "stdout" if args.out is None else args.out
@@ -264,14 +285,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     return _write(args, rows, ("band_index", *(f.name for f in fields(Band))))
 
 
-def _eigenvalue_rows(args: argparse.Namespace, theta: float, records, singular) -> list[tuple]:
-    if any(r.residual > args.tol_residual for r in records):
-        from .dispersion import ContinuationError
-
-        worst = max(r.residual for r in records)
-        raise ContinuationError(
-            f"eigenvalue residual {worst:.3g} above --tol-residual at theta={theta:.6g}"
-        )
+def _eigenvalue_rows(theta: float, records, singular) -> list[tuple]:
     rows = []
     for r in records:
         positive = r.energy > 0.0
@@ -300,10 +314,15 @@ def _eigenvalue_rows(args: argparse.Namespace, theta: float, records, singular) 
 
 
 def cmd_eigenvalues(args: argparse.Namespace) -> int:
-    from .gaps import gap_eigenvalues_grid, is_singular_angle
+    from .gaps import ContinuationError, gap_eigenvalues_grid, is_singular_angle
 
     thetas = [args.theta] if args.theta is not None else _theta_grid(args)
     per_angle = gap_eigenvalues_grid(args.alpha, thetas, args.nmax, args.parity)
+    for theta, records in zip(thetas, per_angle):
+        if any(r.residual > args.tol_residual for r in records):
+            worst = max(r.residual for r in records)
+            raise ContinuationError(f"eigenvalue residual {worst:.3g} above --tol-residual "
+                                    f"at theta={theta:.6g}")
     # Gaps 1..n_max hold an integer for either sign of alpha; each one's
     # singular angles are checked once over the whole grid.
     parities = ("+", "-") if args.parity == "both" else (args.parity,)
@@ -312,18 +331,18 @@ def cmd_eigenvalues(args: argparse.Namespace) -> int:
         for p in parities:
             for i in is_singular_angle(thetas, n, p).nonzero()[0]:
                 singular[i].append((n, p))
-    rows = [
+    rows = (
         row
         for theta, records, marks in zip(thetas, per_angle, singular)
-        for row in _eigenvalue_rows(args, theta, records, marks)
-    ]
+        for row in _eigenvalue_rows(theta, records, marks)
+    )
     if args.format == "json":
         payload = {
             "alpha": args.alpha,
             "n_max": args.nmax,
             "parity": args.parity,
             "columns": list(CURVE_COLUMNS),
-            "rows": [[cell if cell != "" else None for cell in row] for row in rows],
+            "rows": ([cell if cell != "" else None for cell in row] for row in rows),
         }
         return _write(args, payload)
     return _write(args, rows, CURVE_COLUMNS)
@@ -362,7 +381,7 @@ def cmd_resonances(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "alpha": args.alpha,
-            "curves": [
+            "curves": (
                 {
                     "parity": c.parity,
                     "branch": br,
@@ -378,7 +397,7 @@ def cmd_resonances(args: argparse.Namespace) -> int:
                 }
                 for c in curves
                 for br in branches
-            ],
+            ),
             "abandoned": partial,
         }
         return _write(args, payload)

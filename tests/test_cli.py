@@ -8,10 +8,13 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
+import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ringchain import cli, resonance
+from ringchain import cli, gaps, resonance
 from ringchain.bands import Band, BandSpectrum
 from ringchain.cli import CURVE_COLUMNS, main
 from ringchain.dispersion import ContinuationError
@@ -24,6 +27,12 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
     )
+
+
+def sweep(count: int) -> list[str]:
+    """The alpha = 3.1 sweep of the artifact corpus, over ``count`` angles."""
+    return ["eigenvalues", "--alpha", "3.1", "--theta-start", "0", "--theta-stop",
+            "3.141592653589793", "--theta-count", str(count), "--nmax", "5"]
 
 
 def parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
@@ -182,9 +191,9 @@ def test_resonances_json_bundles():
     assert all(len(s) == 3 for s in curve["samples"])
 
 
-def test_abandoned_seed_warns_once_per_requested_branch(monkeypatch, capsys):
-    # One trace serves both branches of a seed, so a failed trace must
-    # still warn for, and drop the rows of, each branch by its own name.
+@pytest.fixture
+def abandon_2_1(monkeypatch):
+    """Make the trace of the (2, 1, +) seed fail."""
     real = resonance.trace_complex_branch
 
     def fail_at_2_1(alpha, sp, *args, **kwargs):
@@ -193,6 +202,11 @@ def test_abandoned_seed_warns_once_per_requested_branch(monkeypatch, capsys):
         return real(alpha, sp, *args, **kwargs)
 
     monkeypatch.setattr(resonance, "trace_complex_branch", fail_at_2_1)
+
+
+def test_abandoned_seed_warns_once_per_requested_branch(abandon_2_1, capsys):
+    # One trace serves both branches of a seed, so a failed trace must
+    # still warn for, and drop the rows of, each branch by its own name.
     argv = ["resonances", "--alpha", "3", "--nmax", "2", "--theta-count", "30"]
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -209,6 +223,53 @@ def test_abandoned_seed_warns_once_per_requested_branch(monkeypatch, capsys):
         "(2,1,+,upper): step underflow at theta=1.6 (branch upper)"
     ]
     assert captured.err.count("warning: curve abandoned") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=4), st.data())
+def test_json_chunks_are_the_text_of_json_dump(payload, data):
+    # Any list value of the document may be given as an iterator.
+    streamed = {
+        key: iter(value) if isinstance(value, list) and data.draw(st.booleans()) else value
+        for key, value in payload.items()
+    }
+    assert "".join(cli._json_chunks(streamed)) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("alpha", ["1e-6", "3"], ids=["no-rows", "rows"])
+def test_streamed_eigenvalue_json_is_the_text_of_json_dumps(alpha, capsys):
+    # alpha = 1e-6 has no gap eigenvalue at theta = 1 below gap 5.
+    argv = ["eigenvalues", "--alpha", alpha, "--theta", "1", "--nmax", "5"]
+    assert main(argv) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert (len(rows) > 0) == (alpha == "3")
+    assert main([*argv, "--format", "json"]) == 0
+    payload = {
+        "alpha": float(alpha),
+        "n_max": 5,
+        "parity": "both",
+        "columns": list(CURVE_COLUMNS),
+        "rows": [[cell if cell != "" else None for cell in row] for row in rows],
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_streamed_resonance_json_is_the_text_of_json_dumps(abandon_2_1, capsys):
+    # "abandoned" follows the streamed "curves".
+    argv = ["resonances", "--alpha", "3", "--nmax", "2", "--theta-count", "30", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert list(payload) == ["alpha", "curves", "abandoned"]
+    assert len(payload["curves"]) == 4 and len(payload["abandoned"]) == 2
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_seed_past_theta_stop_is_skipped_without_warning(capsys):
@@ -446,6 +507,35 @@ def test_full_sweep_passes_the_residual_gate(alpha, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_gate_covers_every_angle_before_writing(fmt, to_file, monkeypatch, tmp_path, capsys):
+    # Rows are formatted as they are written, so the gate must pass on the
+    # whole sweep first: a residual above --tol-residual at the last angle
+    # alone still writes nothing.
+    argv = ["eigenvalues", "--alpha", "3", "--theta-start", "0.4", "--theta-stop", "2.8",
+            "--theta-count", "6", "--nmax", "2", "--format", fmt]
+    assert main(argv) == 0
+    real = gaps.gap_eigenvalues_grid
+
+    def last_angle_fails(*args, **kwargs):
+        per_angle = real(*args, **kwargs)
+        assert per_angle[-1]
+        per_angle[-1] = [dataclasses.replace(r, residual=1e-6) for r in per_angle[-1]]
+        return per_angle
+
+    monkeypatch.setattr(gaps, "gap_eigenvalues_grid", last_angle_fails)
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    assert main([*argv, *(["--out", str(out)] if to_file else [])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric failure: eigenvalue residual 1e-06 above --tol-residual at theta=2.6\n"
+    )
+    assert not out.exists()
+
+
 def test_resonance_residual_gate_exits_three(tmp_path):
     # The polished samples up to n = 3 carry residuals up to about 8e-14,
     # above this demand (up to n = 1 they stay below 5e-15).
@@ -566,9 +656,30 @@ def test_artifacts_reach_stdout_in_blocks(monkeypatch):
     # unbuffered stdout, and not one string of the whole 850 KB artifact.
     writes = Recorder()
     monkeypatch.setattr(sys, "stdout", writes)
-    assert main(["resonances", "--alpha", "3", "--nmax", "8"]) == 0
-    assert 1 < len(writes) <= sum(map(len, writes)) // cli.BLOCK_CHARS + 1
-    assert max(map(len, writes)) <= 2 * cli.BLOCK_CHARS
-    writes.clear()
+    resonances = ["resonances", "--alpha", "3", "--nmax", "8"]
+    for argv in (resonances, [*resonances, "--format", "json"], [*sweep(128), "--format", "json"]):
+        assert main(argv) == 0
+        assert 1 < len(writes) <= sum(map(len, writes)) // cli.BLOCK_CHARS + 1
+        assert max(map(len, writes)) <= 2 * cli.BLOCK_CHARS
+        writes.clear()
     assert main(["bands", "--alpha", "3"]) == 0
     assert len(writes) == 1
+
+
+def test_sweep_memory_does_not_grow_with_its_text(monkeypatch):
+    # A sweep holds its records for the gate and formats its rows as they
+    # are written.  From 128 to 512 angles the tracemalloc peak grew by
+    # 1.4-1.6 MB (the records and their solve), and by 2.7-3.1 MB when
+    # every row was formatted before the first write.
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=lambda text: None))
+
+    def peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(sweep(count)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(128)  # the first call allocates what later calls reuse
+    assert peak(512) - peak(128) < 2.1e6

@@ -321,3 +321,13 @@ def test_bisect_batch_rules_on_fixed_brackets():
     with pytest.raises(ValueError, match="no sign change"):
         bisect_batch(fn, [0.0, 1.0], [1.0, 2.0])
     assert bisect_batch(fn, [], []).size == 0
+
+
+def test_no_sign_change_message_prints_plain_floats():
+    # Not numpy reprs such as "np.float64(1.0)", whichever solver raises.
+    fn = lambda x: x - 0.5  # noqa: E731
+    for solve in (bisect, bisect_batch):
+        a, b = (np.float64(1.0), np.float64(2.0)) if solve is bisect else ([0.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError) as excinfo:
+            solve(fn, a, b)
+        assert str(excinfo.value) == "no sign change on [1.0, 2.0]"
