@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import os
 import re
@@ -95,6 +94,8 @@ def _json_chunks(payload: dict):
     """The text of ``json.dump(payload, indent=2)`` and a newline, in pieces:
     a value given as an iterator is encoded one element at a time.  A JSON
     text holds no raw newline, so indenting its lines nests it."""
+    import json  # only here: the CSV commands never load it
+
     encode = json.JSONEncoder(indent=2, default=_json_default).encode
     lead = "{"
     for key, value in payload.items():

@@ -1,13 +1,13 @@
 """Ring-to-ring transfer matrix of the chain and decay certificates.
 
-On ring ``j`` an energy-``k**2`` solution restricted to the upper/lower
-arcs is fixed by a coefficient pair ``(c_plus, c_minus)``; crossing one
-contact point multiplies the pair by a fixed ``2x2`` matrix of unit
-determinant whose trace is twice the period-map half-trace.  Inside a
-spectral gap the matrix has one expanding and one contracting eigenvalue;
-an eigenfunction candidate is genuine exactly when its coefficient pair
-on the outer rings follows the contracting direction, which is what
-``coefficient_sequence`` lets tests certify.
+On ring ``j`` an energy-``k**2`` solution is fixed by its value and slope
+``(psi, psi')`` at the contact point; crossing one ring multiplies the
+pair by a ``2x2`` matrix of unit determinant, entire in ``k``, whose
+trace is twice the period-map half-trace.  Inside a spectral gap the
+matrix has one expanding and one contracting eigenvalue; an eigenfunction
+candidate is genuine exactly when its pair on the outer rings decays at
+the contracting rate, which is what ``coefficient_sequence`` lets tests
+certify.
 """
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ import numpy as np
 from .dispersion import (
     DegenerateError,
     OverflowNormError,
-    _complex_divide,
     _complex_multiply,
     _floquet,
+    _sin_ratio,
     is_near_integer,
 )
 
@@ -58,107 +58,91 @@ class TransferMatrix:
         return self.m11 + self.m22
 
     def apply(self, pair: tuple[complex, complex]) -> tuple[complex, complex]:
-        cp, cm = pair
-        return (self.m11 * cp + self.m12 * cm, self.m21 * cp + self.m22 * cm)
+        psi, dpsi = pair
+        return (self.m11 * psi + self.m12 * dpsi, self.m21 * psi + self.m22 * dpsi)
 
 
 @dataclass(frozen=True)
 class TransferEigen:
-    """Eigenpairs of a transfer matrix, ordered by modulus.
+    """Eigenvalues of a transfer matrix, ordered by modulus.
 
     ``expanding`` has the larger modulus; the two eigenvalues multiply to
-    one, so inside a gap ``|contracting| < 1`` and the contracting
-    direction spans the decaying solutions.
+    one, so inside a gap ``|contracting| < 1`` is the decay rate per ring
+    of the decaying solutions.
     """
 
     expanding: complex
     contracting: complex
-    v_expanding: tuple[complex, complex]
-    v_contracting: tuple[complex, complex]
 
 
 @dataclass(frozen=True)
 class CoefficientPair:
-    """Arc coefficients on one ring of the chain."""
+    """Value and slope at the contact point on one ring of the chain."""
 
-    c_plus: complex
-    c_minus: complex
+    value: complex
+    slope: complex
     ring_index: int
 
     @property
     def norm(self) -> float:
-        return math.hypot(abs(self.c_plus), abs(self.c_minus))
+        return math.hypot(abs(self.value), abs(self.slope))
 
 
 def transfer_matrix(k, alpha) -> TransferMatrix:
-    """Transfer matrix across one contact point at wavenumber ``k``.
+    """Transfer matrix across one ring at wavenumber ``k``.
 
-    With ``a = alpha/(4ik)`` and ``E = exp(i pi k)`` the matrix is
-    ``[[(1+a)E, a/E], [-aE, (1-a)/E]]``; its determinant is 1 and its
-    trace twice the half-trace.  Purely imaginary ``k = i*kappa`` gives a
-    real matrix, matching the negative-energy branch.  Takes a number or
-    an array (``alpha`` broadcasts with ``k``); each entry has the bits of
-    the ``cmath`` formula.  Raises ``OverflowNormError`` where the entry
-    products overflow, so that the determinant would be NaN: next to
-    ``k = 0`` (``|a|`` above about 1e154) or far off the real axis.
+    With ``c = cos(pi k)``, ``s = sin(pi k)`` and ``r = s/k`` (its Taylor
+    series below ``SMALL_ARG``) the matrix is
+    ``[[c, r], [(alpha/2) c - k s, c + (alpha/2) r]]``; its determinant is
+    ``c**2 + s**2 = 1`` and its trace twice the half-trace.  Purely
+    imaginary ``k = i*kappa`` gives a real matrix, matching the
+    negative-energy branch.  Takes a number or an array (``alpha``
+    broadcasts with ``k``); each entry has the bits of the ``cmath``
+    formula.  Raises ``OverflowNormError`` where the entry products
+    overflow, so that the determinant would be NaN: far off the real axis.
     """
     kc = np.asarray(k, dtype=complex)
     if np.any((kc.imag == 0.0) & is_near_integer(kc.real)):
         raise ValueError("integer wavenumber: flat-band point")
     mul = _complex_multiply
-    a = _complex_divide(alpha, mul(4j, kc))
-    e, einv = np.exp(mul(1j * math.pi, kc)), np.exp(mul(-1j * math.pi, kc))
-    m = TransferMatrix(
-        mul(1.0 + a, e), mul(a, einv), mul(-a, e), mul(1.0 - a, einv), kc[()], alpha
-    )
+    pk = np.pi * kc
+    c, s = np.cos(pk), np.sin(pk)
+    r, h = _sin_ratio(kc, s), 0.5 * alpha
+    m = TransferMatrix(c, r, mul(h, c) - mul(kc, s), c + mul(h, r), kc[()], alpha)
     if not np.all(np.isfinite(m.det)):
         raise OverflowNormError("transfer matrix entry products overflow")
     return m
 
 
 def transfer_eigen(k, alpha) -> TransferEigen:
-    """Eigenvalues and eigenvectors of the one-ring transfer matrix.
+    """Eigenvalues of the one-ring transfer matrix, ``floquet_phases(k, alpha)``.
 
-    The eigenvalues are ``floquet_phases(k, alpha)``.  Raises
-    ``DegenerateError`` at band edges (half-trace ``±1`` within ``1e-12``
-    of the branch point), where the matrix is defective.  Takes a number
-    or an array, which is rejected if any of its points is.
+    Raises ``DegenerateError`` at band edges (half-trace ``±1`` within
+    ``1e-12`` of the branch point), where the matrix is defective.  Takes
+    a number or an array, which is rejected if any of its points is.
     """
     m = transfer_matrix(k, alpha)
     big, small, disc = _floquet(m.k, alpha)
     if np.any(np.hypot(disc.real, disc.imag) < 1e-12):
         raise DegenerateError("transfer matrix defective at a band edge")
-
-    def norm(u, v):
-        return np.hypot(np.hypot(u.real, u.imag), np.hypot(v.real, v.imag))
-
-    def eigvec(lam):
-        u, v = m.m12, lam - m.m11
-        swap = norm(u, v) < 1e-12 * np.hypot(lam.real, lam.imag)
-        u, v = np.where(swap, lam - m.m22, u), np.where(swap, m.m21, v)
-        n = norm(u, v)
-        return (_complex_divide(u, n), _complex_divide(v, n))
-
-    return TransferEigen(big, small, eigvec(big), eigvec(small))
+    return TransferEigen(big, small)
 
 
 def boundary_vector_even(
     k: complex, alpha: float, theta: float
 ) -> tuple[complex, complex]:
-    """Coefficient pair on the first ring next to the bent one (even sector).
+    """Value and slope on the first ring next to the bent one (even sector).
 
     With ``Q = (cos(pi k) + cos(k theta)) / sin(pi k)`` the pair is
-    ``(Q + i w, Q - i w)``, ``w = 1 - alpha Q/(2k)``.  Requires
-    ``|sin(pi k)| >= 1e-12``; on the real axis the two components are
-    complex conjugates.
+    ``(2Q, alpha Q - 2k)``.  Requires ``|sin(pi k)| >= 1e-12``; on the
+    real axis both components are real.
     """
     kc = complex(k)
     sp = cmath.sin(math.pi * kc)
     if abs(sp) < 1e-12:
         raise ValueError("boundary vector undefined where sin(pi k) vanishes")
     q = (cmath.cos(math.pi * kc) + cmath.cos(kc * theta)) / sp
-    w = 1.0 - alpha * q / (2.0 * kc)
-    return (q + 1j * w, q - 1j * w)
+    return (2.0 * q, alpha * q - 2.0 * kc)
 
 
 def coefficient_sequence(

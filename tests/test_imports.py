@@ -157,6 +157,31 @@ def test_commands_that_do_not_draw_leave_out_numpy_random():
     assert proc.stdout.strip() == "[False, False, False]"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigenvalues", "--alpha", "3", "--theta-start", "0", "--theta-stop", "1",
+         "--theta-count", "4", "--nmax", "2"],
+        ["resonances", "--alpha", "3", "--nmax", "1", "--theta-count", "8"],
+    ],
+    ids=["eigenvalues", "resonances"],
+)
+def test_csv_commands_leave_out_json(argv):
+    # Only JSON artifacts need the ``json`` package; the child reports with
+    # ``repr`` so that it does not load it itself.
+    code = (
+        "import contextlib, io, sys\n"
+        "import ringchain.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(repr((code, sorted(m for m in sys.modules if m.split('.')[0] == 'json'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == repr((0, []))
+
+
 def _child(code: str):
     """Run ``code`` in a fresh interpreter; its last line of output as JSON."""
     proc = subprocess.run(

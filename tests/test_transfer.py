@@ -4,9 +4,10 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ringchain import (
     DegenerateError,
@@ -22,6 +23,7 @@ from ringchain import (
     transfer_eigen,
     transfer_matrix,
 )
+from ringchain.dispersion import SMALL_ARG
 
 K_RE = st.floats(min_value=0.1, max_value=5.9, allow_nan=False)
 K_IM = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -52,16 +54,13 @@ def test_apply_is_matrix_action():
 
 
 def test_eigen_pairs_satisfy_eigen_equation():
+    # Each eigenvalue is a root of the matrix's own characteristic
+    # polynomial, lambda**2 - trace*lambda + det.
     k, alpha = 1.15, 3.0  # inside the first gap
     m = transfer_matrix(k, alpha)
     eig = transfer_eigen(k, alpha)
-    for lam, vec in (
-        (eig.expanding, eig.v_expanding),
-        (eig.contracting, eig.v_contracting),
-    ):
-        mv = m.apply(vec)
-        assert abs(mv[0] - lam * vec[0]) < 1e-9
-        assert abs(mv[1] - lam * vec[1]) < 1e-9
+    for lam in (eig.expanding, eig.contracting):
+        assert abs(lam * lam - m.trace * lam + m.det) < 1e-9
 
 
 def test_eigenvalues_are_reciprocal_and_ordered():
@@ -84,16 +83,32 @@ def test_band_edge_is_degenerate():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("k", [1e-200 * (1 + 1j), 1e-170j, 300j, 2.5 - 300j])
+@pytest.mark.parametrize("k", [300j, 2.5 - 300j])
 @pytest.mark.parametrize("call", [transfer_matrix, transfer_eigen])
 def test_overflowing_entry_products_are_an_error(call, k):
-    # Near k = 0 the entries grow like alpha/(4k), far off the real axis
-    # like exp(pi |Im k|); once their products overflow the determinant
-    # is NaN, and the call says so for a number and for any array point.
+    # Far off the real axis the entries grow like exp(pi |Im k|); once
+    # their products overflow the determinant is NaN, and the call says
+    # so for a number and for any array point.
     with pytest.raises(OverflowNormError):
         call(k, 1.0)
     with pytest.raises(OverflowNormError):
         call(np.array([1.5 + 0.2j, k, 2.5]), np.array([1.0, 1.0, -2.0]))
+
+
+NEAR_ZERO = [1e-9 * (1 + 1j), 1e-100 * (1 + 1j), 1e-150 * (1 + 1j), 1e-200 * (1 + 1j), 1e-170j]
+
+
+@pytest.mark.parametrize("k", NEAR_ZERO)
+def test_transfer_matrix_is_exact_next_to_zero(k):
+    # The entries are bounded as k -> 0 (cos(pi k) -> 1, sin(pi k)/k -> pi),
+    # so the determinant stays 1 and the multipliers are the distinct roots
+    # for the half-trace 1 + pi/4, for a number and within an array.
+    assert abs(transfer_matrix(k, 1.0).det - 1.0) <= 1e-15
+    eig = transfer_eigen(k, 1.0)
+    assert eig.expanding == pytest.approx(3.26446766881732, rel=1e-14)
+    assert eig.contracting == pytest.approx(0.306328657977577, rel=1e-14)
+    det = transfer_matrix(np.array([1.5 + 0.2j, k, 2.5]), np.array([1.0, 1.0, -2.0])).det
+    assert abs(det[1] - 1.0) <= 1e-15
 
 
 def test_boundary_vector_rejects_integer_momentum():
@@ -148,8 +163,8 @@ def test_growing_seed_overflows_loudly():
 # is a wavenumber with its coupling, alpha = +-U[0.1, 20]: off the real
 # axis (Re k in (0, 12], Im k in [-1, 1], one in ten on the real axis), on
 # the imaginary axis, at an integer (rejected with ValueError) or at a
-# band edge (``transfer_eigen`` raises DegenerateError).  Next to k = 0 the
-# transfer matrix's entry products overflow (OverflowNormError).
+# band edge (``transfer_eigen`` raises DegenerateError).  Next to k = 0,
+# down to subnormal wavenumbers, the transfer matrix stays finite.
 ALPHA_SIGNED = st.builds(
     lambda sign, size: sign * size,
     st.sampled_from((1.0, -1.0)),
@@ -180,11 +195,17 @@ def _point(draw) -> tuple[complex, float]:
 POINT = _point()
 
 def _cmath_values(fn, k: complex, alpha: float) -> list:
-    """The scalar formulas in CPython's complex arithmetic, as written before numpy."""
+    """The scalar formulas in CPython's complex arithmetic and ``cmath``."""
     if fn is transfer_matrix:
-        a = alpha / (4j * k)
-        e, einv = cmath.exp(1j * math.pi * k), cmath.exp(-1j * math.pi * k)
-        m = ((1.0 + a) * e, a * einv, -a * e, (1.0 - a) * einv)
+        pk = math.pi * k
+        c, s = cmath.cos(pk), cmath.sin(pk)
+        if abs(k) < SMALL_ARG:  # the Taylor series of sin(pi k)/k
+            x2 = -1.0 * pk * pk
+            r = math.pi * (1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0)))
+        else:
+            r = s / k
+        h = 0.5 * alpha
+        m = (c, r, h * c - k * s, c + h * r)
         return [*m, m[0] * m[3] - m[1] * m[2]]
     d = complex(discriminant(k, alpha))
     r = cmath.sqrt(d * d - 1.0)
@@ -220,7 +241,6 @@ def _assert_same_bits(array_value, scalar_values) -> None:
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(points=st.lists(POINT, min_size=1, max_size=12))
-@np.errstate(over="ignore", invalid="ignore")  # near k = 0 both paths give inf and nan
 def test_array_calls_equal_the_scalar_calls_bit_for_bit(points):
     k = np.array([p[0] for p in points])
     alpha = np.array([p[1] for p in points])
@@ -258,3 +278,44 @@ def test_in_spectrum_on_an_array_equals_its_scalar_calls(points):
     for alpha in {points[0][1], 3.0, -8.0 / math.pi}:
         inside = in_spectrum(np.array(energies), alpha)
         assert inside.tolist() == [bool(in_spectrum(e, alpha)) for e in energies]
+
+
+EPS = np.finfo(float).eps
+# |k| = 10**U[-200, 1] in any quadrant.
+K_ANY = st.builds(
+    lambda exponent, angle, sx, sy: 10.0**exponent * complex(sx * math.cos(angle), sy * math.sin(angle)),
+    st.floats(min_value=-200.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=math.pi / 2),
+    st.sampled_from((1.0, -1.0)),
+    st.sampled_from((1.0, -1.0)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(k=K_ANY, alpha=ALPHA_SIGNED)
+@example(k=10j, alpha=-20.0)  # m21 and m22 cancel: det = 8.6e10
+def test_transfer_matrix_matches_50_digits(k, alpha):
+    assume(k.imag != 0.0 or abs(k.real - round(k.real)) > 1e-6)
+    m = transfer_matrix(k, alpha)
+    with mpmath.workdps(50):
+        kk, h = mpmath.mpc(k), mpmath.mpf(alpha) / 2
+        c, s = mpmath.cos(mpmath.pi * kk), mpmath.sin(mpmath.pi * kk)
+        r = s / kk
+        exact = (c, r, h * c - kk * s, c + h * r)
+        # Each entry against the size of its terms.  Rounding pi*k to a
+        # double moves cos and sin by up to eps*|pi k| times each other, so
+        # each counts as sigma = |c| + |s|.
+        sigma = abs(c) + abs(s)
+        scales = [float(x) for x in (
+            sigma, abs(r) + sigma, (abs(h) + abs(kk)) * sigma, sigma + abs(h) * (abs(r) + sigma)
+        )]
+        for got, want, scale in zip((m.m11, m.m12, m.m21, m.m22), exact, scales):
+            assert abs(complex(got) - complex(want)) <= 1e-13 * scale, (got, want)
+    # The determinant's rounding is measured on the size of the terms of
+    # m22 = c + (alpha/2) r and m21 = (alpha/2) c - k**2 r, which cancel
+    # where the entries are large and their sum small.
+    h = 0.5 * alpha
+    terms = (abs(m.m11) * (abs(m.m11) + abs(h * m.m12))
+             + abs(m.m12) * (abs(h * m.m11) + abs(k * k * m.m12)))
+    assert abs(m.det - 1.0) <= 4.0 * EPS * terms
+    assert abs(m.trace - 2.0 * discriminant(k, alpha)) <= 1e-13 * (scales[0] + scales[3])
