@@ -97,18 +97,30 @@ def test_overflowing_entry_products_are_an_error(call, k):
 
 NEAR_ZERO = [1e-9 * (1 + 1j), 1e-100 * (1 + 1j), 1e-150 * (1 + 1j), 1e-200 * (1 + 1j), 1e-170j]
 
+# What each call gives at alpha = 1 next to k = 0, with its tolerance: the
+# determinant 1, and the multipliers, the distinct roots for the
+# half-trace 1 + pi/4.
+NEAR_ZERO_READS = {
+    transfer_matrix: (lambda m: (m.det,), (1.0,), 1e-15),
+    transfer_eigen: (
+        lambda e: (e.expanding, e.contracting),
+        (3.26446766881732, 0.306328657977577),
+        1e-14,
+    ),
+}
+
 
 @pytest.mark.parametrize("k", NEAR_ZERO)
-def test_transfer_matrix_is_exact_next_to_zero(k):
+@pytest.mark.parametrize("call", [transfer_matrix, transfer_eigen])
+def test_transfer_matrix_is_exact_next_to_zero(call, k):
     # The entries are bounded as k -> 0 (cos(pi k) -> 1, sin(pi k)/k -> pi),
-    # so the determinant stays 1 and the multipliers are the distinct roots
-    # for the half-trace 1 + pi/4, for a number and within an array.
-    assert abs(transfer_matrix(k, 1.0).det - 1.0) <= 1e-15
-    eig = transfer_eigen(k, 1.0)
-    assert eig.expanding == pytest.approx(3.26446766881732, rel=1e-14)
-    assert eig.contracting == pytest.approx(0.306328657977577, rel=1e-14)
-    det = transfer_matrix(np.array([1.5 + 0.2j, k, 2.5]), np.array([1.0, 1.0, -2.0])).det
-    assert abs(det[1] - 1.0) <= 1e-15
+    # so each call is exact there, for a number and within an array.
+    read, expected, tol = NEAR_ZERO_READS[call]
+    for got, want in zip(read(call(k, 1.0)), expected):
+        assert abs(got - want) <= tol * want
+    points = call(np.array([1.5 + 0.2j, k, 2.5]), np.array([1.0, 1.0, -2.0]))
+    for got, want in zip(read(points), expected):
+        assert abs(got[1] - want) <= tol * want
 
 
 def test_boundary_vector_rejects_integer_momentum():
