@@ -52,8 +52,8 @@ _EXPORTS = {
         "ContourZeroError", "SingularPoint", "resonance_residual",
         "resonance_residual_grid", "enumerate_singular_points",
         "seed_from_singular_point", "refine_resonance", "continue_curve",
-        "trace_complex_branch", "real_branch_offset", "fit_branch_exponent",
-        "gentle_bend_coefficient", "fit_gentle_coefficient", "count_zeros_box",
+        "trace_complex_branch", "fit_branch_exponent", "gentle_bend_coefficient",
+        "fit_gentle_coefficient", "count_zeros_box",
     ),
     "verify": ("run_criterion", "run_all", "summarize"),
 }

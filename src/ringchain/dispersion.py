@@ -51,7 +51,7 @@ __all__ = [
     "is_near_integer",
 ]
 
-# Real wavenumbers closer than this to an integer are treated as the
+# Real wavenumbers closer than this to a nonzero integer are treated as the
 # flat-band point itself and routed to the degenerate handling.
 INTEGER_WINDOW = 1e-9
 # Below this |k| the trigonometric ratios switch to their Taylor series so
@@ -81,8 +81,9 @@ class OverflowNormError(OverflowError):
 
 
 def is_near_integer(k):
-    """True where a real wavenumber is within ``INTEGER_WINDOW`` of an integer."""
-    return (np.abs(k - np.rint(k)) < INTEGER_WINDOW)[()]
+    """True where a real wavenumber is within ``INTEGER_WINDOW`` of a nonzero
+    integer; ``k = 0`` is zero energy, where the period map stays regular."""
+    return ((np.abs(k - np.rint(k)) < INTEGER_WINDOW) & (np.rint(k) != 0.0))[()]
 
 
 def _complex_divide(a, b):
@@ -108,13 +109,15 @@ def _sin_ratio(x, s, sign=-1.0):
 
     Below ``SMALL_ARG`` the ratio is the Taylor series in
     ``x2 = sign*(pi*x)**2``; the two series differ only in that sign.
+    Complex operands are multiplied and divided as CPython rounds them.
     """
-    divide = _complex_divide if s.dtype.kind == "c" else operator.truediv
+    cplx = s.dtype.kind == "c"
+    mul, divide = (_complex_multiply, _complex_divide) if cplx else (operator.mul, operator.truediv)
     small = abs(x) < SMALL_ARG
     if not np.count_nonzero(small):
         return divide(s, x)
-    x2 = sign * (np.pi * x) * (np.pi * x)
-    series = np.pi * (1.0 + divide(x2, 6.0) * (1.0 + divide(x2, 20.0) * (1.0 + divide(x2, 42.0))))
+    x2 = sign * mul(np.pi * x, np.pi * x)
+    series = np.pi * (1.0 + mul(divide(x2, 6.0), 1.0 + mul(divide(x2, 20.0), 1.0 + divide(x2, 42.0))))
     return np.where(small, series, divide(s, np.where(small, 1.0, x)))[()]
 
 
@@ -158,8 +161,8 @@ def floquet_phases(k, alpha):
 
     Roots of ``z**2 - 2*d*z + 1 = 0`` with ``d`` the half-trace; they
     multiply to 1.  The first returned phase has the larger modulus.  Real
-    ``k`` within ``INTEGER_WINDOW`` of an integer is rejected: there the
-    period map is defective and the flat-band value ``k**2`` must be
+    ``k`` within ``INTEGER_WINDOW`` of a nonzero integer is rejected: there
+    the period map is defective and the flat-band value ``k**2`` must be
     handled as an eigenvalue, not through the phases.  Takes a number or an
     array; ``alpha`` broadcasts with ``k``.
     """

@@ -13,10 +13,11 @@ a gap dives into the flat-band point ``k = n`` and splits into three
 Puiseux branches ``k = n + eps``, ``eps ~ cbrt(alpha/8) (n/pi)
 |theta - theta0|**(4/3)`` — one real and a conjugate pair spiralling off
 at ``exp(±2 pi i/3)``.  This module seeds Newton iterations from that law,
-continues the branches in the bend angle, fits the branch exponents, and
-counts zeros in rectangles by the argument principle.  The trace is
-scalar ``cmath`` code and runs without numpy; the functions that build
-arrays (the fits, the residual grid, the zero count) import it when called.
+continues the branches in the bend angle, fits the branch exponents on the
+gap engine's real roots, and counts zeros in rectangles by the argument
+principle.  The trace is scalar ``cmath`` code and runs without numpy; the
+functions that build arrays (the fits, the residual grid, the zero count)
+import it when called.
 """
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ __all__ = [
     "refine_resonance",
     "continue_curve",
     "trace_complex_branch",
-    "real_branch_offset",
     "fit_branch_exponent",
     "gentle_bend_coefficient",
     "fit_gentle_coefficient",
@@ -385,36 +385,6 @@ def trace_complex_branch(
     return continue_curve(alpha, sp.parity, grid, k_seed, seed=sp)
 
 
-def real_branch_offset(alpha: float, gap: GapInterval, thetas, parity: str):
-    """Signed offset ``k - n`` of the gap eigenvalue at every angle of ``thetas``.
-
-    Bisects the entire cleared residual between the integer and the band
-    edge, which stays numerically meaningful arbitrarily close to the
-    integer (unlike the gap function); all angles are bisected together.
-    NaN where the sector has no root there.
-    """
-    import numpy as np
-
-    from ._rootfind import _first_roots
-
-    if gap.n < 1:
-        raise ValueError("offset defined for gaps containing an integer")
-    n = float(gap.n)
-    if gap.k_lo == n:  # repulsive: root above the integer
-        lo, hi = n + 1e-13, gap.k_hi - 1e-13
-    else:  # attractive: root below
-        lo, hi = gap.k_lo + 1e-13, n - 1e-13
-    thetas = np.asarray(thetas, dtype=float)
-    roots = _first_roots(
-        lo,
-        hi,
-        lambda k, th: resonance_residual_grid(k, alpha, th, parity).real,
-        thetas.reshape(-1),
-        points=2,
-    )
-    return (roots - n).reshape(thetas.shape)[()]
-
-
 @dataclass(frozen=True)
 class BranchFit:
     """Log-log fit of a branch offset against the angle offset."""
@@ -427,23 +397,24 @@ class BranchFit:
 def fit_branch_exponent(alpha: float, sp: SingularPoint) -> BranchFit:
     """Fit ``|k - n| = C |theta - theta0|**p`` on the real branch near a singular point.
 
-    ``k - n`` is the gap root's offset from ``real_branch_offset``, sampled
-    at ``FIT_SAMPLES_PER_SIDE`` angle offsets from ``FIT_DELTA_LO`` to
-    ``FIT_DELTA_HI``.  When the singular angle is interior the fit pools
-    both sides of it, which cancels the odd-order corrections of the branch
-    expansion.  Fewer than 8 usable samples raise ``InsufficientDataError``.
+    ``k - n`` is the gap eigenvalue's offset as the gap engine
+    (``gaps._sector_roots``) solves it, at ``FIT_SAMPLES_PER_SIDE`` angle
+    offsets from ``FIT_DELTA_LO`` to ``FIT_DELTA_HI``; an angle with no root
+    drops out.  When the singular angle is interior the fit pools both sides
+    of it, which cancels the odd-order corrections of the branch expansion.
+    Fewer than 8 usable samples raise ``InsufficientDataError``.
     """
     import numpy as np
 
-    from .bands import gap_intervals
+    from .gaps import _sector_roots
 
     deltas = np.geomspace(FIT_DELTA_LO, FIT_DELTA_HI, FIT_SAMPLES_PER_SIDE)
     signed = np.concatenate([deltas, -deltas]) if sp.theta0 > 0.0 else deltas
     thetas = sp.theta0 + signed
     inside = (0.0 < thetas) & (thetas < math.pi)
     signed, thetas = signed[inside], thetas[inside]
-    gap = next(g for g in gap_intervals(alpha, sp.n) if g.n == sp.n)
-    eps = np.abs(real_branch_offset(alpha, gap, thetas, sp.parity))
+    (roots,) = _sector_roots([(alpha, sp.n, sp.parity, thetas)])
+    eps = np.abs(roots - sp.n)
     use = eps > 0.0
     log_d = [math.log(abs(d)) for d in signed[use].tolist()]
     log_e = [math.log(e) for e in eps[use].tolist()]

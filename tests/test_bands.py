@@ -94,6 +94,15 @@ def test_in_spectrum_matches_discriminant_oracle():
             assert in_spectrum(energy, alpha) == inside
 
 
+@pytest.mark.parametrize("alpha, inside", [(3.0, False), (-1.0, True)])
+def test_energy_next_to_zero_is_not_a_flat_band(alpha, inside):
+    # k = 1e-10 rounds to the integer 0, which holds no flat band: zero
+    # energy is inside exactly where the half-trace 1 + alpha*pi/4 is
+    # (3.36 at alpha = 3, 0.21 at alpha = -1).
+    assert bool(in_spectrum(1e-20, alpha)) is inside
+    assert in_spectrum(np.array([1e-20, 1.0]), alpha).tolist() == [inside, True]
+
+
 def test_flat_band_energies_belong_to_spectrum():
     for alpha in (3.0, -3.0):
         for n in (1, 2, 3):

@@ -7,7 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ringchain import (
     ZERO_ENERGY_ALPHA_MIN,
@@ -94,6 +94,15 @@ def test_floquet_phases_reject_flat_band_point():
         floquet_phases(2.0, 3.0)
 
 
+def test_floquet_phases_next_to_zero_on_the_real_axis():
+    # Zero energy is no flat-band point: the multipliers are the distinct
+    # roots for the half-trace 1 + pi/4.
+    big, small = floquet_phases(1e-12, 1.0)
+    assert math.isclose(big.real, 3.26446766881732, rel_tol=1e-14)
+    assert math.isclose(small.real, 0.306328657977577, rel_tol=1e-14)
+    assert big.imag == small.imag == 0.0
+
+
 def test_floquet_unimodular_iff_band():
     # Inside a band both multipliers sit on the unit circle; in a gap they
     # split off it reciprocally.
@@ -122,6 +131,13 @@ def test_gap_function_rejects_band_interior_and_integers():
         gap_function(0.9, 3.0)  # inside the first band
     with pytest.raises(ValueError):
         gap_function(1.0, 3.0)  # flat-band point
+
+
+def test_gap_function_next_to_zero():
+    # At alpha = 3, k = 1e-10 lies in gap 0 (half-trace 3.36), not on a
+    # flat band; the gap function tends to -cos(0) = -1 there.
+    assert gap_function(1e-10, 3.0) == -1.0
+    assert gap_function(np.array([1e-10, 1.15]), 3.0)[0] == -1.0
 
 
 def test_gap_function_negative_moebius_identity():
@@ -223,6 +239,9 @@ COMPLEX_K = st.builds(
     zs=st.lists(COMPLEX_K, min_size=1, max_size=20),
     alpha=FINITE_ALPHA,
 )
+# A subnormal real part: numpy's own complex products in the series round
+# the imaginary part differently from CPython's.
+@example(ks=[0.0], zs=[1.5665332039519458e-302 + 7.643952595356615e-06j], alpha=3.0)
 def test_kernels_equal_the_scalar_formulas_bit_for_bit(ks, zs, alpha):
     # One array call gives, bit for bit, what the scalar math/cmath
     # formulas give one wavenumber at a time.

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used or re-exported, the
-scalar ``bisect`` stays verify's own, one dispatcher routes every gap
-eigenvalue, the CLI's import stays light and single-threaded, and each
-command loads only the modules it runs."""
+scalar ``bisect`` stays verify's own, only the gap engine imports the
+batched root path, one dispatcher routes every gap eigenvalue, the CLI's
+import stays light and single-threaded, and each command loads only the
+modules it runs."""
 from __future__ import annotations
 
 import ast
@@ -66,6 +67,25 @@ def test_only_verify_imports_the_scalar_bisect():
         and any(a.name == "bisect" for a in node.names)
     }
     assert importers == {"verify"}
+
+
+def test_only_the_gap_engine_imports_the_batched_root_path():
+    # Every real gap root comes from the one scan-bracket-bisect engine in
+    # ``gaps`` (and the edges in ``bands``), so no side root path grows
+    # back.  Function-local imports count, and importing ``_rootfind``
+    # itself counts as importing all of it.
+    engine = {"_first_roots", "_row_brackets", "bisect_batch"}
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = {a.name for a in node.names}
+            whole = any(name.split(".")[-1] == "_rootfind" for name in names)
+            source = getattr(node, "module", None) or ""
+            if whole or (source.split(".")[-1] == "_rootfind" and engine & names):
+                importers.add(path.stem)
+    assert importers == {"gaps", "bands"}
 
 
 def test_only_the_sector_dispatcher_calls_the_sector_solvers():
@@ -240,7 +260,8 @@ def test_each_command_loads_only_the_modules_it_runs(argv):
 
 # Each resonance function that builds arrays imports numpy and the engine
 # names it needs when called.  ``r`` is ``ringchain.resonance``; the first
-# two calls load numpy, ``bands`` and ``_rootfind`` themselves.
+# two calls load numpy and ``gaps`` (with ``bands`` and ``_rootfind``)
+# themselves.
 LAZY_CALLS = """
 sp = r.SingularPoint(2, 1, "+")
 out = [
@@ -251,10 +272,7 @@ import numpy as np
 from ringchain.bands import gap_intervals
 zs = np.array([0.5 + 0.1j, 1.5 - 0.3j, 2.5 + 0j])
 out.append([[z.real, z.imag] for z in r.resonance_residual_grid(zs, 3.0, 1.1, "-").tolist()])
-gap = gap_intervals(3.0, 2)[2]
-thetas = np.array([sp.theta0 - 5e-3, sp.theta0 + 5e-3])
-out.append(r.real_branch_offset(3.0, gap, thetas, "+").tolist())
-out.append(r.fit_gentle_coefficient(3.0, gap))
+out.append(r.fit_gentle_coefficient(3.0, gap_intervals(3.0, 2)[2]))
 """
 
 
@@ -301,7 +319,7 @@ def test_every_public_name_is_its_defining_modules_object():
         if getattr(ringchain, name)
         is not getattr(importlib.import_module(f"ringchain.{_defining_module(name)}"), name)
     ]
-    assert len(names) == 51 and not wrong
+    assert len(names) == 50 and not wrong
 
 
 def test_a_public_name_loads_its_module_on_first_access():

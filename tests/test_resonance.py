@@ -22,7 +22,6 @@ from ringchain import (
     fit_gentle_coefficient,
     gap_intervals,
     gentle_bend_coefficient,
-    real_branch_offset,
     refine_resonance,
     resonance_residual,
     resonance_residual_grid,
@@ -33,6 +32,8 @@ from ringchain import (
 )
 from ringchain import resonance
 from ringchain.cli import main
+from ringchain.gaps import _sector_roots
+from ringchain.verify import _BRANCH_POINTS
 
 K_RE = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 K_IM = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -454,19 +455,44 @@ def test_upper_branch_alone_equals_the_upper_rows_of_both(tmp_path):
 
 def test_real_branch_offsets_open_upward_for_repulsive_coupling():
     sp = SingularPoint(2, 1, "+")
-    gap = gap_intervals(3.0, 2)[2]
-    # Both sides of the singular angle in one call; an absent root is NaN.
-    offs = real_branch_offset(3.0, gap, sp.theta0 + np.array([-5e-3, 5e-3]), "+")
+    # Both sides of the singular angle in one call of the gap engine, which
+    # the branch fit reads; an absent root would be NaN.
+    (roots,) = _sector_roots([(3.0, 2, "+", sp.theta0 + np.array([-5e-3, 5e-3]))])
+    offs = roots - 2.0
     assert offs.shape == (2,)
     assert np.all((0.0 < offs) & (offs < 1e-2))
+
+
+@pytest.mark.parametrize("sp", _BRANCH_POINTS, ids=lambda sp: f"{sp.n}-{sp.ell}")
+def test_branch_fit_offsets_match_high_precision_roots(sp):
+    # Criterion 6 fits the gap engine's k - n at these angles (every one
+    # lies inside (0, pi)); each offset must match the 60-digit real root
+    # of the cleared residual F, which the engine never evaluates, to 1e-10
+    # relative.
+    deltas = np.geomspace(
+        resonance.FIT_DELTA_LO, resonance.FIT_DELTA_HI, resonance.FIT_SAMPLES_PER_SIDE
+    )
+    thetas = sp.theta0 + (np.concatenate([deltas, -deltas]) if sp.theta0 > 0.0 else deltas)
+    (roots,) = _sector_roots([(3.0, sp.n, sp.parity, thetas)])
+    assert not np.isnan(roots).any()
+    with mpmath.workdps(60):
+        for theta, k in zip(thetas.tolist(), roots.tolist()):
+            eps = mpmath.mpf(k) - sp.n
+            assert eps > 0  # the real branch opens upward for alpha > 0
+            ref = mpmath.findroot(
+                lambda z: _mp_residual(z, 3, mpmath.mpf(theta), sp.parity),
+                (sp.n + eps * (1 - mpmath.mpf("1e-6")), sp.n + eps * (1 + mpmath.mpf("1e-6"))),
+                solver="anderson",
+            ) - sp.n
+            assert abs(eps - ref) <= 1e-10 * ref, (theta, k)
 
 
 def test_branch_exponent_fixture():
     # theta0 = 0: the fit samples one side only.
     fit = fit_branch_exponent(3.0, SingularPoint(1, 1, "+"))
     assert fit.n_samples == 13
-    assert math.isclose(fit.exponent, 1.3333203066517625, rel_tol=1e-9)
-    assert math.isclose(fit.coefficient, 0.22952113814169228, rel_tol=1e-9)
+    assert math.isclose(fit.exponent, 1.3333203070795792, rel_tol=1e-9)
+    assert math.isclose(fit.coefficient, 0.22952113867235624, rel_tol=1e-9)
     # The measured coefficient tracks cbrt(alpha/8) * k0 / pi to a few
     # basis points; the companion constant with alpha/4 misses by ~21%.
     target = (3.0 / 8.0) ** (1.0 / 3.0) / math.pi

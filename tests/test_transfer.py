@@ -123,6 +123,16 @@ def test_transfer_matrix_is_exact_next_to_zero(call, k):
         assert abs(got[1] - want) <= tol * want
 
 
+def test_transfer_matrix_next_to_zero_on_the_real_axis():
+    # A real k next to 0 is zero energy, not a flat-band point: the matrix
+    # exists there, with determinant 1 and trace twice the half-trace.
+    m = transfer_matrix(1e-12, 1.0)
+    assert abs(m.det - 1.0) <= 1e-15
+    assert m.trace == 2.0 * discriminant(1e-12, 1.0)
+    with pytest.raises(ValueError):
+        transfer_matrix(1.0 + 1e-12, 1.0)  # the integer 1 stays a flat band
+
+
 def test_boundary_vector_rejects_integer_momentum():
     with pytest.raises(ValueError):
         boundary_vector_even(2.0, 3.0, 1.0)
